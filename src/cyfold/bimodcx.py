@@ -14,7 +14,17 @@ Sign conventions (pinned by golden tests):
     d_Y f = (-1)^r f d_X.
 """
 
-from .exactlin import Matrix, Subspace, kernel_basis, rref, solve_linear, random_vector, derive_seed
+from .exactlin import (
+    IncrementalSpan,
+    Matrix,
+    PreparedSolver,
+    Subspace,
+    derive_seed,
+    kernel_basis,
+    random_vector,
+    rref,
+    solve_linear,
+)
 
 
 class ProjBimodSummand:
@@ -1271,8 +1281,6 @@ def _top_generators(m: BimoduleData):
     for r in B.radical_indices():
         mat = m.right_action[r]
         rad_rows.extend(mat.data)
-    from .exactlin import IncrementalSpan
-
     span = IncrementalSpan(m.dim, f)
     for row in rad_rows:
         span.add(row)
@@ -1348,10 +1356,10 @@ def _sub_bimodule(m: BimoduleData, subspace):
         empty = [Matrix.zero(0, 0, f) for _ in range(m.left_alg.dim)]
         emptyr = [Matrix.zero(0, 0, f) for _ in range(m.right_alg.dim)]
         return BimoduleData(m.left_alg, m.right_alg, 0, empty, emptyr), rows
-    basis_mat = Matrix.from_rows(rows, m.dim, f).transpose()
+    solver = PreparedSolver(Matrix.from_rows(rows, m.dim, f).transpose())
 
     def express(vec):
-        sol = solve_linear(basis_mat, vec)
+        sol = solver.solve(vec)
         if sol is None:
             raise ValueError("subspace is not action-stable")
         return sol

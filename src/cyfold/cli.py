@@ -280,7 +280,8 @@ def cmd_gen(args):
         qdoc = quiver_to_doc(alg.quiver, _beilinson_relations(args.d))
         meta = {"model": "beilinson", "d": args.d, "max_len": args.d + 1}
         if args.d == 1:
-            udoc = complex_to_doc(presets.kronecker_root(alg, 0, 1))
+            udoc = complex_to_doc(
+                presets.kronecker_root(alg, 0, 1, xname="x0_0", yname="x1_0"))
         else:
             udoc = None
     elif args.model == "a4mod":

@@ -12,7 +12,7 @@ from .bimodcx import (
     resolution_of_algebra,
     tensor_power,
 )
-from .exactlin import Matrix, Subspace, kernel_basis, rref, solve_linear
+from .exactlin import IncrementalSpan, Matrix, PreparedSolver, Subspace, kernel_basis, rref
 from .quiveralg import PathBasisAlgebra, Quiver
 
 
@@ -436,8 +436,6 @@ def _h0_corner_reps(power, e_vertices):
             if any(v != 0 for v in col):
                 brows.append(col)
 
-    from .exactlin import IncrementalSpan
-
     span = IncrementalSpan(n, f)
     for row in brows:
         span.add(row)
@@ -510,8 +508,6 @@ def _flat_product(p1, p2, p3, coords1, coords2, coords3, v1, v2, f):
 
 def _rep_solver(power, coords, reps, e_vertices, f):
     """PreparedSolver for expressing cycles over (reps + boundaries)."""
-    from .exactlin import PreparedSolver
-
     filt = {(u, v) for u in e_vertices for v in e_vertices}
     n = len(coords)
     dprev, _, _ = power.diff_matrix(-1, filt)
@@ -536,29 +532,6 @@ def _express_with_solver(solver, nreps, vec):
     if sol is None:
         raise ValueError("cycle not expressible; H^0 bookkeeping broken")
     return {i: c for i, c in enumerate(sol[:nreps]) if c != 0}
-
-
-def _express_in_reps(power, coords, reps, vec, e_vertices, f):
-    """Write a cycle as a combination of chosen reps modulo boundaries."""
-    if all(v == 0 for v in vec):
-        return {}
-    filt = {(u, v) for u in e_vertices for v in e_vertices}
-    n = len(coords)
-    dprev, _, _ = power.diff_matrix(-1, filt)
-    brows = []
-    if dprev.rows and dprev.cols:
-        for c in range(dprev.cols):
-            col = [dprev.data[r][c] for r in range(dprev.rows)]
-            if any(v != 0 for v in col):
-                brows.append(col)
-    cols = [list(r[0]) for r in reps] + brows
-    if not cols:
-        return {}
-    mat = Matrix.from_rows(cols, n, f).transpose()
-    sol = solve_linear(mat, vec)
-    if sol is None:
-        raise ValueError("cycle not expressible; H^0 bookkeeping broken")
-    return {i: c for i, c in enumerate(sol[: len(reps)]) if c != 0}
 
 
 def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraData:
@@ -879,24 +852,21 @@ def _graded_cover_step(g, gens, kernel, N, f):
             continue
         coords_d = free_coords(gens, d)
         # span of already chosen generators at this degree
-        span = list(covered[d])
-        base = _rank(span, len(coords_d), f)
+        span = IncrementalSpan(len(coords_d), f)
+        for vec in covered[d]:
+            span.add(vec)
         for vec in kd:
-            r = _rank(span + [vec], len(coords_d), f)
-            if r == base:
+            if span.contains(vec):
                 continue
             # split by right object and add as generators
             for obj in g.objects:
                 comp = _right_object_component(g, gens, coords_d, vec, obj, f)
                 if all(v == 0 for v in comp):
                     continue
-                r2 = _rank(span + [comp], len(coords_d), f)
-                if r2 == base:
+                if not span.add(comp):
                     continue
                 new_gens.append((obj, d))
                 gen_vectors.append((d, comp, obj))
-                span.append(comp)
-                base = r2
                 # propagate the new generator's multiples upward
                 for d2 in range(d + 1, N + 1):
                     coords_d2 = free_coords(gens, d2)
@@ -930,13 +900,6 @@ def _graded_cover_step(g, gens, kernel, N, f):
         ker = kernel_basis(mat)
         next_kernel[d] = [list(v) for v in ker.basis.data]
     return new_gens, diff_vectors, next_kernel
-
-
-def _rank(rows, n, f):
-    rows = [r for r in rows if any(v != 0 for v in r)]
-    if not rows:
-        return 0
-    return rref(Matrix.from_rows(rows, n, f)).rank
 
 
 def _right_object_component(g, gens, coords_d, vec, obj, f):

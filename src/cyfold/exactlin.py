@@ -2,14 +2,19 @@
 
 Everything downstream (cohomology ranks, chain-map solving, resolutions)
 funnels through rref/kernel/solve here.  Arithmetic is exact: Fractions in
-lowest terms over Q, int residues mod a prime otherwise.  The seeded PRNG
+lowest terms over Q, int residues mod a prime otherwise.  Matrices come in
+and go out dense, but the elimination inside is sparse (``_kernels``): the
+matrices met here are a few per cent nonzero.  ``PreparedSolver`` factors
+a matrix once for many right-hand sides and ``IncrementalSpan`` grows a
+row space one vector at a time; use them instead of calling
+``solve_linear`` or ``rank`` in a loop over one matrix.  The seeded PRNG
 is splitmix64 (state += 0x9E3779B97F4B9C15; mixes 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB) so every randomized search is reproducible.
 """
 
 from fractions import Fraction
 
-from . import _kernels
+from ._kernels import ZERO, Echelon, dense_row, sparse_row, value
 
 
 class Field:
@@ -27,7 +32,7 @@ class Field:
         return (value * pow(den, self.char - 2, self.char)) % self.char
 
     def zero(self):
-        return Fraction(0) if self.char == 0 else 0
+        return ZERO if self.char == 0 else 0
 
     def one(self):
         return Fraction(1) if self.char == 0 else 1
@@ -159,10 +164,9 @@ class Subspace:
     def contains(self, vec):
         if self.dim == 0:
             return all(v == 0 for v in vec)
-        aug = Matrix.from_rows(
-            self.basis.data + [list(vec)], self.ambient_dim, self.basis.field
-        )
-        return rref(aug).rank == self.dim
+        ech = _echelon(self.basis)
+        return (ech.rank == self.dim
+                and not ech.reduce(sparse_row(vec, self.basis.field.char))[0])
 
 
 class RrefResult:
@@ -174,55 +178,66 @@ class RrefResult:
         self.pivots = pivots
 
 
+def _echelon(m: Matrix) -> Echelon:
+    p = m.field.char
+    return Echelon(p, [sparse_row(r, p) for r in m.data])
+
+
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form with rank and pivot columns."""
     if m.rows == 0 or m.cols == 0:
         return RrefResult(m.copy(), 0, [])
-    if m.field.char == 0:
-        data, rank, pivots = _kernels.rref_frac(m.data)
-    else:
-        data, rank, pivots = _kernels.rref_modp(m.data, m.field.char)
-    return RrefResult(Matrix(m.rows, m.cols, data, m.field), rank, pivots)
+    p = m.field.char
+    ech = _echelon(m)
+    pivots = sorted(ech.rows)
+    data = [dense_row(ech.rows[c], m.cols, p) for c in pivots]
+    zero = m.field.zero()
+    data += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
+    return RrefResult(Matrix(m.rows, m.cols, data, m.field), len(pivots), pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    return _echelon(m).rank
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of the right null space {x : m x = 0}."""
-    if m.rows == 0:
-        return Subspace(m.cols, Matrix.identity(m.cols, m.field))
-    res = rref(m)
+    """Basis of the right null space {x : m x = 0}, one vector per free
+    column c: 1 at c, minus the reduced rows' entries in c at the pivots."""
     f = m.field
-    pivset = set(res.pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for c in free:
-        vec = [f.zero()] * m.cols
-        vec[c] = f.one()
-        for i, pc in enumerate(res.pivots):
-            vec[pc] = f.neg(res.reduced.data[i][c])
-        basis.append(vec)
+    if m.rows == 0:
+        return Subspace(m.cols, Matrix.identity(m.cols, f))
+    p = f.char
+    ech = _echelon(m)
+    free = {c: i for i, c in enumerate(c for c in range(m.cols) if c not in ech.rows)}
+    zero = f.zero()
+    basis = [[zero] * m.cols for _ in free]
+    for c, i in free.items():
+        basis[i][c] = f.one()
+    for pc, (nums, den) in ech.rows.items():
+        # a reduced row is 0 in the other pivot columns
+        for c, v in nums.items():
+            if c != pc:
+                basis[free[c]][pc] = -v % p if p else Fraction(-v, den)
     return Subspace(m.cols, Matrix.from_rows(basis, m.cols, f))
 
 
 def solve_linear(m: Matrix, b):
-    """Some x with m x = b, or None when b is outside the column space."""
+    """Some x with m x = b, or None when b is outside the column space.
+    The free unknowns are 0.  To solve many systems with one m, use
+    PreparedSolver."""
     if len(b) != m.rows:
         raise ValueError("rhs length != row count")
     f = m.field
-    aug = Matrix.from_rows(
-        [m.data[i] + [b[i]] for i in range(m.rows)], m.cols + 1, f
-    ) if m.rows else Matrix.zero(0, m.cols + 1, f)
     if m.rows == 0:
         return [f.zero()] * m.cols
-    res = rref(aug)
-    if m.cols in res.pivots:
+    p = f.char
+    k = m.cols
+    ech = Echelon(p, [sparse_row(m.data[i] + [b[i]], p) for i in range(m.rows)])
+    if k in ech.rows:
         return None
-    x = [f.zero()] * m.cols
-    for i, pc in enumerate(res.pivots):
-        x[pc] = res.reduced.data[i][m.cols]
+    x = [f.zero()] * k
+    for pc, row in ech.rows.items():
+        x[pc] = value(row, k, p)
     return x
 
 
@@ -311,84 +326,78 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 class PreparedSolver:
     """Factor a matrix once, then solve m x = b for many right-hand sides.
 
-    Row-reduces [m | I] so each solve is a single matrix-vector product
-    plus a consistency check.
+    Row-reduces [m | I] and keeps only the nonzeros of the right block, by
+    column.  A row with its pivot in m gives x at that pivot as its dot
+    product with b; the rows without one span the left null space of m, so
+    b is consistent iff each of them is orthogonal to b.  A solve touches
+    only the columns in b's support.  The answer is solve_linear's.
     """
 
     def __init__(self, m: Matrix):
         self.m = m
-        f = m.field
-        n, k = m.rows, m.cols
-        aug = Matrix.from_rows(
-            [list(m.data[i]) + [f.one() if j == i else f.zero() for j in range(n)]
-             for i in range(n)],
-            k + n,
-            f,
-        ) if n else Matrix.zero(0, k, f)
-        res = rref(aug)
-        self.rank = len([p for p in res.pivots if p < k])
-        self.pivots = [p for p in res.pivots if p < k]
-        self.reduced = res.reduced
-        self.field = f
+        self.field = m.field
+        p = m.field.char
+        k = m.cols
+        rows = []
+        for i, r in enumerate(m.data):
+            nums, den = sparse_row(r, p)
+            nums[k + i] = den  # the identity entry, den / den = 1
+            rows.append((nums, den))
+        ech = Echelon(p, rows)
+        self.pivots = [c for c in sorted(ech.rows) if c < k]
+        self.rank = len(self.pivots)
+        # slots 0..rank-1 are the pivot rows, the rest the left null space
+        order = self.pivots + sorted(c for c in ech.rows if c >= k)
+        self._dens = [ech.rows[c][1] for c in order]
+        self._cols = {}  # entry j of b -> [(slot, numerator)]
+        for slot, c in enumerate(order):
+            for j, v in ech.rows[c][0].items():
+                if j >= k:
+                    self._cols.setdefault(j - k, []).append((slot, v))
 
     def solve(self, b):
+        if len(b) != self.m.rows:
+            raise ValueError("rhs length != row count")
         f = self.field
-        n, k = self.m.rows, self.m.cols
-        x = [f.zero()] * k
-        for i in range(n):
-            row = self.reduced.data[i]
-            acc = f.zero()
-            for j in range(n):
-                v = row[k + j]
-                if v != 0 and b[j] != 0:
-                    acc = f.add(acc, f.mul(v, b[j]))
-            if i < self.rank:
-                x[self.pivots[i]] = acc
-            elif acc != 0:
+        p = f.char
+        bnums, bden = sparse_row(b, p)
+        acc = {}
+        for j, bv in bnums.items():
+            for slot, v in self._cols.get(j, ()):
+                acc[slot] = acc.get(slot, 0) + v * bv
+        x = [f.zero()] * self.m.cols
+        for slot, a in acc.items():
+            if p:
+                a %= p
+            if not a:
+                continue
+            if slot >= self.rank:
                 return None
+            x[self.pivots[slot]] = a if p else Fraction(a, self._dens[slot] * bden)
         return x
 
 
 class IncrementalSpan:
-    """Row space with one-at-a-time insertion and O(rank * n) membership."""
+    """Row space with one-at-a-time insertion; sparse, fully reduced rows
+    make a membership test cost one pass over the vector's support."""
 
     def __init__(self, n, field=QQ):
         self.n = n
         self.field = field
-        self.pivot_rows = {}  # pivot column -> normalized row
+        self._echelon = Echelon(field.char)
 
     @property
     def dim(self):
-        return len(self.pivot_rows)
-
-    def reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for p, row in self.pivot_rows.items():
-            c = v[p]
-            if c != 0:
-                for j in range(p, self.n):
-                    if row[j] != 0:
-                        v[j] = f.add(v[j], f.neg(f.mul(c, row[j])))
-        return v
+        return self._echelon.rank
 
     def contains(self, vec):
-        return all(x == 0 for x in self.reduce(vec))
+        return not self._echelon.reduce(sparse_row(vec, self.field.char))[0]
 
     def add(self, vec):
         """Insert if independent; returns True when the span grew."""
-        f = self.field
-        v = self.reduce(vec)
-        for p in range(self.n):
-            if v[p] != 0:
-                inv = f.inv(v[p])
-                row = [f.mul(inv, x) for x in v]
-                for q, other in self.pivot_rows.items():
-                    c = other[p]
-                    if c != 0:
-                        for j in range(self.n):
-                            if row[j] != 0:
-                                other[j] = f.add(other[j], f.neg(f.mul(c, row[j])))
-                self.pivot_rows[p] = row
-                return True
-        return False
+        return self._echelon.insert(sparse_row(vec, self.field.char)) is not None
+
+    def rows(self):
+        """The reduced basis, dense, in the order the rows were added."""
+        p = self.field.char
+        return [dense_row(r, self.n, p) for r in self._echelon.rows.values()]

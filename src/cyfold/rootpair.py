@@ -27,7 +27,9 @@ from .bimodcx import (
     tensor_right,
 )
 from .exactlin import (
+    IncrementalSpan,
     Matrix,
+    PreparedSolver,
     Subspace,
     derive_seed,
     kernel_basis,
@@ -695,27 +697,16 @@ def h0_right_module(rc: RightComplex):
             if any(v != 0 for v in col):
                 brows.append(col)
 
-    def rank_of(rows):
-        if not rows:
-            return 0
-        return rref(Matrix.from_rows(rows, n, f)).rank
-
-    reps = []
-    span = list(brows)
-    base_rank = rank_of(span)
-    for zrow in cycles.basis.data:
-        cand = span + [zrow]
-        r = rank_of(cand)
-        if r > base_rank:
-            reps.append(zrow)
-            span = cand
-            base_rank = r
+    span = IncrementalSpan(n, f)
+    for row in brows:
+        span.add(row)
+    reps = [zrow for zrow in cycles.basis.data if span.add(zrow)]
     k = len(reps)
     if k == 0:
         zero = [Matrix.zero(0, 0, f) for _ in range(alg.dim)]
         return RightModule(alg, 0, zero), coords, []
     # express act(rep) = sum c_j rep_j + boundary
-    solve_mat = Matrix.from_rows(reps + brows, n, f).transpose()
+    solver = PreparedSolver(Matrix.from_rows(reps + brows, n, f).transpose())
     action = []
     for kk in range(alg.dim):
         mat = Matrix.zero(k, k, f)
@@ -728,7 +719,7 @@ def h0_right_module(rc: RightComplex):
                 for b2, cb in alg.mult(b, kk).items():
                     j = coords.index((s_idx, b2))
                     img[j] = f.add(img[j], f.mul(val, cb))
-            sol = solve_linear(solve_mat, img)
+            sol = solver.solve(img)
             if sol is None:
                 raise ValueError("action does not preserve cycles")
             mat.data[i] = sol[:k]

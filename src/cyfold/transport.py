@@ -23,10 +23,10 @@ from .bimodcx import (
 from .exactlin import (
     IncrementalSpan,
     Matrix,
+    PreparedSolver,
     SplitMix64,
     kernel_basis,
     rref,
-    solve_linear,
 )
 from .quiveralg import PathBasisAlgebra
 
@@ -127,6 +127,9 @@ def primitive_idempotents(mats, f, seed=0):
         if span.add(flat(m)):
             quot.append(m)
     assert len(quot) == semis
+    # expresses z.m over quot + rad, for every trial z below
+    solver = PreparedSolver(
+        Matrix.from_rows([flat(m) for m in quot] + rad_span.rows(), n * n, f).transpose())
     rng = SplitMix64(seed)
     ident = Matrix.identity(n, f)
     for _ in range(40):
@@ -141,7 +144,7 @@ def primitive_idempotents(mats, f, seed=0):
         # eigenvalues of z on E/rad: find rational lambda with
         # (z - lambda) not invertible mod rad; use the action on the
         # quotient: solve the characteristic polynomial by rational roots
-        lams = _eigenvalues_mod_rad(z, quot, rad_span, f)
+        lams = _eigenvalues_mod_rad(z, quot, solver, f)
         if lams is not None and len(lams) == semis:
             idems = []
             for lam in lams:
@@ -163,27 +166,19 @@ def primitive_idempotents(mats, f, seed=0):
     raise ValueError("could not split idempotents; algebra may not be basic")
 
 
-def _eigenvalues_mod_rad(z, quot, rad_span, f):
+def _eigenvalues_mod_rad(z, quot, solver, f):
     """Rational eigenvalues of multiplication by z on the semisimple
-    quotient, via iterated minimal-polynomial factor stripping."""
+    quotient, via iterated minimal-polynomial factor stripping.  ``solver``
+    expresses flattened matrices over the quotient representatives
+    followed by a basis of the radical."""
     n = z.rows
     # matrix of left multiplication by z on span(quot) mod rad
-    basis_flat = []
-    span = IncrementalSpan(n * n, f)
-    for m in rad_span.pivot_rows.values():
-        span.add(list(m))
-    reps = []
-    for m in quot:
-        flatm = [m.data[i][j] for i in range(n) for j in range(n)]
-        reps.append(flatm)
-    k = len(reps)
-    solver_rows = [list(r) for r in reps] + [list(r) for r in rad_span.pivot_rows.values()]
-    mat = Matrix.from_rows(solver_rows, n * n, f).transpose() if solver_rows else None
+    k = len(quot)
     lmul = Matrix.zero(k, k, f)
     for j, m in enumerate(quot):
         zm = z.matmul(m)
         vec = [zm.data[i][jj] for i in range(n) for jj in range(n)]
-        sol = solve_linear(mat, vec)
+        sol = solver.solve(vec)
         if sol is None:
             return None
         for i in range(k):
@@ -299,8 +294,7 @@ def algebra_from_endomorphisms(module, seed=0):
                     chosen.append(c)
     # put idempotents first per vertex: ensure e_i themselves are present
     mult = {}
-    solver_rows = [flat(c) for c in chosen]
-    solver = Matrix.from_rows(solver_rows, n * n, f).transpose()
+    solver = PreparedSolver(Matrix.from_rows([flat(c) for c in chosen], n * n, f).transpose())
     for i, ci in enumerate(chosen):
         for j, cj in enumerate(chosen):
             # x . y composes y first (path convention); matrices act in row
@@ -309,7 +303,7 @@ def algebra_from_endomorphisms(module, seed=0):
             vec = flat(prod)
             if all(v == 0 for v in vec):
                 continue
-            sol = solve_linear(solver, vec)
+            sol = solver.solve(vec)
             if sol is None:
                 raise ValueError("endomorphism span not closed under product")
             entry = {t: c for t, c in enumerate(sol) if c != 0}
@@ -654,11 +648,12 @@ def truncate_smart(x: CoordComplex, lo, hi):
             d = _cols_to_matrix(cols, d.rows, f)
         if p == hi - 1:
             # corestrict into the kernel: express columns in top_rows
-            basis_mat = Matrix.from_rows(top_rows, x.modules[hi].dim, f).transpose()
+            solver = PreparedSolver(
+                Matrix.from_rows(top_rows, x.modules[hi].dim, f).transpose())
             cols = []
             for c in range(d.cols):
                 vec = [d.data[r][c] for r in range(d.rows)]
-                sol = solve_linear(basis_mat, vec)
+                sol = solver.solve(vec)
                 if sol is None:
                     raise ValueError("cohomology extends beyond the window")
                 cols.append(sol)
@@ -697,11 +692,10 @@ def _quotient_bimodule(m: BimoduleData, image_matrix, f):
             col = [image_matrix.data[r][c] for r in range(n)]
             if respan.add(col):
                 img_rows.append(col)
-    solver = Matrix.from_rows(reps + img_rows, n, f).transpose()
+    solver = PreparedSolver(Matrix.from_rows(reps + img_rows, n, f).transpose())
 
     def project(vec):
-        sol = solve_linear(solver, vec)
-        return sol[:k]
+        return solver.solve(vec)[:k]
 
     left = []
     for kk in range(A.dim):
@@ -740,10 +734,7 @@ def corner_adapt_module(module):
                     tags.append(v)
     if len(rows) != n:
         raise ValueError("idempotents do not decompose the module")
-    basis_mat = Matrix.from_rows(rows, n, f).transpose()
-    from .exactlin import PreparedSolver
-
-    solver = PreparedSolver(basis_mat)
+    solver = PreparedSolver(Matrix.from_rows(rows, n, f).transpose())
     action = []
     for k in range(alg.dim):
         mat = Matrix.zero(n, n, f)

@@ -37,6 +37,16 @@ def test_roundtrip_serialization(kron_inputs):
     assert u.cohomology_dims() == ref.cohomology_dims()
 
 
+def test_gen_beilinson_d1(tmp_path):
+    code = run(["--out-dir", str(tmp_path), "gen", "beilinson", "--d", "1"])
+    assert code == cli.EXIT_PASS
+    with open(tmp_path / "beilinson_algebra.json") as fh:
+        alg = cli.doc_to_algebra(json.load(fh)["quiver"], 2)
+    with open(tmp_path / "beilinson_bimodule.json") as fh:
+        u = cli.doc_to_complex(json.load(fh), alg)
+    assert u.cohomology_dims() == kronecker_root(kronecker_algebra(), 0, 1).cohomology_dims()
+
+
 def test_check_root_pair_exit_and_report(tmp_path, kron_inputs):
     apath, upath = kron_inputs
     out = tmp_path / "run1"

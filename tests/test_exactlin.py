@@ -1,17 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyfold import _kernels, _rowreduce_py
 from cyfold.exactlin import (
     QQ,
     Field,
+    IncrementalSpan,
     Matrix,
+    PreparedSolver,
     SplitMix64,
     Subspace,
     intersect,
     kernel_basis,
     random_vector,
+    rank,
     rref,
     solve_linear,
 )
@@ -144,17 +148,155 @@ def test_intersect():
     assert c.contains([F(0), F(1), F(0)])
 
 
-def test_backends_bit_identical():
-    rng = SplitMix64(3)
-    for _ in range(15):
-        rows = rng.int_in(1, 6)
-        cols = rng.int_in(1, 6)
-        data = [
-            [Fraction(rng.int_in(-9, 9), rng.int_in(1, 4)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
-        got = _kernels.rref_frac(data)
-        want = _rowreduce_py.rref_frac(data)
-        assert got == want
-        ints = [[rng.int_in(0, 12) for _ in range(cols)] for _ in range(rows)]
-        assert _kernels.rref_modp(ints, 13) == _rowreduce_py.rref_modp(ints, 13)
+# -- differential tests against a naive dense Gauss-Jordan oracle ------------
+
+GF13 = Field(13)
+
+
+def oracle_rref(rows, ncols, field):
+    """Textbook Gauss-Jordan on dense lists: (reduced rows, pivot columns)."""
+    f = field
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if sel is None:
+            continue
+        work[r], work[sel] = work[sel], work[r]
+        inv = f.inv(work[r][col])
+        work[r] = [f.mul(inv, v) for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                c = work[i][col]
+                work[i] = [f.add(a, f.neg(f.mul(c, b))) for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def oracle_solution(rows, b, ncols, field):
+    """The solution with free unknowns 0, or None when inconsistent."""
+    red, pivots = oracle_rref([r + [v] for r, v in zip(rows, b)], ncols + 1, field)
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][ncols]
+    return x
+
+
+@st.composite
+def matrices(draw, max_rows=7, max_cols=7):
+    """Sparse matrices over Q or GF(13), often rank-deficient: some rows are
+    combinations of others and some are zero."""
+    field = draw(st.sampled_from([QQ, GF13]))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    if field.char:
+        entry = st.integers(0, 12).map(field)
+    else:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    cell = st.one_of(st.just(field.zero()), st.just(field.zero()), entry)
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free", "free", "combo", "zero"]))
+        if kind == "combo" and len(rows) >= 2:
+            a, b = draw(entry), draw(entry)
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(r1, r2)])
+        elif kind == "zero":
+            rows.append([field.zero()] * ncols)
+        else:
+            rows.append([draw(cell) for _ in range(ncols)])
+    rhs = [[draw(cell) for _ in range(nrows)] for _ in range(3)]
+    return field, Matrix(nrows, ncols, rows, field), rhs
+
+
+def same(xs, ys):
+    """Equal values and equal types: Fractions over Q, ints mod p."""
+    return xs == ys and all(type(x) is type(y) for x, y in zip(xs, ys))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_matches_oracle(case):
+    field, m, _ = case
+    res = rref(m)
+    if m.rows == 0:
+        assert res.rank == 0 and res.pivots == []
+        return
+    red, pivots = oracle_rref(m.data, m.cols, field)
+    assert res.pivots == pivots and res.rank == len(pivots) == rank(m)
+    assert all(same(a, b) for a, b in zip(res.reduced.data, red))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_basis_matches_oracle(case):
+    field, m, _ = case
+    red, pivots = oracle_rref(m.data, m.cols, field)
+    free = [c for c in range(m.cols) if c not in pivots]
+    want = []
+    for c in free:
+        vec = [field.zero()] * m.cols
+        vec[c] = field.one()
+        for i, pc in enumerate(pivots):
+            vec[pc] = field.neg(red[i][c])
+        want.append(vec)
+    got = kernel_basis(m).basis.data
+    assert len(got) == len(want)
+    assert all(same(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_solvers_match_oracle(case):
+    field, m, rhs = case
+    solver = PreparedSolver(m)
+    probe = [field(k + 1) for k in range(m.cols)]
+    for b in rhs + [m.apply(probe)]:
+        want = oracle_solution(m.data, b, m.cols, field)
+        for got in (solve_linear(m, b), solver.solve(b)):
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and same(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_incremental_span_matches_oracle(case):
+    field, m, rhs = case
+    span = IncrementalSpan(m.cols, field)
+    added = []
+    for row in m.data:
+        before = len(oracle_rref(added, m.cols, field)[1])
+        added.append(row)
+        red, pivots = oracle_rref(added, m.cols, field)
+        assert span.add(row) == (len(pivots) > before)
+        assert span.dim == len(pivots)
+    red, pivots = oracle_rref(added, m.cols, field)
+    assert sorted(span.rows(), key=lambda r: next(j for j, v in enumerate(r) if v)) \
+        == red[: len(pivots)]
+    for vec in rhs + [[field.one()] * m.cols]:
+        vec = (vec + [field.zero()] * m.cols)[: m.cols]
+        grows = len(oracle_rref(added + [vec], m.cols, field)[1]) > len(pivots)
+        assert span.contains(vec) == (not grows)
+
+
+P31 = 2**31 - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                       min_size=1, max_size=6)))
+def test_full_rank_mod_p_implies_full_rank_over_q(rows):
+    ncols = len(rows[0])
+    full = min(len(rows), ncols)
+    gfp = Field(P31)
+    mod_rank = rank(Matrix.from_rows([[gfp(v) for v in r] for r in rows], field=gfp))
+    q_rank = rank(Matrix.from_rows([[Fraction(v) for v in r] for r in rows]))
+    assert mod_rank <= q_rank
+    if mod_rank == full:
+        assert q_rank == full
