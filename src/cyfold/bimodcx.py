@@ -19,6 +19,8 @@ from .exactlin import (
     Matrix,
     PreparedSolver,
     Subspace,
+    cohomology_dim,
+    combine_rows,
     derive_seed,
     kernel_basis,
     random_vector,
@@ -212,38 +214,28 @@ class ProjBimodComplex:
         coords = {}
         for p in range(min(degs) - 1, max(degs) + 1):
             mats[p], coords[p], _ = self.diff_matrix(p)
+        alg = self.base
         for p in degs:
             src = coords[p]
-            n = len(src)
             dmat = mats[p]
-            prev = mats.get(p - 1)
-            zdim = n - rref(dmat).rank if dmat.rows else n
-            bdim = rref(prev).rank if prev is not None and prev.cols else 0
+            prev = mats[p - 1]
             # corner split: group columns by (target(a), source(b)); both the
             # cycle and boundary computations respect the split
-            alg = self.base
             corner_of = [
                 (alg.basis[a].target, alg.basis[b].source) for (_, a, b) in src
             ]
             per = {}
             for uv in sorted(set(corner_of), key=str):
                 cols = [i for i, c in enumerate(corner_of) if c == uv]
-                sub = Matrix.from_rows(
-                    [[dmat.data[r][c] for c in cols] for r in range(dmat.rows)],
-                    len(cols), alg.field
-                ) if dmat.rows else Matrix.zero(0, len(cols), alg.field)
-                z = len(cols) - (rref(sub).rank if sub.rows else 0)
-                bd = 0
-                if prev is not None and prev.cols:
-                    sub_prev = Matrix.from_rows(
-                        [[prev.data[r][c2] for c2 in range(prev.cols)] for r in cols],
-                        prev.cols, alg.field
-                    )
-                    bd = rref(sub_prev).rank
-                d = z - bd
+                d = cohomology_dim(
+                    len(cols),
+                    Matrix.from_rows([[row[c] for c in cols] for row in dmat.data],
+                                     len(cols), alg.field),
+                    Matrix.from_rows([prev.data[r] for r in cols], prev.cols, alg.field),
+                )
                 if d:
                     per[uv] = d
-            per["total"] = zdim - bdim
+            per["total"] = cohomology_dim(len(src), dmat, prev)
             out[p] = per
         return out
 
@@ -252,6 +244,21 @@ class ProjBimodComplex:
 
     def is_acyclic(self):
         return not self.cohomology_dims()
+
+    # what minimize needs: the unit key of a summand pair (None when the
+    # pair does not match), the endomorphism-corner basis, the product g o f
+    def _unit_key(self, s, t):
+        if s.left != t.left or s.right != t.right or s.adeg != t.adeg:
+            return None
+        return (self.base.idempotent_index(s.left), self.base.idempotent_index(s.right))
+
+    def _endo_basis(self, s):
+        alg = self.base
+        return [(a, b) for a in alg.corner_indices(s.left, s.left)
+                for b in alg.corner_indices(s.right, s.right)]
+
+    def _compose(self, g, f):
+        return compose_entries(self.base, g, f)
 
 
 def shift(x: ProjBimodComplex, n: int) -> ProjBimodComplex:
@@ -762,98 +769,83 @@ def find_quasi_iso(x, y, r, trials=24, seed=0):
     return None
 
 
-def minimize(x: ProjBimodComplex) -> ProjBimodComplex:
-    """Strip contractible pairs by Gaussian elimination on scalar entries."""
-    alg = x.base
-    f = alg.field
-    terms = {p: list(ss) for p, ss in x.terms.items()}
-    diff = {p: {k: dict(e) for k, e in dd.items()} for p, dd in x.diff.items()}
+def minimize(x):
+    """Strip contractible pairs by Gaussian elimination on unit entries.
 
-    while True:
-        found = None
-        for p, dd in diff.items():
+    Serves ProjBimodComplex and RightComplex and returns the same type.
+    The complex supplies what differs between the two: the unit key of a
+    summand pair (``_unit_key``), the basis of a summand's endomorphism
+    corner (``_endo_basis``) and the entry product g o f (``_compose``).
+    The pair cancelled next is the first unit entry found, degree by
+    degree in dict order.  Summands keep their ids while pairs are
+    cancelled and are renumbered once, at the end.
+    """
+    f = x.base.field
+    diff = {p: {k: dict(e) for k, e in dd.items() if e} for p, dd in x.diff.items()}
+    dead = set()  # (degree, summand id) of cancelled summands
+    # A cancellation at degree p rewrites entries of degree p only and
+    # deletes entries at p - 1 and p + 1, so the degrees scanned before p
+    # still hold no unit entry and the scan can go on from p.
+    for p, dd in diff.items():
+        ss, ts = x.summands(p), x.summands(p + 1)
+        while True:
             for (t_idx, s_idx), entry in dd.items():
-                s = terms[p][s_idx]
-                t = terms[p + 1][t_idx]
-                if s.left != t.left or s.right != t.right or s.adeg != t.adeg:
-                    continue
-                ei = alg.idempotent_index(s.left)
-                ej = alg.idempotent_index(s.right)
-                c = entry.get((ei, ej))
-                if c:
-                    found = (p, t_idx, s_idx, c)
+                unit = x._unit_key(ss[s_idx], ts[t_idx])
+                if unit is not None and entry.get(unit):
                     break
-            if found:
+            else:
                 break
-        if not found:
-            break
-        p, t_idx, s_idx, c = found
-        inv = _invert_endo_entry(alg, terms[p][s_idx], diff[p][(t_idx, s_idx)])
-        dd = diff.get(p, {})
-        col = {t2: e for (t2, s2), e in dd.items() if s2 == s_idx and t2 != t_idx}
-        row = {s2: e for (t2, s2), e in dd.items() if t2 == t_idx and s2 != s_idx}
-        for t2, ce in col.items():
-            for s2, be in row.items():
-                corr = compose_entries(alg, ce, compose_entries(alg, inv, be))
-                key = (t2, s2)
-                entry_add(
-                    dd.setdefault(key, {}), entry_scale(corr, f(-1), f), f
-                )
-                if not dd[key]:
+            inv = _invert(x, ss[s_idx], entry)
+            col, row = {}, {}  # entries out of s_idx and into t_idx, pivot aside
+            for key, e in list(dd.items()):
+                t, s = key
+                if s == s_idx or t == t_idx:
                     del dd[key]
-        _drop_summand(terms, diff, p + 1, t_idx)
-        _drop_summand(terms, diff, p, s_idx)
-        terms = {q: ss for q, ss in terms.items() if ss}
-        diff = {q: {k: e for k, e in dd2.items() if e} for q, dd2 in diff.items()}
-        diff = {q: dd2 for q, dd2 in diff.items() if dd2}
-    return ProjBimodComplex(alg, terms, diff)
+                    if t != t_idx:
+                        col[t] = e
+                    elif s != s_idx:
+                        row[s] = e
+            for t2, ce in col.items():
+                for s2, be in row.items():
+                    corr = x._compose(ce, x._compose(inv, be))
+                    key = (t2, s2)
+                    entry_add(dd.setdefault(key, {}), entry_scale(corr, f(-1), f), f)
+                    if not dd[key]:
+                        del dd[key]
+            for q, side, idx in ((p - 1, 0, s_idx), (p + 1, 1, t_idx)):
+                dq = diff.get(q, {})
+                for key in [k for k in dq if k[side] == idx]:
+                    del dq[key]
+            dead.update(((p, s_idx), (p + 1, t_idx)))
+    terms = {}
+    new_id = {}
+    for p, ss in x.terms.items():
+        keep = [i for i in range(len(ss)) if (p, i) not in dead]
+        new_id[p] = {i: n for n, i in enumerate(keep)}
+        terms[p] = [ss[i] for i in keep]
+    diff = {
+        p: {(new_id[p + 1][t], new_id[p][s]): e for (t, s), e in dd.items()}
+        for p, dd in diff.items()
+    }
+    return type(x)(x.base, terms, diff)
 
 
-def _invert_endo_entry(alg, summand, entry):
-    """Inverse of an endo-entry of Ae_i (x) e_jA with invertible scalar part."""
-    f = alg.field
-    i, j = summand.left, summand.right
-    pairs = [
-        (a, b)
-        for a in alg.corner_indices(i, i)
-        for b in alg.corner_indices(j, j)
-    ]
-    pos = {ab: k for k, ab in enumerate(pairs)}
-    n = len(pairs)
-    mat = Matrix.zero(n, n, f)
-    for k, (a, b) in enumerate(pairs):
-        comp = compose_entries(alg, entry, {(a, b): f.one()})
-        for ab2, c in comp.items():
-            mat.data[pos[ab2]][k] = c
-    ei = alg.idempotent_index(i)
-    ej = alg.idempotent_index(j)
-    rhs = [f.zero()] * n
-    rhs[pos[(ei, ej)]] = f.one()
+def _invert(x, summand, entry):
+    """X with entry o X = 1 in the endomorphism corner of a summand, for an
+    entry whose unit coefficient is invertible."""
+    f = x.base.field
+    basis = x._endo_basis(summand)
+    pos = {b: k for k, b in enumerate(basis)}
+    mat = Matrix.zero(len(basis), len(basis), f)
+    for k, b in enumerate(basis):
+        for b2, c in x._compose(entry, {b: f.one()}).items():
+            mat.data[pos[b2]][k] = c
+    rhs = [f.zero()] * len(basis)
+    rhs[pos[x._unit_key(summand, summand)]] = f.one()
     sol = solve_linear(mat, rhs)
     if sol is None:
         raise ValueError("entry is not invertible")
-    return {pairs[k]: c for k, c in enumerate(sol) if c != 0}
-
-
-def _drop_summand(terms, diff, p, idx):
-    terms[p] = [s for k, s in enumerate(terms[p]) if k != idx]
-    for q in (p - 1, p):
-        dd = diff.get(q)
-        if not dd:
-            continue
-        newdd = {}
-        for (t, s), entry in dd.items():
-            if q == p - 1:
-                if t == idx:
-                    continue
-                t2 = t - 1 if t > idx else t
-                newdd[(t2, s)] = entry
-            else:
-                if s == idx:
-                    continue
-                s2 = s - 1 if s > idx else s
-                newdd[(t, s2)] = entry
-        diff[q] = newdd
+    return {basis[k]: c for k, c in enumerate(sol) if c != 0}
 
 
 class RightSummand:
@@ -935,20 +927,28 @@ class RightComplex:
         return errors
 
     def cohomology_dims(self):
-        degs = self.degrees()
         out = {}
-        for p in degs:
-            n = len(self.coords(p))
-            d_p, _, _ = self.diff_matrix(p)
-            d_prev, _, _ = self.diff_matrix(p - 1)
-            z = n - (rref(d_p).rank if d_p.rows else 0)
-            b = rref(d_prev).rank if d_prev.rows and d_prev.cols else 0
-            if z - b:
-                out[p] = z - b
+        for p in self.degrees():
+            d = cohomology_dim(len(self.coords(p)), self.diff_matrix(p)[0],
+                               self.diff_matrix(p - 1)[0])
+            if d:
+                out[p] = d
         return out
 
     def is_acyclic(self):
         return not self.cohomology_dims()
+
+    # what minimize needs; entries act by left multiplication
+    def _unit_key(self, s, t):
+        if s.vertex != t.vertex or s.adeg != t.adeg:
+            return None
+        return self.base.idempotent_index(s.vertex)
+
+    def _endo_basis(self, s):
+        return self.base.corner_indices(s.vertex, s.vertex)
+
+    def _compose(self, g, f):
+        return self.base.mult_elements(g, f)
 
 
 def shift_right(x: RightComplex, n: int) -> RightComplex:
@@ -1133,20 +1133,8 @@ class HomComplex:
         return mat, src, tgt
 
     def cohomology_dim(self, r):
-        n = len(self.coords(r))
-        d_r, _, _ = self.diff_matrix(r)
-        d_prev, _, _ = self.diff_matrix(r - 1)
-        z = n - (rref(d_r).rank if d_r.rows else 0)
-        b = rref(d_prev).rank if d_prev.rows and d_prev.cols else 0
-        return z - b
-
-    def cocycle_basis(self, r):
-        """Basis vectors of closed degree-r maps."""
-        n = len(self.coords(r))
-        d_r, _, _ = self.diff_matrix(r)
-        if not d_r.rows:
-            return Subspace(n, Matrix.identity(n, self.alg.field))
-        return kernel_basis(d_r)
+        return cohomology_dim(len(self.coords(r)), self.diff_matrix(r)[0],
+                              self.diff_matrix(r - 1)[0])
 
 
 def rhom_right(x: RightComplex, y: RightComplex) -> HomComplex:
@@ -1404,7 +1392,7 @@ def resolve_cover_chain(m: BimoduleData, len_bound=12) -> CoverChain:
             lift_vectors = step.lifts
         else:
             lift_vectors = [
-                _combine(step.lifts[g], inclusion, m.field)
+                combine_rows(step.lifts[g], inclusion, m.field)
                 for g in range(len(step.generators))
             ]
         steps.append(step)
@@ -1414,17 +1402,6 @@ def resolve_cover_chain(m: BimoduleData, len_bound=12) -> CoverChain:
     else:
         raise BoundExceeded(f"syzygies persist past length {len_bound}")
     return CoverChain(m, steps, maps)
-
-
-def _combine(coeffs, rows, f):
-    out = [f.zero()] * (len(rows[0]) if rows else 0)
-    for c, row in zip(coeffs, rows):
-        if c == 0:
-            continue
-        for j, v in enumerate(row):
-            if v != 0:
-                out[j] = f.add(out[j], f.mul(c, v))
-    return out
 
 
 def cover_chain_to_complex(chain: CoverChain, alg) -> ProjBimodComplex:
@@ -1602,104 +1579,3 @@ def outer_tensor(x: ProjBimodComplex, y: ProjBimodComplex, product_alg, pair_ind
                 diff.setdefault(deg, {}).setdefault((tgt, s_idx), {}), conv, f
             )
     return ProjBimodComplex(product_alg, terms, diff)
-
-
-def minimize_right(x: RightComplex) -> RightComplex:
-    """Strip contractible pairs of a right complex (Gaussian elimination on
-    entries with an invertible idempotent coefficient)."""
-    alg = x.base
-    f = alg.field
-    terms = {p: list(ss) for p, ss in x.terms.items()}
-    diff = {p: {k: dict(e) for k, e in dd.items()} for p, dd in x.diff.items()}
-    while True:
-        found = None
-        for p, dd in diff.items():
-            for (t_idx, s_idx), elem in dd.items():
-                s = terms[p][s_idx]
-                t = terms[p + 1][t_idx]
-                if s.vertex != t.vertex or s.adeg != t.adeg:
-                    continue
-                c = elem.get(alg.idempotent_index(s.vertex))
-                if c:
-                    found = (p, t_idx, s_idx, c)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        p, t_idx, s_idx, c = found
-        inv = _invert_right_endo(alg, terms[p][s_idx].vertex, diff[p][(t_idx, s_idx)])
-        dd = diff.get(p, {})
-        col = {t2: e for (t2, s2), e in dd.items() if s2 == s_idx and t2 != t_idx}
-        row = {s2: e for (t2, s2), e in dd.items() if t2 == t_idx and s2 != s_idx}
-        for t2, ce in col.items():
-            for s2, be in row.items():
-                corr = _mult_elem(alg, ce, _mult_elem(alg, inv, be))
-                key = (t2, s2)
-                tgt = dd.setdefault(key, {})
-                for g, cv in corr.items():
-                    val = f.add(tgt.get(g, f.zero()), f.neg(cv))
-                    if val == 0:
-                        tgt.pop(g, None)
-                    else:
-                        tgt[g] = val
-                if not dd[key]:
-                    del dd[key]
-        _drop_right_summand(terms, diff, p + 1, t_idx)
-        _drop_right_summand(terms, diff, p, s_idx)
-        terms = {q: ss for q, ss in terms.items() if ss}
-        diff = {q: {k: e for k, e in dd2.items() if e} for q, dd2 in diff.items()}
-        diff = {q: dd2 for q, dd2 in diff.items() if dd2}
-    return RightComplex(alg, terms, diff)
-
-
-def _mult_elem(alg, a, b):
-    f = alg.field
-    out = {}
-    for g1, c1 in a.items():
-        for g2, c2 in b.items():
-            for g3, c3 in alg.mult(g1, g2).items():
-                val = f.add(out.get(g3, f.zero()), f.mul(c1, f.mul(c2, c3)))
-                if val == 0:
-                    out.pop(g3, None)
-                else:
-                    out[g3] = val
-    return out
-
-
-def _invert_right_endo(alg, vertex, elem):
-    """Inverse of an endo-element of e_vA e_v with invertible scalar part."""
-    f = alg.field
-    idxs = alg.corner_indices(vertex, vertex)
-    pos = {g: k for k, g in enumerate(idxs)}
-    n = len(idxs)
-    mat = Matrix.zero(n, n, f)
-    for k, g in enumerate(idxs):
-        comp = _mult_elem(alg, elem, {g: f.one()})
-        for g2, c in comp.items():
-            mat.data[pos[g2]][k] = c
-    rhs = [f.zero()] * n
-    rhs[pos[alg.idempotent_index(vertex)]] = f.one()
-    sol = solve_linear(mat, rhs)
-    if sol is None:
-        raise ValueError("entry is not invertible")
-    return {idxs[k]: c for k, c in enumerate(sol) if c != 0}
-
-
-def _drop_right_summand(terms, diff, p, idx):
-    terms[p] = [s for k, s in enumerate(terms[p]) if k != idx]
-    for q in (p - 1, p):
-        dd = diff.get(q)
-        if not dd:
-            continue
-        newdd = {}
-        for (t, s), entry in dd.items():
-            if q == p - 1:
-                if t == idx:
-                    continue
-                newdd[(t - 1 if t > idx else t, s)] = entry
-            else:
-                if s == idx:
-                    continue
-                newdd[(t, s - 1 if s > idx else s)] = entry
-        diff[q] = newdd

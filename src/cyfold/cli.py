@@ -13,7 +13,7 @@ target summand t at degree p+1, a list of
   {"coef": "p/q", "left_path": [names...], "right_path": [names...]}
 with paths written in composition order (empty list = idempotent).
 Exit codes: 0 all checks pass, 1 a check failed, 2 inconclusive, 3 input
-error.
+error, 4 internal error (the traceback goes to stderr).
 """
 
 import argparse
@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -58,6 +59,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class ParseError(Exception):
@@ -88,21 +90,33 @@ def quiver_to_doc(quiver, relations=()):
     }
 
 
+def _typed(value, types, location):
+    if type(value) not in types:
+        names = " or ".join(t.__name__ for t in types)
+        raise ParseError(location, f"expected {names}, got {value!r}")
+    return value
+
+
 def doc_to_algebra(doc, max_len, field=QQ):
     try:
         arrows = [
-            Arrow(a["name"], a["from"], a["to"], a.get("cdeg", 0), a.get("adeg", 0))
-            for a in doc["arrows"]
+            Arrow(_typed(a["name"], (str,), f"arrows[{i}].name"), a["from"], a["to"],
+                  _typed(a.get("cdeg", 0), (int,), f"arrows[{i}].cdeg"),
+                  _typed(a.get("adeg", 0), (int,), f"arrows[{i}].adeg"))
+            for i, a in enumerate(doc["arrows"])
         ]
-        quiver = Quiver(doc["vertices"], arrows)
-    except (KeyError, TypeError, ValueError) as exc:
+        vertices = [_typed(v, (int, str), f"vertices[{i}]")
+                    for i, v in enumerate(doc["vertices"])]
+        quiver = Quiver(vertices, arrows)
+        rels = []
+        for i, rel in enumerate(doc.get("relations", [])):
+            terms = [
+                (_frac(t["coef"], f"relations[{i}]"), tuple(t["path"])) for t in rel
+            ]
+            rels.append(Relation(terms))
+            rels[-1].validate(quiver)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError("quiver", str(exc))
-    rels = []
-    for i, rel in enumerate(doc.get("relations", [])):
-        terms = [
-            (_frac(t["coef"], f"relations[{i}]"), tuple(t["path"])) for t in rel
-        ]
-        rels.append(Relation(terms))
     return build_algebra(quiver, rels, max_len, field)
 
 
@@ -152,13 +166,34 @@ def _path_element(alg, path, location):
     return elem
 
 
+def _vertex(alg, value, location):
+    for v in alg.vertices:
+        if type(v) is type(value) and v == value:
+            return v
+    raise ParseError(location, f"unknown vertex {value!r}")
+
+
 def doc_to_complex(doc, alg):
+    try:
+        terms, diff = _parse_complex(doc, alg)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError("complex", f"malformed document: {exc!r}")
+    cx = ProjBimodComplex(alg, terms, diff)
+    errors = cx.validate()
+    if errors:
+        raise ParseError("complex", "; ".join(errors[:3]))
+    return cx
+
+
+def _parse_complex(doc, alg):
     f = alg.field
     terms = {}
     for key, ss in doc.get("terms", {}).items():
         p = int(key)
+        loc = f"terms[{key}]"
         terms[p] = [
-            ProjBimodSummand(s["left"], s["right"], p, s.get("adeg", 0))
+            ProjBimodSummand(_vertex(alg, s["left"], loc), _vertex(alg, s["right"], loc),
+                             p, _typed(s.get("adeg", 0), (int,), loc))
             for s in ss
         ]
     diff = {}
@@ -196,11 +231,7 @@ def doc_to_complex(doc, alg):
                     dd[(t, s)] = entry
         if dd:
             diff[p] = dd
-    cx = ProjBimodComplex(alg, terms, diff)
-    errors = cx.validate()
-    if errors:
-        raise ParseError("complex", "; ".join(errors[:3]))
-    return cx
+    return terms, diff
 
 
 def content_hash(payload):
@@ -215,15 +246,29 @@ def cache_dir(args):
 
 
 def cache_get(directory, key):
+    """The completion table cached under key, or None when the entry is
+    missing, malformed or does not match its stored hash."""
     path = os.path.join(directory, key + ".json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
+            blob = json.load(fh)
+        rows = blob["table"]
+        if blob["sha256"] != content_hash(rows):
+            return None
+        table = {}
+        for k, d in rows.items():
+            p, l = k.split(":")
+            if type(d) is not int:
+                return None
+            table[(int(p), int(l))] = d
+        return table
+    except (OSError, AttributeError, KeyError, TypeError, ValueError):
         return None
 
 
-def cache_put(directory, key, blob):
+def cache_put(directory, key, table):
+    rows = {f"{p}:{l}": d for (p, l), d in table.items()}
+    blob = {"table": rows, "sha256": content_hash(rows)}
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -324,7 +369,12 @@ def _beilinson_relations(d):
 def _load_pair(args):
     adoc = _load_json(args.algebra)
     field = _field(args)
-    max_len = args.max_len or adoc.get("meta", {}).get("max_len", 6)
+    if not isinstance(adoc, dict) or "quiver" not in adoc:
+        raise ParseError(args.algebra, "expected an object with a \"quiver\" field")
+    meta = adoc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(args.algebra, "\"meta\" must be an object")
+    max_len = args.max_len or _typed(meta.get("max_len", 6), (int,), "meta.max_len")
     alg = doc_to_algebra(adoc["quiver"], max_len, field)
     udoc = _load_json(args.bimodule)
     u = doc_to_complex(udoc, alg)
@@ -389,6 +439,8 @@ def cmd_complete(args):
     key = content_hash(
         {
             "op": "complete",
+            "version": __version__,
+            "schema": SCHEMA_VERSION,
             "inputs": hashes,
             "field": args.field,
             "adams_max": args.adams_max,
@@ -396,18 +448,11 @@ def cmd_complete(args):
         }
     )
     cdir = cache_dir(args)
-    cached = cache_get(cdir, key)
-    if cached is not None:
-        table = {tuple(map(int, k.split(":"))): v for k, v in cached["table"].items()}
-        from_cache = True
-    else:
-        data = completion(alg, u, e_vertices, args.adams_max)
-        table = data.table
-        cache_put(
-            cdir, key,
-            {"table": {f"{p}:{l}": d for (p, l), d in table.items()}},
-        )
-        from_cache = False
+    table = cache_get(cdir, key)
+    from_cache = table is not None
+    if not from_cache:
+        table = completion(alg, u, e_vertices, args.adams_max).table
+        cache_put(cdir, key, table)
     lines = ["cdeg,adams,dim"]
     for (p, l), d in sorted(table.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         lines.append(f"{p},{l},{d}")
@@ -587,6 +632,9 @@ def main(argv=None):
     except ParseError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

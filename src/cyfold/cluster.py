@@ -4,7 +4,7 @@ and orbit Hom dimensions through the tensor formula."""
 
 from .bimodcx import (
     RightComplex,
-    minimize_right,
+    minimize,
     rhom_right,
     shift_right,
     tensor_right,
@@ -347,14 +347,14 @@ def orbit_hom(alg, u, x: RightComplex, y: RightComplex, window):
         total += d
         if i >= window - 1:
             tail.append(d)
-        y_tw = minimize_right(tensor_right(y_tw, u))
-    x_tw = minimize_right(tensor_right(x, u))
+        y_tw = minimize(tensor_right(y_tw, u))
+    x_tw = minimize(tensor_right(x, u))
     for i in range(1, window + 1):
         d = rhom_right(x_tw, y).cohomology_dim(0)
         total += d
         if i >= window - 1:
             tail.append(d)
-        x_tw = minimize_right(tensor_right(x_tw, u))
+        x_tw = minimize(tensor_right(x_tw, u))
     converged = all(d == 0 for d in tail)
     return total, converged
 

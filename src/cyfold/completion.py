@@ -12,7 +12,16 @@ from .bimodcx import (
     resolution_of_algebra,
     tensor_power,
 )
-from .exactlin import IncrementalSpan, Matrix, PreparedSolver, Subspace, kernel_basis, rref
+from .exactlin import (
+    IncrementalSpan,
+    Matrix,
+    PreparedSolver,
+    Subspace,
+    cohomology_dim,
+    kernel_basis,
+    rref,
+    unit_vector,
+)
 from .quiveralg import PathBasisAlgebra, Quiver
 
 
@@ -46,13 +55,9 @@ def corner_restricted_cohomology(x: ProjBimodComplex, e_vertices):
     for p in (range(min(degs) - 1, max(degs)) if degs else []):
         dm[p], _, _ = x.diff_matrix(p, filt)
     for p in degs:
-        n = sizes[p]
-        d_p = dm.get(p)
-        d_prev = dm.get(p - 1)
-        z = n - (rref(d_p).rank if d_p is not None and d_p.rows else 0)
-        b = rref(d_prev).rank if d_prev is not None and d_prev.rows and d_prev.cols else 0
-        if z - b:
-            out[p] = z - b
+        d = cohomology_dim(sizes[p], dm.get(p), dm.get(p - 1))
+        if d:
+            out[p] = d
     return out
 
 
@@ -95,9 +100,6 @@ class CompletionData:
         self.e_vertices = list(e_vertices)
         self.cutoff = cutoff
         self.table = table  # {(cdeg, adeg): dim}
-
-    def adams_slice(self, l):
-        return {p: d for (p, ll), d in self.table.items() if ll == l}
 
     def concentrated_in_degree_zero(self):
         return all(p == 0 for (p, _), d in self.table.items() if d)
@@ -224,13 +226,9 @@ def dg_path_cohomology(p: DgPathAlgebra, adams_max) -> dict:
                         mat.data[row][col] = f.add(mat.data[row][col], c)
             mats[cdeg] = mat
         for cdeg, plist in sorted(by_cdeg.items()):
-            n = len(plist)
-            d = mats.get(cdeg)
-            dprev = mats.get(cdeg - 1)
-            z = n - (rref(d).rank if d is not None and d.rows else 0)
-            b = rref(dprev).rank if dprev is not None and dprev.rows and dprev.cols else 0
-            if z - b:
-                table[(cdeg, l)] = z - b
+            d = cohomology_dim(len(plist), mats.get(cdeg), mats.get(cdeg - 1))
+            if d:
+                table[(cdeg, l)] = d
     return table
 
 
@@ -783,7 +781,7 @@ def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
             kernels[d] = []
         else:
             kernels[d] = [
-                _unit(len(coords), i, f) for i in range(len(coords))
+                unit_vector(len(coords), i, f) for i in range(len(coords))
             ]
     current_gens = frees[0]
     current_kernel = kernels
@@ -824,12 +822,6 @@ def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
     if not ok_at_minus_a:
         return "no", detail
     return "yes", detail
-
-
-def _unit(n, i, f):
-    v = [f.zero()] * n
-    v[i] = f.one()
-    return v
 
 
 def _graded_cover_step(g, gens, kernel, N, f):
@@ -978,13 +970,10 @@ def _dual_cohomology_at(g, frees, diffs, t, N, f):
         mats.append(mat)
     out = {}
     for k in range(len(spaces)):
-        n = len(spaces[k])
-        d_k = mats[k] if k < len(mats) else None
-        d_prev = mats[k - 1] if k - 1 >= 0 else None
-        z = n - (rref(d_k).rank if d_k is not None and d_k.rows else 0)
-        b = rref(d_prev).rank if d_prev is not None and d_prev.rows and d_prev.cols else 0
-        if z - b:
-            out[k] = z - b
+        d = cohomology_dim(len(spaces[k]), mats[k] if k < len(mats) else None,
+                           mats[k - 1] if k else None)
+        if d:
+            out[k] = d
     return out
 
 

@@ -200,6 +200,31 @@ def rank(m: Matrix) -> int:
     return _echelon(m).rank
 
 
+def cohomology_dim(n, d_out, d_in):
+    """dim ker(d_out) - dim im(d_in) at a term of dimension n; None stands
+    for a zero map."""
+    return (n - (rank(d_out) if d_out is not None else 0)
+            - (rank(d_in) if d_in is not None else 0))
+
+
+def unit_vector(n, i, field=QQ):
+    v = [field.zero()] * n
+    v[i] = field.one()
+    return v
+
+
+def combine_rows(coeffs, rows, field=QQ):
+    """sum_k coeffs[k] * rows[k], densely."""
+    out = [field.zero()] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coeffs, rows):
+        if c == 0:
+            continue
+        for j, v in enumerate(row):
+            if v != 0:
+                out[j] = field.add(out[j], field.mul(c, v))
+    return out
+
+
 def kernel_basis(m: Matrix) -> Subspace:
     """Basis of the right null space {x : m x = 0}, one vector per free
     column c: 1 at c, minus the reduced rows' entries in c at the pivots."""

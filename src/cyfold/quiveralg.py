@@ -508,16 +508,6 @@ class RightModule:
                     out[j] = f.add(out[j], f.mul(v, row[j]))
         return out
 
-    def act_element(self, vec, elem):
-        f = self.algebra.field
-        out = [f.zero()] * self.dim
-        for k, c in elem.items():
-            part = self.act(vec, k)
-            for j in range(self.dim):
-                if part[j] != 0:
-                    out[j] = f.add(out[j], f.mul(c, part[j]))
-        return out
-
 
 def dimension_vector(m: RightModule):
     """Dims of m * e_v per vertex of the base algebra."""

@@ -13,7 +13,6 @@ from .bimodcx import (
     BoundExceeded,
     ProjBimodComplex,
     ProjBimodSummand,
-    RightComplex,
     _free_bimodule,
     _sub_bimodule,
     _top_generators,
@@ -25,8 +24,10 @@ from .exactlin import (
     Matrix,
     PreparedSolver,
     SplitMix64,
+    cohomology_dim,
+    combine_rows,
     kernel_basis,
-    rref,
+    unit_vector,
 )
 from .quiveralg import PathBasisAlgebra
 
@@ -73,10 +74,6 @@ def endomorphism_matrices(module):
                 m.data[i][j] = vec[i * n + j]
         mats.append(m)
     return mats
-
-
-def _mat_mul(a, b, f):
-    return a.matmul(b)
 
 
 def _trace_radical(mats, f):
@@ -331,13 +328,9 @@ class CoordComplex:
     def cohomology_dims(self):
         out = {}
         for p in self.degrees():
-            n = self.modules[p].dim
-            d_p = self.diffs.get(p)
-            d_prev = self.diffs.get(p - 1)
-            z = n - (rref(d_p).rank if d_p is not None and d_p.rows else 0)
-            b = rref(d_prev).rank if d_prev is not None and d_prev.rows and d_prev.cols else 0
-            if z - b:
-                out[p] = z - b
+            d = cohomology_dim(self.modules[p].dim, self.diffs.get(p), self.diffs.get(p - 1))
+            if d:
+                out[p] = d
         return out
 
 
@@ -402,13 +395,13 @@ def resolve_complex(x: CoordComplex, len_bound=16):
             q_cols = []
             d_cols = []
             for vec in cover_cols:
-                amb = _combine_rows(vec, incl, f)
+                amb = combine_rows(vec, incl, f)
                 q_cols.append(amb[:xdim])
                 d_cols.append(amb[xdim:])
-        q_mat = _cols_to_matrix(q_cols, xdim, f)
+        q_mat = Matrix.from_rows(q_cols, xdim, f).transpose()
         q_maps[k] = q_mat
         if d_cols is not None:
-            d_maps[k] = _cols_to_matrix(d_cols, prev_free.dim, f)
+            d_maps[k] = Matrix.from_rows(d_cols, prev_free.dim, f).transpose()
         steps[k] = step
         prev_free = free
         prev_step = step
@@ -540,25 +533,6 @@ def _direct_sum_bimodule(xk, p, A, B, f):
     return BimoduleData(A, B, total, left, right)
 
 
-def _combine_rows(coeffs, rows, f):
-    out = [f.zero()] * (len(rows[0]) if rows else 0)
-    for c, row in zip(coeffs, rows):
-        if c == 0:
-            continue
-        for j, v in enumerate(row):
-            if v != 0:
-                out[j] = f.add(out[j], f.mul(c, v))
-    return out
-
-
-def _cols_to_matrix(cols, nrows, f):
-    mat = Matrix.zero(nrows, len(cols), f)
-    for c, vec in enumerate(cols):
-        for r in range(nrows):
-            mat.data[r][c] = vec[r]
-    return mat
-
-
 def coord_complex_of(x: ProjBimodComplex) -> CoordComplex:
     """Coordinate form of a projective-term complex (testing aid)."""
     alg = x.base
@@ -614,7 +588,7 @@ def truncate_smart(x: CoordComplex, lo, hi):
         top_sub, top_rows = _sub_bimodule(top_mod, ker)
     else:
         top_sub, top_rows = top_mod, [
-            _unit_vec(top_mod.dim, i, f) for i in range(top_mod.dim)
+            unit_vector(top_mod.dim, i, f) for i in range(top_mod.dim)
         ]
     # cokernel at the bottom
     low_mod = x.modules.get(lo)
@@ -645,7 +619,7 @@ def truncate_smart(x: CoordComplex, lo, hi):
                         for r in range(d.rows):
                             img[r] = f.add(img[r], f.mul(v, d.data[r][c]))
                 cols.append(img)
-            d = _cols_to_matrix(cols, d.rows, f)
+            d = Matrix.from_rows(cols, d.rows, f).transpose()
         if p == hi - 1:
             # corestrict into the kernel: express columns in top_rows
             solver = PreparedSolver(
@@ -657,15 +631,9 @@ def truncate_smart(x: CoordComplex, lo, hi):
                 if sol is None:
                     raise ValueError("cohomology extends beyond the window")
                 cols.append(sol)
-            d = _cols_to_matrix(cols, top_sub.dim, f)
+            d = Matrix.from_rows(cols, top_sub.dim, f).transpose()
         diffs[p] = d
     return CoordComplex(A, B, modules, diffs)
-
-
-def _unit_vec(n, i, f):
-    v = [f.zero()] * n
-    v[i] = f.one()
-    return v
 
 
 def _quotient_bimodule(m: BimoduleData, image_matrix, f):
@@ -681,7 +649,7 @@ def _quotient_bimodule(m: BimoduleData, image_matrix, f):
             span.add([image_matrix.data[r][c] for r in range(n)])
     reps = []
     for i in range(n):
-        probe = _unit_vec(n, i, f)
+        probe = unit_vector(n, i, f)
         if span.add(probe):
             reps.append(probe)
     k = len(reps)
@@ -727,7 +695,7 @@ def corner_adapt_module(module):
         e = alg.idempotent_index(v)
         span = IncrementalSpan(n, f)
         for i in range(n):
-            w = module.act(_unit_vec(n, i, f), e)
+            w = module.act(unit_vector(n, i, f), e)
             if any(x != 0 for x in w):
                 if span.add(w):
                     rows.append(w)
@@ -781,7 +749,7 @@ def hom_transport_complex(e_alg, e_mats, d_alg, chain, module, tags, w):
             if m2 != t_idx:
                 continue
             for (alpha, beta), c in entry.items():
-                mvec = module.act(_unit_vec(n, mi, f), alpha)
+                mvec = module.act(unit_vector(n, mi, f), alpha)
                 for bd, cb in d_alg.mult(beta, d).items():
                     for mj, cm in enumerate(mvec):
                         if cm != 0:

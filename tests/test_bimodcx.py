@@ -20,6 +20,7 @@ from cyfold.bimodcx import (
     standard_hereditary_resolution,
     tensor_over_A,
     tensor_power,
+    tensor_right,
 )
 from cyfold.exactlin import SplitMix64, random_vector
 from cyfold.presets import (
@@ -30,6 +31,7 @@ from cyfold.presets import (
     kronecker_root,
     linear_an_algebra,
 )
+from cyfold.rootpair import projective_sum
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,25 @@ def test_minimize_preserves_cohomology(kron, pA):
     assert m.validate() == []
     assert m.cohomology_dims() == big.cohomology_dims()
     assert m.total_summands() <= big.total_summands()
+
+
+@pytest.mark.parametrize("root,vertices,totals", [
+    ((0, 1), [0], [1, 3, 5, 7, 9, 11, 13, 15]),
+    ((1, -1), [0, 1], [4, 8, 12, 16, 20, 24, 28, 32]),
+])
+def test_minimize_on_right_complex_twist_chain(kron, root, vertices, totals):
+    # y -> minimize(y (x) U), eight times, as orbit_hom twists
+    u = kronecker_root(kron, *root)
+    y = projective_sum(kron, vertices)
+    got = []
+    for _ in totals:
+        big = tensor_right(y, u)
+        y = minimize(big)
+        assert type(y) is type(big)
+        assert y.validate() == []
+        assert y.cohomology_dims() == big.cohomology_dims()
+        got.append(sum(len(ss) for ss in y.terms.values()))
+    assert got == totals
 
 
 def test_a2n_root_validates():

@@ -184,3 +184,108 @@ def test_prime_field_run(tmp_path, kron_inputs):
     assert code == cli.EXIT_PASS
     report = json.loads((out / "report.json").read_text())
     assert report["hilbert_degree_zero"] == [1, 2, 3, 4]
+
+
+def _complete_argv(out, apath, upath):
+    return ["--out-dir", str(out), "complete", "--algebra", apath,
+            "--bimodule", upath, "--adams-max", "4", "--e", "0"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"tabel": {}},
+    {"table": {"0:0": 99}},
+    {"table": {"0:0": 99}, "sha256": cli.content_hash({"0:0": 1})},
+    [1, 2],
+])
+def test_bad_cache_entry_is_recomputed(tmp_path, kron_inputs, monkeypatch, entry):
+    apath, upath = kron_inputs
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("CYFOLD_CACHE", str(cache))
+    out = tmp_path / "c"
+    assert run(_complete_argv(out, apath, upath)) == cli.EXIT_PASS
+    (path,) = cache.glob("*.json")
+    path.write_text(json.dumps(entry))
+    assert run(_complete_argv(out, apath, upath)) == cli.EXIT_PASS
+    r = json.loads((out / "report.json").read_text())
+    assert r["cache_hit"] is False
+    assert r["hilbert_degree_zero"] == [1, 2, 3, 4, 5]
+    # the bad entry was overwritten by a good one
+    assert run(_complete_argv(out, apath, upath)) == cli.EXIT_PASS
+    assert json.loads((out / "report.json").read_text())["cache_hit"] is True
+
+
+@pytest.mark.parametrize("name", ["__version__", "SCHEMA_VERSION"])
+def test_cache_key_depends_on_versions(tmp_path, kron_inputs, monkeypatch, name):
+    apath, upath = kron_inputs
+    monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "v"
+    assert run(_complete_argv(out, apath, upath)) == cli.EXIT_PASS
+    monkeypatch.setattr(cli, name, getattr(cli, name) + getattr(cli, name))
+    assert run(_complete_argv(out, apath, upath)) == cli.EXIT_PASS
+    assert json.loads((out / "report.json").read_text())["cache_hit"] is False
+
+
+def _kronecker_docs():
+    alg = kronecker_algebra()
+    return {
+        "algebra": {"quiver": cli.quiver_to_doc(alg.quiver),
+                    "meta": {"model": "kronecker", "s": 0, "eps": 1, "max_len": 3}},
+        "bimodule": cli.complex_to_doc(kronecker_root(alg, 0, 1)),
+    }
+
+
+def _field_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from _field_paths(v, prefix + (k,))
+
+
+FUZZ_CASES = [
+    (doc, path, value)
+    for doc, tree in _kronecker_docs().items()
+    for path in _field_paths(tree)
+    for value in ("x", [1], None, 0.5)
+]
+
+
+def _complete_on(tmp_path, docs):
+    for name, tree in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(tree))
+    return run(_complete_argv(tmp_path / "out", str(tmp_path / "algebra.json"),
+                              str(tmp_path / "bimodule.json")))
+
+
+@pytest.mark.parametrize(
+    "doc,path,value", FUZZ_CASES,
+    ids=[f"{d}:{'.'.join(map(str, p))}={v!r}" for d, p, v in FUZZ_CASES])
+def test_malformed_field_never_crashes(tmp_path, monkeypatch, doc, path, value):
+    monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    docs = _kronecker_docs()
+    node = docs[doc]
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    code = _complete_on(tmp_path, docs)
+    assert code in {cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE, cli.EXIT_INPUT}
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda docs: docs.update(algebra=[1, 2]),
+    lambda docs: docs["algebra"]["quiver"]["arrows"][0].update(cdeg="x"),
+], ids=["list-document", "string-cdeg"])
+def test_malformed_algebra_is_input_error(tmp_path, mutate):
+    docs = _kronecker_docs()
+    mutate(docs)
+    assert _complete_on(tmp_path, docs) == cli.EXIT_INPUT
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_classify_roots", boom)
+    code = run(["classify-roots", "--type", "A", "--rank", "2", "--a", "2"])
+    assert code == cli.EXIT_INTERNAL
+    assert "RuntimeError: boom" in capsys.readouterr().err
