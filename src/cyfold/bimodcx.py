@@ -81,6 +81,38 @@ def compose_entries(alg, g_entry, f_entry):
     return out
 
 
+def assemble(src, tgt, image, field):
+    """Matrix of a linear map given on coordinates: column j is the image
+    of src[j] and rows follow tgt.  image(coord) yields (target coordinate,
+    coefficient) pairs; repeated targets add up, and targets outside tgt
+    are dropped.  Every differential matrix in the package is built here."""
+    tpos = {c: i for i, c in enumerate(tgt)}
+    mat = Matrix.zero(len(tgt), len(src), field)
+    data = mat.data
+    for col, coord in enumerate(src):
+        for t, c in image(coord):
+            row = tpos.get(t)
+            if row is not None:
+                data[row][col] = field.add(data[row][col], c)
+    return mat
+
+
+def _by_source(dd):
+    """One degree of a differential, {(t, s): entry}, as {s: [(t, entry)]}."""
+    out = {}
+    for (t, s), entry in dd.items():
+        out.setdefault(s, []).append((t, entry))
+    return out
+
+
+def _by_target(dd):
+    """One degree of a differential, {(t, s): entry}, as {t: [(s, entry)]}."""
+    out = {}
+    for (t, s), entry in dd.items():
+        out.setdefault(t, []).append((s, entry))
+    return out
+
+
 class ProjBimodComplex:
     def __init__(self, base, terms, diff, augmentation=None):
         self.base = base
@@ -131,25 +163,19 @@ class ProjBimodComplex:
         """Scalar matrix of d^p on underlying coordinates (rows: degree p+1)."""
         alg = self.base
         f = alg.field
-        src = self.coords(p, corner_filter)
-        tgt = self.coords(p + 1, corner_filter)
-        tpos = {c: i for i, c in enumerate(tgt)}
-        mat = Matrix.zero(len(tgt), len(src), f)
-        dd = self.diff.get(p, {})
-        by_source = {}
-        for (t_idx, s_idx), entry in dd.items():
-            by_source.setdefault(s_idx, []).append((t_idx, entry))
-        for col, (si, a, b) in enumerate(src):
-            for t_idx, entry in by_source.get(si, []):
+        out = _by_source(self.diff.get(p, {}))
+
+        def image(coord):
+            si, a, b = coord
+            for t_idx, entry in out.get(si, ()):
                 for (alpha, beta), c in entry.items():
                     for a2, ca in alg.mult(a, alpha).items():
                         for b2, cb in alg.mult(beta, b).items():
-                            row = tpos.get((t_idx, a2, b2))
-                            if row is None:
-                                continue
-                            val = f.mul(c, f.mul(ca, cb))
-                            mat.data[row][col] = f.add(mat.data[row][col], val)
-        return mat, src, tgt
+                            yield (t_idx, a2, b2), f.mul(c, f.mul(ca, cb))
+
+        src = self.coords(p, corner_filter)
+        tgt = self.coords(p + 1, corner_filter)
+        return assemble(src, tgt, image, f), src, tgt
 
     def trace_index(self):
         """Cached map from summand traces to (degree, index)."""
@@ -601,33 +627,15 @@ def chain_maps(x: ProjBimodComplex, y: ProjBimodComplex, r: int):
 
     Coordinates enumerate (p, s_idx, t_idx, alpha, beta) with alpha in
     corner(i_S, i_T), beta in corner(l_T, j_S); both subspaces live in that
-    coordinate space.
+    coordinate space.  The closed maps are the kernel of delta_r, the
+    boundaries the reduced column space of delta_{r-1}.
     """
-    alg = x.base
-    f = alg.field
-    coords = _map_coords(x, y, r)
-    pos = {c: i for i, c in enumerate(coords)}
+    f = x.base.field
+    delta, coords, _ = hom_diff_matrix(x, y, r)
     n = len(coords)
-    eqs = _closedness_rows(x, y, r, coords, pos)
-    if eqs:
-        closed = kernel_basis(Matrix.from_rows(eqs, n, f))
-    else:
-        closed = Subspace(n, Matrix.identity(n, f))
-    h_coords = _map_coords(x, y, r - 1)
-    brows = []
-    for k in range(len(h_coords)):
-        vec = [f.zero()] * len(h_coords)
-        vec[k] = f.one()
-        img = _homotopy_image(x, y, r, h_coords, vec, pos, n)
-        if any(v != 0 for v in img):
-            brows.append(img)
-    if brows:
-        res = rref(Matrix.from_rows(brows, n, f))
-        rows = [res.reduced.data[i] for i in range(res.rank)]
-        boundaries = Subspace(n, Matrix.from_rows(rows, n, f))
-    else:
-        boundaries = Subspace(n, Matrix.zero(0, n, f))
-    return closed, boundaries, coords
+    res = rref(hom_diff_matrix(x, y, r - 1)[0].transpose())
+    boundaries = Subspace(n, Matrix.from_rows(res.reduced.data[:res.rank], n, f))
+    return kernel_basis(delta), boundaries, coords
 
 
 def _map_coords(x, y, r):
@@ -647,75 +655,34 @@ def _map_coords(x, y, r):
     return coords
 
 
-def _closedness_rows(x, y, r, coords, pos):
-    """Rows of the linear system expressing d_Y f - (-1)^r f d_X = 0."""
+def hom_diff_matrix(x, y, r):
+    """Matrix of the Hom-complex differential delta f = d_Y f - (-1)^r f d_X
+    from degree-r to degree-(r+1) map coordinates: (mat, src, tgt)."""
     alg = x.base
     f = alg.field
     sgn = f(1) if r % 2 == 0 else f(-1)
-    rows = {}
+    y_out = {q: _by_source(dd) for q, dd in y.diff.items()}
+    x_in = {p: _by_target(dd) for p, dd in x.diff.items()}
 
-    def emit(p, s_idx, t_idx, pair, coeff, unk):
-        key = (p, s_idx, t_idx, pair)
-        row = rows.setdefault(key, {})
-        row[unk] = f.add(row.get(unk, f.zero()), coeff)
+    def image(coord):
+        p, s_idx, t_idx, alpha, beta = coord
+        # d_Y o f: lands in Y^{p+r+1}
+        for t2, entry in y_out.get(p + r, {}).get(t_idx, ()):
+            for (a2, b2), c in entry.items():
+                for ai, ca in alg.mult(alpha, a2).items():
+                    for bi, cb in alg.mult(b2, beta).items():
+                        yield (p, s_idx, t2, ai, bi), f.mul(c, f.mul(ca, cb))
+        # -(-1)^r f o d_X: from X^{p-1}
+        for s2, entry in x_in.get(p - 1, {}).get(s_idx, ()):
+            for (a1, b1), c in entry.items():
+                for ai, ca in alg.mult(a1, alpha).items():
+                    for bi, cb in alg.mult(beta, b1).items():
+                        yield ((p - 1, s2, t_idx, ai, bi),
+                               f.neg(f.mul(sgn, f.mul(c, f.mul(ca, cb)))))
 
-    for ci, (p, s_idx, t_idx, alpha, beta) in enumerate(coords):
-        unit = {(alpha, beta): f.one()}
-        # d_Y o f : lands in Y^{p+r+1}
-        for (t2, m), entry in y.diff.get(p + r, {}).items():
-            if m != t_idx:
-                continue
-            comp = compose_entries(alg, entry, unit)
-            for pair, c in comp.items():
-                emit(p, s_idx, t2, pair, c, ci)
-        # -(-1)^r f o d_X : from X^{p-1}
-        for (m, s2), entry in x.diff.get(p - 1, {}).items():
-            if m != s_idx:
-                continue
-            comp = compose_entries(alg, unit, entry)
-            for pair, c in comp.items():
-                emit(p - 1, s2, t_idx, pair, f.neg(f.mul(sgn, c)), ci)
-    out = []
-    n = len(coords)
-    for row in rows.values():
-        vec = [f.zero()] * n
-        for unk, c in row.items():
-            vec[unk] = c
-        out.append(vec)
-    return out
-
-
-def _homotopy_image(x, y, r, h_coords, h_vec, pos, n):
-    """Image of a degree-(r-1) map under d_Y h + (-1)^{r} h d_X... computed
-    with the convention that its image is closed of degree r."""
-    alg = x.base
-    f = alg.field
-    sgn = f(1) if (r - 1) % 2 == 0 else f(-1)
-    out = [f.zero()] * n
-
-    def add(key, c):
-        i = pos.get(key)
-        if i is not None:
-            out[i] = f.add(out[i], c)
-
-    for k, c0 in enumerate(h_vec):
-        if c0 == 0:
-            continue
-        p, s_idx, t_idx, alpha, beta = h_coords[k]
-        unit = {(alpha, beta): c0}
-        for (t2, m), entry in y.diff.get(p + r - 1, {}).items():
-            if m != t_idx:
-                continue
-            comp = compose_entries(alg, entry, unit)
-            for (a2, b2), c in comp.items():
-                add((p, s_idx, t2, a2, b2), c)
-        for (m, s2), entry in x.diff.get(p - 1, {}).items():
-            if m != s_idx:
-                continue
-            comp = compose_entries(alg, unit, entry)
-            for (a2, b2), c in comp.items():
-                add((p - 1, s2, t_idx, a2, b2), f.neg(f.mul(sgn, c)))
-    return out
+    src = _map_coords(x, y, r)
+    tgt = _map_coords(x, y, r + 1)
+    return assemble(src, tgt, image, f), src, tgt
 
 
 def map_from_vector(x, y, r, coords, vec) -> ChainMap:
@@ -892,19 +859,18 @@ class RightComplex:
     def diff_matrix(self, p):
         alg = self.base
         f = alg.field
-        src = self.coords(p)
-        tgt = self.coords(p + 1)
-        tpos = {c: i for i, c in enumerate(tgt)}
-        mat = Matrix.zero(len(tgt), len(src), f)
-        for (t_idx, s_idx), elem in self.diff.get(p, {}).items():
-            for col, (si, b) in enumerate(src):
-                if si != s_idx:
-                    continue
+        out = _by_source(self.diff.get(p, {}))
+
+        def image(coord):
+            si, b = coord
+            for t_idx, elem in out.get(si, ()):
                 for g, c in elem.items():
                     for b2, cb in alg.mult(g, b).items():
-                        row = tpos[(t_idx, b2)]
-                        mat.data[row][col] = f.add(mat.data[row][col], f.mul(c, cb))
-        return mat, src, tgt
+                        yield (t_idx, b2), f.mul(c, cb)
+
+        src = self.coords(p)
+        tgt = self.coords(p + 1)
+        return assemble(src, tgt, image, f), src, tgt
 
     def validate(self):
         alg = self.base
@@ -1105,32 +1071,24 @@ class HomComplex:
         """Matrix of delta f = d_y f - (-1)^r f d_x from degree r to r+1."""
         alg = self.alg
         f = alg.field
-        src = self.coords(r)
-        tgt = self.coords(r + 1)
-        tpos = {c: i for i, c in enumerate(tgt)}
-        mat = Matrix.zero(len(tgt), len(src), f)
         sgn = f(1) if r % 2 == 0 else f(-1)
-        for col, (p, s_idx, t_idx, g) in enumerate(src):
-            for (t2, m), elem in self.y.diff.get(p + r, {}).items():
-                if m != t_idx:
-                    continue
+        y_out = {q: _by_source(dd) for q, dd in self.y.diff.items()}
+        x_in = {p: _by_target(dd) for p, dd in self.x.diff.items()}
+
+        def image(coord):
+            p, s_idx, t_idx, g = coord
+            for t2, elem in y_out.get(p + r, {}).get(t_idx, ()):
                 for g1, c1 in elem.items():
                     for g2, c2 in alg.mult(g1, g).items():
-                        row = tpos.get((p, s_idx, t2, g2))
-                        if row is not None:
-                            mat.data[row][col] = f.add(
-                                mat.data[row][col], f.mul(c1, c2)
-                            )
-            for (m, s2), elem in self.x.diff.get(p - 1, {}).items():
-                if m != s_idx:
-                    continue
+                        yield (p, s_idx, t2, g2), f.mul(c1, c2)
+            for s2, elem in x_in.get(p - 1, {}).get(s_idx, ()):
                 for g1, c1 in elem.items():
                     for g2, c2 in alg.mult(g, g1).items():
-                        row = tpos.get((p - 1, s2, t_idx, g2))
-                        if row is not None:
-                            val = f.neg(f.mul(sgn, f.mul(c1, c2)))
-                            mat.data[row][col] = f.add(mat.data[row][col], val)
-        return mat, src, tgt
+                        yield (p - 1, s2, t_idx, g2), f.neg(f.mul(sgn, f.mul(c1, c2)))
+
+        src = self.coords(r)
+        tgt = self.coords(r + 1)
+        return assemble(src, tgt, image, f), src, tgt
 
     def cohomology_dim(self, r):
         return cohomology_dim(len(self.coords(r)), self.diff_matrix(r)[0],
@@ -1164,10 +1122,10 @@ class BimoduleData:
         return self.left_alg.field
 
     def left_act(self, k, vec):
-        return _act(self.left_action[k], vec, self.field)
+        return combine_rows(vec, self.left_action[k].data, self.field)
 
     def right_act(self, k, vec):
-        return _act(self.right_action[k], vec, self.field)
+        return combine_rows(vec, self.right_action[k].data, self.field)
 
     def corner_project(self, u, v, vec):
         eu = self.left_alg.idempotent_index(u)
@@ -1187,18 +1145,6 @@ class BimoduleData:
                     if lr != rl:
                         return False
         return True
-
-
-def _act(mat, vec, f):
-    out = [f.zero()] * mat.cols
-    for i, v in enumerate(vec):
-        if v == 0:
-            continue
-        row = mat.data[i]
-        for j in range(mat.cols):
-            if row[j] != 0:
-                out[j] = f.add(out[j], f.mul(v, row[j]))
-    return out
 
 
 def regular_bimodule(alg) -> BimoduleData:
@@ -1299,10 +1245,7 @@ def _cover(m: BimoduleData):
     for (g, a, bb) in coords:
         vec = m.right_act(bb, m.left_act(a, step.lifts[g]))
         cols.append(vec)
-    phi = Matrix.zero(m.dim, len(coords), f)
-    for c, vec in enumerate(cols):
-        for r, val in enumerate(vec):
-            phi.data[r][c] = val
+    phi = Matrix.from_rows(cols, m.dim, f).transpose()
     ker = kernel_basis(phi)
     p_data = _free_bimodule(A, B, step)
     k_data, inclusion = _sub_bimodule(p_data, ker)

@@ -43,7 +43,7 @@ from .cluster import (
 
 from .completion import completion
 from .exactlin import QQ, Field
-from .quiveralg import Arrow, Quiver, Relation, build_algebra
+from .quiveralg import Arrow, NotFiniteDimensional, Quiver, Relation, build_algebra
 from .rootpair import (
     RootPairSpec,
     check_strict_pair,
@@ -117,7 +117,12 @@ def doc_to_algebra(doc, max_len, field=QQ):
             rels[-1].validate(quiver)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError("quiver", str(exc))
-    return build_algebra(quiver, rels, max_len, field)
+    try:
+        return build_algebra(quiver, rels, max_len, field)
+    except ZeroDivisionError as exc:
+        raise ParseError("relations", str(exc))
+    except NotFiniteDimensional as exc:
+        raise ParseError("meta.max_len", str(exc))
 
 
 def complex_to_doc(cx):
@@ -176,7 +181,8 @@ def _vertex(alg, value, location):
 def doc_to_complex(doc, alg):
     try:
         terms, diff = _parse_complex(doc, alg)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise ParseError("complex", f"malformed document: {exc!r}")
     cx = ProjBimodComplex(alg, terms, diff)
     errors = cx.validate()

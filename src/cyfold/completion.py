@@ -9,6 +9,7 @@ every verdict carries that window.
 from .bimodcx import (
     BimoduleData,
     ProjBimodComplex,
+    assemble,
     resolution_of_algebra,
     tensor_power,
 )
@@ -208,23 +209,22 @@ def dg_path_cohomology(p: DgPathAlgebra, adams_max) -> dict:
     quiver = p.quiver
     f = p.field
     by_adeg = _enumerate_graded_paths(quiver, adams_max, f)
+
+    def image(coord):
+        path, src = coord
+        for new, c in p.d_path(path).items():
+            yield (new, src), c
+
     table = {}
     for l, items in sorted(by_adeg.items()):
         by_cdeg = {}
         for path, src, tgt, _ in items:
             cdeg = sum(quiver.arrow_by_name[nm].cdeg for nm in path)
             by_cdeg.setdefault(cdeg, []).append((path, src))
-        mats = {}
-        for cdeg, plist in sorted(by_cdeg.items()):
-            tgt_list = by_cdeg.get(cdeg + 1, [])
-            tpos = {pp: i for i, pp in enumerate(tgt_list)}
-            mat = Matrix.zero(len(tgt_list), len(plist), f)
-            for col, (path, src) in enumerate(plist):
-                for new, c in p.d_path(path).items():
-                    row = tpos.get((new, src))
-                    if row is not None:
-                        mat.data[row][col] = f.add(mat.data[row][col], c)
-            mats[cdeg] = mat
+        mats = {
+            cdeg: assemble(plist, by_cdeg.get(cdeg + 1, []), image, f)
+            for cdeg, plist in by_cdeg.items()
+        }
         for cdeg, plist in sorted(by_cdeg.items()):
             d = cohomology_dim(len(plist), mats.get(cdeg), mats.get(cdeg - 1))
             if d:
@@ -751,6 +751,13 @@ def _free_piece_basis(g: GradedAlgebraData, vertex_obj, degree):
     ]
 
 
+def _free_coords(g, gens, d):
+    """Coordinates (generator, degree, basis index) of the degree-d piece of
+    the free module on gens, a list of (object, shift)."""
+    return [(gi, d - s, bi) for gi, (obj, s) in enumerate(gens)
+            for bi in _free_piece_basis(g, obj, d - s)]
+
+
 def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
     """Verdict on the Gorenstein parameter: "yes", "no", or "inconclusive".
 
@@ -765,18 +772,11 @@ def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
     frees = [[(o, 0) for o in g.objects]]
     diffs = []  # diffs[k]: generator of F_{k+1} -> vector over F_k coords
 
-    def free_coords(gens, d):
-        out = []
-        for gi, (obj, s) in enumerate(gens):
-            for bi in _free_piece_basis(g, obj, d - s):
-                out.append((gi, d - s, bi))
-        return out
-
     # kernel of F_0 -> Gamma_0 is Gamma_{>=1} restricted to the window
     kernels = {}
     gens0 = frees[0]
     for d in range(N + 1):
-        coords = free_coords(gens0, d)
+        coords = _free_coords(g, gens0, d)
         if d == 0:
             kernels[d] = []
         else:
@@ -827,14 +827,6 @@ def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
 def _graded_cover_step(g, gens, kernel, N, f):
     """Minimal generators of a graded submodule given per degree, the cover
     differential, and the next kernel."""
-
-    def free_coords(gg, d):
-        out = []
-        for gi, (obj, s) in enumerate(gg):
-            for bi in _free_piece_basis(g, obj, d - s):
-                out.append((gi, d - s, bi))
-        return out
-
     new_gens = []
     gen_vectors = []  # (degree, vector over F coords, object)
     covered = {d: [] for d in range(N + 1)}
@@ -842,7 +834,7 @@ def _graded_cover_step(g, gens, kernel, N, f):
         kd = kernel.get(d, [])
         if not kd:
             continue
-        coords_d = free_coords(gens, d)
+        coords_d = _free_coords(g, gens, d)
         # span of already chosen generators at this degree
         span = IncrementalSpan(len(coords_d), f)
         for vec in covered[d]:
@@ -861,7 +853,7 @@ def _graded_cover_step(g, gens, kernel, N, f):
                 gen_vectors.append((d, comp, obj))
                 # propagate the new generator's multiples upward
                 for d2 in range(d + 1, N + 1):
-                    coords_d2 = free_coords(gens, d2)
+                    coords_d2 = _free_coords(g, gens, d2)
                     for bi2 in range(g.dim(d2 - d)):
                         img = _free_right_mult(
                             g, gens, coords_d, coords_d2, comp, d2 - d, bi2, f
@@ -874,14 +866,10 @@ def _graded_cover_step(g, gens, kernel, N, f):
     next_kernel = {}
     for d in range(N + 1):
         cols = []
-        new_coords = []
-        for gi, (obj, s) in enumerate(new_gens):
-            for bi in _free_piece_basis(g, obj, d - s):
-                new_coords.append((gi, d - s, bi))
-        coords_d = free_coords(gens, d)
-        for (gi, m, bi) in new_coords:
+        coords_d = _free_coords(g, gens, d)
+        for (gi, m, bi) in _free_coords(g, new_gens, d):
             vec = _free_right_mult(
-                g, gens, free_coords(gens, new_gens[gi][1]), coords_d,
+                g, gens, _free_coords(g, gens, new_gens[gi][1]), coords_d,
                 gen_vectors[gi][1], m, bi, f,
             )
             cols.append(vec)
@@ -933,41 +921,26 @@ def _dual_cohomology_at(g, frees, diffs, t, N, f):
         spaces.append(coords)
     mats = []
     for k in range(len(diffs)):
-        src = spaces[k]
-        tgt = spaces[k + 1]
-        tpos = {c: i for i, c in enumerate(tgt)}
-        mat = Matrix.zero(len(tgt), len(src), f)
-        gens_k = frees[k]
-        gens_k1 = frees[k + 1]
+        # the differential F_{k+1} -> F_k by the F_k generator it lies over:
+        # gi -> [(gj, m2, bi2, coefficient)]
+        over = {}
+        for gj, (_, sj) in enumerate(frees[k + 1]):
+            img_coords = _free_coords(g, frees[k], sj)
+            for ci, v in enumerate(diffs[k][gj]):
+                if v != 0:
+                    gi, m2, bi2 = img_coords[ci]
+                    over.setdefault(gi, []).append((gj, m2, bi2, v))
 
-        def coords_of(gg, d):
-            out = []
-            for gi, (obj, s) in enumerate(gg):
-                for bi in _free_piece_basis(g, obj, d - s):
-                    out.append((gi, d - s, bi))
-            return out
+        def image(coord):
+            # functional w at generator gi of F_k, precomposed with the
+            # differential; w * gamma is the left module product
+            # (Gamma e)_m x Gamma_m2
+            gi, m, bi = coord
+            for gj, m2, bi2, v in over.get(gi, ()):
+                for b3, c in g.product(m, bi, m2, bi2).items():
+                    yield (gj, m + m2, b3), f.mul(v, c)
 
-        for col, (gi, m, bi) in enumerate(src):
-            # functional w at generator gi of F_k; precompose with the
-            # differential: component at generator gj of F_{k+1} is
-            # sum over the gj-image's coords lying over gi
-            for gj, (objj, sj) in enumerate(gens_k1):
-                img = diffs[k][gj]
-                img_coords = coords_of(gens_k, sj)
-                for ci, v in enumerate(img):
-                    if v == 0:
-                        continue
-                    gi2, m2, bi2 = img_coords[ci]
-                    if gi2 != gi:
-                        continue
-                    # w * gamma: left module product (Gamma e)_m x Gamma_m2
-                    for b3, c in g.product(m, bi, m2, bi2).items():
-                        row = tpos.get((gj, m + m2, b3))
-                        if row is not None:
-                            mat.data[row][col] = f.add(
-                                mat.data[row][col], f.mul(v, c)
-                            )
-        mats.append(mat)
+        mats.append(assemble(spaces[k], spaces[k + 1], image, f))
     out = {}
     for k in range(len(spaces)):
         d = cohomology_dim(len(spaces[k]), mats[k] if k < len(mats) else None,

@@ -29,6 +29,8 @@ class Field:
     def __call__(self, value, den=1):
         if self.char == 0:
             return Fraction(value, den)
+        if den % self.char == 0:
+            raise ZeroDivisionError(f"denominator {den} is 0 in {self!r}")
         return (value * pow(den, self.char - 2, self.char)) % self.char
 
     def zero(self):
@@ -217,10 +219,10 @@ def combine_rows(coeffs, rows, field=QQ):
     """sum_k coeffs[k] * rows[k], densely."""
     out = [field.zero()] * (len(rows[0]) if rows else 0)
     for c, row in zip(coeffs, rows):
-        if c == 0:
+        if not c:
             continue
         for j, v in enumerate(row):
-            if v != 0:
+            if v:
                 out[j] = field.add(out[j], field.mul(c, v))
     return out
 
@@ -304,17 +306,11 @@ def random_vector(space: Subspace, seed, bound=10):
     subspace yields the zero vector.
     """
     f = space.basis.field
+    if space.dim == 0:
+        return [f.zero()] * space.ambient_dim
     rng = SplitMix64(seed)
-    vec = [f.zero()] * space.ambient_dim
-    for row in space.basis.data:
-        c = rng.int_in(-bound, bound)
-        if c == 0:
-            continue
-        cf = f(c)
-        for j, v in enumerate(row):
-            if v != 0:
-                vec[j] = f.add(vec[j], f.mul(cf, v))
-    return vec
+    coeffs = [f(rng.int_in(-bound, bound)) for _ in space.basis.data]
+    return combine_rows(coeffs, space.basis.data, f)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -331,16 +327,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         f,
     ).transpose()
     ker = kernel_basis(stacked)
-    rows = []
-    for coeffs in ker.basis.data:
-        vec = [f.zero()] * a.ambient_dim
-        for i in range(a.dim):
-            c = coeffs[i]
-            if c != 0:
-                for j, v in enumerate(a.basis.data[i]):
-                    if v != 0:
-                        vec[j] = f.add(vec[j], f.mul(c, v))
-        rows.append(vec)
+    rows = [combine_rows(coeffs[:a.dim], a.basis.data, f) for coeffs in ker.basis.data]
     if not rows:
         return Subspace(a.ambient_dim, Matrix.zero(0, a.ambient_dim, f))
     res = rref(Matrix.from_rows(rows, a.ambient_dim, f))

@@ -10,7 +10,7 @@ reduction of the relation ideal.
 
 from fractions import Fraction
 
-from .exactlin import QQ, Matrix, Subspace, rref
+from .exactlin import QQ, Matrix, Subspace, combine_rows, rref
 
 
 class NotFiniteDimensional(Exception):
@@ -496,17 +496,7 @@ class RightModule:
         self.action = action
 
     def act(self, vec, k):
-        mat = self.action[k]
-        f = self.algebra.field
-        out = [f.zero()] * self.dim
-        for i, v in enumerate(vec):
-            if v == 0:
-                continue
-            row = mat.data[i]
-            for j in range(self.dim):
-                if row[j] != 0:
-                    out[j] = f.add(out[j], f.mul(v, row[j]))
-        return out
+        return combine_rows(vec, self.action[k].data, self.algebra.field)
 
 
 def dimension_vector(m: RightModule):

@@ -13,11 +13,13 @@ from .bimodcx import (
     ProjBimodComplex,
     RightComplex,
     RightSummand,
-    _homotopy_image,
+    _by_source,
     _map_coords,
+    assemble,
     bimodule_dual,
     chain_maps,
     find_quasi_iso,
+    hom_diff_matrix,
     is_quasi_iso,
     map_from_vector,
     resolution_of_algebra,
@@ -73,33 +75,25 @@ class ContractedComplex:
     def diff_matrix(self, r):
         alg = self.alg
         f = alg.field
-        src = self.coords(r)
-        tgt = self.coords(r + 1)
-        tpos = {c: i for i, c in enumerate(tgt)}
-        mat = Matrix.zero(len(tgt), len(src), f)
-        for col, ((p, s_idx), (q, t_idx), (u, v)) in enumerate(src):
-            for (s2, m), entry in self.x.diff.get(p, {}).items():
-                if m != s_idx:
-                    continue
+        x_out = {p: _by_source(dd) for p, dd in self.x.diff.items()}
+        y_out = {q: _by_source(dd) for q, dd in self.y.diff.items()}
+
+        def image(coord):
+            (p, s_idx), (q, t_idx), (u, v) = coord
+            for s2, entry in x_out.get(p, {}).get(s_idx, ()):
                 for (alpha, beta), c in entry.items():
                     for u2, cu in alg.mult(beta, u).items():
                         for v2, cv in alg.mult(v, alpha).items():
-                            row = tpos.get(((p + 1, s2), (q, t_idx), (u2, v2)))
-                            if row is not None:
-                                val = f.mul(c, f.mul(cu, cv))
-                                mat.data[row][col] = f.add(mat.data[row][col], val)
+                            yield ((p + 1, s2), (q, t_idx), (u2, v2)), f.mul(c, f.mul(cu, cv))
             sgn = f(1) if p % 2 == 0 else f(-1)
-            for (t2, m), entry in self.y.diff.get(q, {}).items():
-                if m != t_idx:
-                    continue
+            for t2, entry in y_out.get(q, {}).get(t_idx, ()):
                 for (alpha, beta), c in entry.items():
                     for u2, cu in alg.mult(u, alpha).items():
                         for v2, cv in alg.mult(beta, v).items():
-                            row = tpos.get(((p, s_idx), (q + 1, t2), (u2, v2)))
-                            if row is not None:
-                                val = f.mul(sgn, f.mul(c, f.mul(cu, cv)))
-                                mat.data[row][col] = f.add(mat.data[row][col], val)
-        return mat
+                            yield (((p, s_idx), (q + 1, t2), (u2, v2)),
+                                   f.mul(sgn, f.mul(c, f.mul(cu, cv))))
+
+        return assemble(self.coords(r), self.coords(r + 1), image, f)
 
 
 class ContractWithA:
@@ -121,22 +115,17 @@ class ContractWithA:
     def diff_matrix(self, r):
         alg = self.alg
         f = alg.field
-        src = self.coords(r)
-        tgt = self.coords(r + 1)
-        tpos = {c: i for i, c in enumerate(tgt)}
-        mat = Matrix.zero(len(tgt), len(src), f)
-        for col, (t_idx, a) in enumerate(src):
-            for (t2, m), entry in self.x.diff.get(r, {}).items():
-                if m != t_idx:
-                    continue
+        out = _by_source(self.x.diff.get(r, {}))
+
+        def image(coord):
+            t_idx, a = coord
+            for t2, entry in out.get(t_idx, ()):
                 for (alpha, beta), c in entry.items():
                     for a2, c1 in alg.mult(beta, a).items():
                         for a3, c2 in alg.mult(a2, alpha).items():
-                            row = tpos.get((t2, a3))
-                            if row is not None:
-                                val = f.mul(c, f.mul(c1, c2))
-                                mat.data[row][col] = f.add(mat.data[row][col], val)
-        return mat
+                            yield (t2, a3), f.mul(c, f.mul(c1, c2))
+
+        return assemble(self.coords(r), self.coords(r + 1), image, f)
 
     def boundary_decompose(self, r, vec):
         """Write vec at degree r as d(w) if possible, else return None."""
@@ -152,37 +141,17 @@ def evaluation_matrix(x: ProjBimodComplex, dual, contracted: ContractedComplex, 
     Sends ((p,s),(q,t),(u,v)) to the component map S' -> S with entry
     (v, u), where S' is the x-summand dual to the (q,t) summand.
     """
-    alg = x.alg if isinstance(x, ContractedComplex) else x.base
-    f = alg.field
+    f = x.base.field
+    one = f.one()
+
+    def image(coord):
+        (_, s_idx), (q, t_idx), (u, v) = coord
+        # dual summand (q, t_idx) corresponds to x summand (-q, t_idx)
+        yield (-q, t_idx, s_idx, v, u), one
+
     src = contracted.coords(r)
     end_coords = _map_coords(x, x, r)
-    pos = {c: i for i, c in enumerate(end_coords)}
-    mat = Matrix.zero(len(end_coords), len(src), f)
-    for col, ((p, s_idx), (q, t_idx), (u, v)) in enumerate(src):
-        # dual summand (q, t_idx) corresponds to x summand (-q, t_idx)
-        row = pos.get((-q, t_idx, s_idx, v, u))
-        if row is not None:
-            mat.data[row][col] = f.one()
-    return mat, src, end_coords
-
-
-def hom_diff_matrix(x, y, r):
-    """Matrix of the Hom-complex differential from degree r to degree r+1."""
-    f = x.base.field
-    src = _map_coords(x, y, r)
-    tgt = _map_coords(x, y, r + 1)
-    pos = {c: i for i, c in enumerate(tgt)}
-    cols = []
-    n = len(tgt)
-    for k in range(len(src)):
-        unit = [f.zero()] * len(src)
-        unit[k] = f.one()
-        cols.append(_homotopy_image(x, y, r + 1, src, unit, pos, n))
-    mat = Matrix.zero(n, len(src), f)
-    for c, colvec in enumerate(cols):
-        for rr, val in enumerate(colvec):
-            mat.data[rr][c] = val
-    return mat, src, tgt
+    return assemble(src, end_coords, image, f), src, end_coords
 
 
 class CasimirElement:

@@ -13,8 +13,10 @@ from .bimodcx import (
     BoundExceeded,
     ProjBimodComplex,
     ProjBimodSummand,
+    _by_source,
     _free_bimodule,
     _sub_bimodule,
+    assemble,
     _top_generators,
     CoverStep,
     minimize,
@@ -351,7 +353,6 @@ def resolve_complex(x: CoordComplex, len_bound=16):
     q_maps = {}
     d_maps = {}
     prev_free = None
-    prev_step = None
     k = top
     while True:
         xk = x.modules.get(k)
@@ -372,7 +373,6 @@ def resolve_complex(x: CoordComplex, len_bound=16):
             q_maps[k] = Matrix.zero(x.modules[k].dim if k in x.modules else 0, 0, f)
             d_maps[k] = Matrix.zero(prev_free.dim if prev_free else 0, 0, f)
             prev_free = _zero_bimodule(A, B, f)
-            prev_step = steps[k]
             k -= 1
             if top - k > len_bound:
                 break
@@ -404,7 +404,6 @@ def resolve_complex(x: CoordComplex, len_bound=16):
             d_maps[k] = Matrix.from_rows(d_cols, prev_free.dim, f).transpose()
         steps[k] = step
         prev_free = free
-        prev_step = step
         k -= 1
         if top - k > len_bound:
             raise BoundExceeded("complex resolution exceeded the length bound")
@@ -422,22 +421,11 @@ def resolve_complex(x: CoordComplex, len_bound=16):
         if dmat is None or deg + 1 not in steps:
             continue
         upper = steps[deg + 1].coords(A, A)
+        col_of = {c: i for i, c in enumerate(step.coords(A, A))}
         dd = {}
-        for g2 in range(len(step.generators)):
-            col0 = sum(
-                len([b for b in A.basis if b.source == u])
-                * len([b for b in A.basis if b.target == v])
-                for (u, v) in step.generators[:g2]
-            )
+        for g2, (u, v) in enumerate(step.generators):
             # column of the generator itself: (g2, e_u, e_v)
-            u, v = step.generators[g2]
-            eu = A.idempotent_index(u)
-            ev = A.idempotent_index(v)
-            gen_col = None
-            for ci, (g, a, bb) in enumerate(step.coords(A, A)):
-                if g == g2 and a == eu and bb == ev:
-                    gen_col = ci
-                    break
+            gen_col = col_of[(g2, A.idempotent_index(u), A.idempotent_index(v))]
             vec = [dmat.data[r][gen_col] for r in range(dmat.rows)]
             for ridx, c in enumerate(vec):
                 if c == 0:
@@ -536,31 +524,12 @@ def _direct_sum_bimodule(xk, p, A, B, f):
 def coord_complex_of(x: ProjBimodComplex) -> CoordComplex:
     """Coordinate form of a projective-term complex (testing aid)."""
     alg = x.base
-    f = alg.field
     modules = {}
     diffs = {}
     for p in x.degrees():
-        coords = x.coords(p)
-        n = len(coords)
-        pos = {c: i for i, c in enumerate(coords)}
-        left = []
-        right = []
-        for k in range(alg.dim):
-            lm = Matrix.zero(n, n, f)
-            rm = Matrix.zero(n, n, f)
-            for i, (s_idx, a, b) in enumerate(coords):
-                for a2, c in alg.mult(k, a).items():
-                    j = pos.get((s_idx, a2, b))
-                    if j is not None:
-                        lm.data[i][j] = f.add(lm.data[i][j], c)
-                for b2, c in alg.mult(b, k).items():
-                    j = pos.get((s_idx, a, b2))
-                    if j is not None:
-                        rm.data[i][j] = f.add(rm.data[i][j], c)
-            left.append(lm)
-            right.append(rm)
-        modules[p] = BimoduleData(alg, alg, n, left, right)
-    for p in x.degrees():
+        # CoverStep.coords enumerates a summand's coordinates as x.coords does
+        step = CoverStep([(s.left, s.right) for s in x.summands(p)], [])
+        modules[p] = _free_bimodule(alg, alg, step)
         mat, _, _ = x.diff_matrix(p)
         if mat.rows:
             diffs[p] = mat
@@ -735,27 +704,18 @@ def hom_transport_complex(e_alg, e_mats, d_alg, chain, module, tags, w):
                     items.append((t_idx, mi, d))
         n_coords[q] = items
 
-    def n_right_act(q, coord, k):
-        t_idx, mi, d = coord
-        out = {}
-        for d2, c in d_alg.mult(d, k).items():
-            out[(t_idx, mi, d2)] = c
-        return out
+    w_out = {q: _by_source(dd) for q, dd in w.diff.items()}
 
     def n_diff(q, coord):
+        """Terms of d_N on one coordinate of N^q."""
         t_idx, mi, d = coord
-        out = {}
-        for (t2, m2), entry in w.diff.get(q, {}).items():
-            if m2 != t_idx:
-                continue
+        for t2, entry in w_out.get(q, {}).get(t_idx, ()):
             for (alpha, beta), c in entry.items():
-                mvec = module.act(unit_vector(n, mi, f), alpha)
+                mrow = module.action[alpha].data[mi]
                 for bd, cb in d_alg.mult(beta, d).items():
-                    for mj, cm in enumerate(mvec):
+                    for mj, cm in enumerate(mrow):
                         if cm != 0:
-                            key = (t2, mj, bd)
-                            out[key] = f.add(out.get(key, f.zero()), f.mul(c, f.mul(cm, cb)))
-        return out
+                            yield (t2, mj, bd), f.mul(c, f.mul(cm, cb))
 
     # X^r coordinates: (j, g, x, ncoord) with P_j at degree -j
     steps = chain.steps
@@ -803,45 +763,39 @@ def hom_transport_complex(e_alg, e_mats, d_alg, chain, module, tags, w):
                         rm.data[ii][jcol] = f.add(rm.data[ii][jcol], c)
             right.append(rm)
         modules[r] = BimoduleData(e_alg, e_alg, dim, left, right)
+    # d_P: P_{j+1} -> P_j by the P_j generator it lies over:
+    # d_over[j][g] = [(g2, aa, dd, coefficient)]
+    d_over = [{} for _ in steps]
+    for j in range(len(steps) - 1):
+        for g2, vec in enumerate(chain.maps[j + 1]):
+            for ci, cval in enumerate(vec):
+                if cval != 0:
+                    g, aa, dd = p_coords[j][ci]
+                    d_over[j].setdefault(g, []).append((g2, aa, dd, cval))
     for r in sorted(x_coords):
         if r + 1 not in x_coords:
             continue
-        src = x_coords[r]
-        tgt = x_coords[r + 1]
-        tpos = {c: i for i, c in enumerate(tgt)}
-        mat = Matrix.zero(len(tgt), len(src), f)
         sgn = f(1) if r % 2 == 0 else f(-1)
-        for col, (j, g, xx, ncoord) in enumerate(src):
+
+        def image(coord):
+            j, g, xx, ncoord = coord
             q = r - j
             # d_N o phi
-            for key2, c in n_diff(q, ncoord).items():
-                row = tpos.get((j, g, xx, key2))
-                if row is not None:
-                    mat.data[row][col] = f.add(mat.data[row][col], c)
-            # -(-1)^r phi o d_P : lands in Hom(P_{j+1}, N^q)
-            if j + 1 < len(steps):
-                dvecs = chain.maps[j + 1]
-                for g2 in range(len(steps[j + 1].generators)):
-                    vec = dvecs[g2]
-                    for ci, cval in enumerate(vec):
-                        if cval == 0:
-                            continue
-                        gg, aa, dd = p_coords[j][ci]
-                        if gg != g:
-                            continue
-                        # phi((gg, x2 in x'.aa, dd)) = +- n . dd, collected
-                        # against the target coordinate (j+1, g2, x', -)
-                        for x2 in e_basis_src[steps[j + 1].generators[g2][0]]:
-                            prod = e_alg.mult(x2, aa)
-                            c2 = prod.get(xx)
-                            if not c2:
-                                continue
-                            for key2, c3 in n_right_act(q, ncoord, dd).items():
-                                row = tpos.get((j + 1, g2, x2, key2))
-                                if row is not None:
-                                    val = f.neg(f.mul(sgn, f.mul(cval, f.mul(c2, c3))))
-                                    mat.data[row][col] = f.add(mat.data[row][col], val)
-        diffs[r] = mat
+            for key2, c in n_diff(q, ncoord):
+                yield (j, g, xx, key2), c
+            # -(-1)^r phi o d_P : lands in Hom(P_{j+1}, N^q); phi((g, x2 in
+            # x'.aa, dd)) = +- n . dd, collected against (j+1, g2, x', -)
+            t_idx, mi, d = ncoord
+            for g2, aa, dd, cval in d_over[j].get(g, ()):
+                for x2 in e_basis_src[steps[j + 1].generators[g2][0]]:
+                    c2 = e_alg.mult(x2, aa).get(xx)
+                    if not c2:
+                        continue
+                    for d2, c3 in d_alg.mult(d, dd).items():
+                        yield ((j + 1, g2, x2, (t_idx, mi, d2)),
+                               f.neg(f.mul(sgn, f.mul(cval, f.mul(c2, c3)))))
+
+        diffs[r] = assemble(x_coords[r], x_coords[r + 1], image, f)
     return CoordComplex(e_alg, e_alg, modules, diffs)
 
 

@@ -4,6 +4,7 @@ import shutil
 import pytest
 
 from cyfold import cli
+from cyfold.exactlin import Field
 from cyfold.presets import kronecker_algebra, kronecker_root
 
 
@@ -274,11 +275,48 @@ def test_malformed_field_never_crashes(tmp_path, monkeypatch, doc, path, value):
 @pytest.mark.parametrize("mutate", [
     lambda docs: docs.update(algebra=[1, 2]),
     lambda docs: docs["algebra"]["quiver"]["arrows"][0].update(cdeg="x"),
-], ids=["list-document", "string-cdeg"])
+    lambda docs: docs["algebra"]["meta"].update(max_len=0),
+], ids=["list-document", "string-cdeg", "max-len-too-small"])
 def test_malformed_algebra_is_input_error(tmp_path, mutate):
     docs = _kronecker_docs()
     mutate(docs)
     assert _complete_on(tmp_path, docs) == cli.EXIT_INPUT
+
+
+def _halve_bimodule_coefficient(docs):
+    docs["bimodule"]["diff"]["-1"][0][0][0]["coef"] = "1/2"
+
+
+def _add_halving_relation(docs):
+    # a third arrow z, killed by the relation z / 2 = 0
+    quiver = docs["algebra"]["quiver"]
+    quiver["arrows"].append({"name": "z", "from": 0, "to": 1, "cdeg": 0, "adeg": 0})
+    quiver["relations"] = [[{"coef": "1/2", "path": ["z"]}]]
+
+
+@pytest.mark.parametrize("mutate", [_halve_bimodule_coefficient, _add_halving_relation],
+                         ids=["bimodule", "relation"])
+def test_coefficient_undefined_mod_p_is_input_error(tmp_path, monkeypatch, mutate):
+    monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    docs = _kronecker_docs()
+    mutate(docs)
+    for name, tree in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(tree))
+    argv = _complete_argv(tmp_path / "out", str(tmp_path / "algebra.json"),
+                          str(tmp_path / "bimodule.json"))
+    assert run(["--field", "2"] + argv) == cli.EXIT_INPUT
+    # 1/2 is a unit over Q and over GF(3)
+    assert run(["--field", "3"] + argv) != cli.EXIT_INPUT
+    assert run(argv) != cli.EXIT_INPUT
+
+
+def test_doc_to_algebra_maps_field_and_length_errors():
+    docs = _kronecker_docs()
+    _add_halving_relation(docs)
+    with pytest.raises(cli.ParseError, match="relations"):
+        cli.doc_to_algebra(docs["algebra"]["quiver"], 3, Field(2))
+    with pytest.raises(cli.ParseError, match="meta.max_len"):
+        cli.doc_to_algebra(_kronecker_docs()["algebra"]["quiver"], 0)
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

@@ -1,0 +1,124 @@
+"""Every assembled differential squares to zero, and the verdicts agree
+over Q and over a large prime field."""
+
+import pytest
+
+from cyfold import transport
+from cyfold.bimodcx import (
+    bimodule_dual,
+    hom_diff_matrix,
+    resolution_of_algebra,
+    rhom_right,
+    tensor_power,
+    tensor_right,
+)
+from cyfold.cluster import orbit_hom
+from cyfold.completion import completion
+from cyfold.exactlin import QQ, Field
+from cyfold.presets import (
+    a2n_algebra,
+    a2n_root,
+    beilinson_algebra,
+    kronecker_algebra,
+    kronecker_root,
+)
+from cyfold.rootpair import ContractWithA, ContractedComplex, projective_sum
+
+# (kind, s, eps): for A2 the middle entry is the shift d of a2n_root
+ROOTS = [("kronecker", s, eps) for s in (0, 1) for eps in (1, -1)] + [("A2", 1, 1)]
+
+
+def _root(kind, s, eps, field=QQ):
+    if kind == "kronecker":
+        alg = kronecker_algebra(field)
+        return alg, kronecker_root(alg, s, eps)
+    alg = a2n_algebra(1, field)
+    return alg, a2n_root(alg, 1, s, eps)
+
+
+def _nonzero(m):
+    return m is not None and any(v != 0 for row in m.data for v in row)
+
+
+def _differentials(kind, s, eps, monkeypatch):
+    """(name, degrees, matrix of degree r) for every coordinate complex."""
+    alg, u = _root(kind, s, eps)
+    pa = resolution_of_algebra(alg)
+    dual = bimodule_dual(pa)
+    power = tensor_power(u, 3)
+    x3 = projective_sum(alg, alg.vertices)
+    for _ in range(3):
+        x3 = tensor_right(x3, u)
+    contracted = ContractedComplex(power, bimodule_dual(u))
+    with_a = ContractWithA(tensor_power(u, 4))
+    hom = rhom_right(x3, x3)
+    coord = transport.coord_complex_of(power)
+    degs = range(-10, 8)
+    out = [
+        ("hom_diff_matrix", degs, lambda r: hom_diff_matrix(dual, power, r)[0]),
+        ("HomComplex", degs, lambda r: hom.diff_matrix(r)[0]),
+        ("ContractedComplex", degs, contracted.diff_matrix),
+        ("ContractWithA", degs, with_a.diff_matrix),
+        ("ProjBimodComplex", degs, lambda r: power.diff_matrix(r)[0]),
+        ("RightComplex", degs, lambda r: x3.diff_matrix(r)[0]),
+        ("coord_complex_of", degs, coord.diffs.get),
+    ]
+    if kind == "A2":
+        built = []
+
+        def record(*args, **kwargs):
+            built.append(hom_transport(*args, **kwargs))
+            return built[-1]
+
+        hom_transport = transport.hom_transport_complex
+        monkeypatch.setattr(transport, "hom_transport_complex", record)
+        transport.transported_pair(alg, u, alg, u, [1], len_bound=10, seed=1)
+        (cx,) = built
+        assert cx.diffs
+        out.append(("transported CoordComplex", degs, cx.diffs.get))
+    return out
+
+
+@pytest.mark.parametrize("kind,s,eps", ROOTS, ids=[f"{k}-s{s}-eps{e}" for k, s, e in ROOTS])
+def test_assembled_differentials_square_to_zero(kind, s, eps, monkeypatch):
+    for name, degs, diff in _differentials(kind, s, eps, monkeypatch):
+        composable = 0
+        for r in degs:
+            d_lo, d_hi = diff(r), diff(r + 1)
+            if not (_nonzero(d_lo) and _nonzero(d_hi)):
+                continue
+            composable += 1
+            assert not _nonzero(d_hi.matmul(d_lo)), (name, r)
+        assert composable, f"{name}: no two nonzero differentials in a row"
+
+
+P31 = Field(2**31 - 1)
+
+
+@pytest.mark.parametrize("kind", ["kronecker", "beilinson"])
+def test_completion_table_agrees_over_q_and_gfp(kind):
+    tables = []
+    for field in (QQ, P31):
+        if kind == "kronecker":
+            alg = kronecker_algebra(field)
+            u = kronecker_root(alg, 0, 1)
+        else:
+            alg = beilinson_algebra(1, field)
+            u = kronecker_root(alg, 0, 1, xname="x0_0", yname="x1_0")
+        tables.append(completion(alg, u, [0], 6).table)
+    assert tables[0] == tables[1] == {(0, l): l + 1 for l in range(7)}
+
+
+@pytest.mark.parametrize("kind,want", [
+    ("kronecker", [(15, False), (21, False), (10, False), (15, False)]),
+    ("A2", [(1, True), (1, True), (0, True), (1, True)]),
+])
+def test_orbit_hom_agrees_over_q_and_gfp(kind, want):
+    dims = []
+    for field in (QQ, P31):
+        alg, u = _root(kind, 0 if kind == "kronecker" else 1, 1, field)
+        dims.append([
+            orbit_hom(alg, u, projective_sum(alg, [v]), projective_sum(alg, [w]), 4)
+            for v in alg.vertices for w in alg.vertices
+        ])
+    assert dims[0] == dims[1] == want

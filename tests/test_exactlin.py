@@ -140,6 +140,22 @@ def test_field_rejects_composite_char():
         Field(6)
 
 
+@pytest.mark.parametrize("p,den", [(2, 2), (3, 3), (3, -6), (13, 26)])
+def test_field_rejects_denominator_divisible_by_p(p, den):
+    with pytest.raises(ZeroDivisionError):
+        Field(p)(1, den)
+
+
+def test_field_inverts_denominator_prime_to_p():
+    assert Field(3)(1, 2) == 2
+    assert Field(13)(5, -4) == Field(13)(5) * Field(13).inv(Field(13)(-4)) % 13
+
+
+def test_random_vector_of_zero_subspace_is_ambient_zero():
+    for f in (QQ, Field(13)):
+        assert random_vector(Subspace(3, Matrix.zero(0, 3, f)), 7) == [f.zero()] * 3
+
+
 def test_intersect():
     a = Subspace(3, mat([[1, 0, 0], [0, 1, 0]]))
     b = Subspace(3, mat([[0, 1, 0], [0, 0, 1]]))
