@@ -14,6 +14,9 @@ Sign conventions (pinned by golden tests):
     d_Y f = (-1)^r f d_X.
 """
 
+import heapq
+import itertools
+
 from .exactlin import (
     IncrementalSpan,
     Matrix,
@@ -215,13 +218,10 @@ class ProjBimodComplex:
         for p in self.degrees():
             if p + 1 not in self.diff or p not in self.diff:
                 continue
-            d0 = self.diff[p]
-            d1 = self.diff[p + 1]
+            d1 = _by_source(self.diff[p + 1])
             acc = {}
-            for (m_idx, s_idx), e0 in d0.items():
-                for (t_idx, m2), e1 in d1.items():
-                    if m2 != m_idx:
-                        continue
+            for (m_idx, s_idx), e0 in self.diff[p].items():
+                for t_idx, e1 in d1.get(m_idx, ()):
                     comp = compose_entries(alg, e1, e0)
                     if comp:
                         entry_add(acc.setdefault((t_idx, s_idx), {}), comp, alg.field)
@@ -468,6 +468,8 @@ def tensor_over_A(x: ProjBimodComplex, y: ProjBimodComplex) -> ProjBimodComplex:
                         terms[deg].append(summand)
                         index[((p, si), m, (q, ti))] = (deg, idx)
     diff = {}
+    x_out = {p: _by_source(dd) for p, dd in x.diff.items()}
+    y_out = {q: _by_source(dd) for q, dd in y.diff.items()}
 
     def add_entry(deg, t_key, s_key, entry):
         if not entry:
@@ -484,9 +486,7 @@ def tensor_over_A(x: ProjBimodComplex, y: ProjBimodComplex) -> ProjBimodComplex:
         s = x.terms[p][si]
         t = y.terms[q][ti]
         # d_X (x) 1
-        for (t2, s2), entry in x.diff.get(p, {}).items():
-            if s2 != si:
-                continue
+        for t2, entry in x_out.get(p, {}).get(si, ()):
             s_new = x.terms[p + 1][t2]
             for (alpha, beta), c in entry.items():
                 # left component alpha, middle becomes beta*m
@@ -501,9 +501,7 @@ def tensor_over_A(x: ProjBimodComplex, y: ProjBimodComplex) -> ProjBimodComplex:
                     )
         # (-1)^p 1 (x) d_Y
         sgn = f(1) if p % 2 == 0 else f(-1)
-        for (t2, s2), entry in y.diff.get(q, {}).items():
-            if s2 != ti:
-                continue
+        for t2, entry in y_out.get(q, {}).get(ti, ()):
             for (alpha, beta), c in entry.items():
                 for m2, cm in alg.mult(m, alpha).items():
                     new_key = ((p, si), m2, (q + 1, t2))
@@ -554,14 +552,19 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
         )
         index[(ss, ms)] = (deg, idx)
     diff = {}
+    out = {p: _by_source(dd) for p, dd in u.diff.items()}
+    one, minus = f(1), f(-1)
     for (ss, ms), (deg, s_idx) in index.items():
+        first = u.terms[ss[0][0]][ss[0][1]]
+        last = u.terms[ss[-1][0]][ss[-1][1]]
+        e_first = alg.idempotent_index(first.left)
+        e_last = alg.idempotent_index(last.right)
+        prefix = 0  # cohomological degree of the factors before t
         for t in range(n):
             p, si = ss[t]
-            prefix = sum(pp for pp, _ in ss[:t])
-            sgn = f(1) if prefix % 2 == 0 else f(-1)
-            for (t2, s2), entry in u.diff.get(p, {}).items():
-                if s2 != si:
-                    continue
+            sgn = one if prefix % 2 == 0 else minus
+            prefix += p
+            for t2, entry in out.get(p, {}).get(si, ()):
                 for (alpha, beta), c in entry.items():
                     coeff = f.mul(sgn, c)
                     # absorb alpha to the left, beta to the right
@@ -585,10 +588,8 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
                             if new_key not in index:
                                 continue
                             dtgt, t_idx = index[new_key]
-                            first = u.terms[ss[0][0]][ss[0][1]]
-                            last = u.terms[ss[-1][0]][ss[-1][1]]
-                            a_comp = lcomp if lcomp is not None else alg.idempotent_index(first.left)
-                            b_comp = rcomp if rcomp is not None else alg.idempotent_index(last.right)
+                            a_comp = lcomp if lcomp is not None else e_first
+                            b_comp = rcomp if rcomp is not None else e_last
                             entry_add(
                                 diff.setdefault(deg, {}).setdefault(
                                     (t_idx, s_idx), {}
@@ -743,46 +744,83 @@ def minimize(x):
     The complex supplies what differs between the two: the unit key of a
     summand pair (``_unit_key``), the basis of a summand's endomorphism
     corner (``_endo_basis``) and the entry product g o f (``_compose``).
-    The pair cancelled next is the first unit entry found, degree by
-    degree in dict order.  Summands keep their ids while pairs are
-    cancelled and are renumbered once, at the end.
+
+    Pivot order, on which the output and its order depend: degree by
+    degree in dict order, the pair cancelled next is the first unit entry
+    of d^p in dict order, and its corrections are added column entry by
+    row entry, each in dict order.  Summands keep their ids while pairs
+    are cancelled and are renumbered once, at the end.
+
+    Each cancellation costs only the entries it touches.  On entering
+    degree p the entries of d^p are indexed by source and by target
+    summand (dicts that see the same inserts and deletes as d^p, so they
+    keep its relative order), d^{p-1} by target and d^{p+1} by source.
+    Unit entries wait in a min-heap keyed by insertion rank, which is dict
+    order: a key deleted and re-created gets a new rank, an entry that
+    gains its unit is pushed again, and stale items are skipped on pop.
     """
     f = x.base.field
+    minus = f(-1)
     diff = {p: {k: dict(e) for k, e in dd.items() if e} for p, dd in x.diff.items()}
     dead = set()  # (degree, summand id) of cancelled summands
     # A cancellation at degree p rewrites entries of degree p only and
-    # deletes entries at p - 1 and p + 1, so the degrees scanned before p
-    # still hold no unit entry and the scan can go on from p.
+    # deletes entries at p - 1 and p + 1, so the degrees done before p
+    # still hold no unit entry.
     for p, dd in diff.items():
         ss, ts = x.summands(p), x.summands(p + 1)
-        while True:
-            for (t_idx, s_idx), entry in dd.items():
-                unit = x._unit_key(ss[s_idx], ts[t_idx])
-                if unit is not None and entry.get(unit):
-                    break
-            else:
-                break
-            inv = _invert(x, ss[s_idx], entry)
-            col, row = {}, {}  # entries out of s_idx and into t_idx, pivot aside
-            for key, e in list(dd.items()):
-                t, s = key
-                if s == s_idx or t == t_idx:
-                    del dd[key]
-                    if t != t_idx:
-                        col[t] = e
-                    elif s != s_idx:
-                        row[s] = e
+        by_src, by_tgt = {}, {}  # s -> {t: entry}, t -> {s: entry}
+        rank, heap, tick = {}, [], itertools.count()
+
+        def index(key, entry):
+            rank[key] = next(tick)
+            by_src.setdefault(key[1], {})[key[0]] = entry
+            by_tgt.setdefault(key[0], {})[key[1]] = entry
+
+        def offer(key, entry):
+            unit = x._unit_key(ss[key[1]], ts[key[0]])
+            if unit is not None and entry.get(unit):
+                heapq.heappush(heap, (rank[key], key, unit))
+
+        for key, entry in dd.items():
+            index(key, entry)
+            offer(key, entry)
+        below = _by_target(diff.get(p - 1, {}))
+        above = _by_source(diff.get(p + 1, {}))
+        while heap:
+            r, key, unit = heapq.heappop(heap)
+            entry = dd.get(key)
+            if entry is None or rank[key] != r or not entry.get(unit):
+                continue
+            t_idx, s_idx = key
+            col, row = by_src.pop(s_idx), by_tgt.pop(t_idx)  # pivot aside
+            del col[t_idx], row[s_idx], dd[key]
+            for t in col:
+                del dd[(t, s_idx)], by_tgt[t][s_idx]
+            for s in row:
+                del dd[(t_idx, s)], by_src[s][t_idx]
+            inv_row = []  # X o b, X the pivot's inverse: only corrections need it
+            if col and row:
+                inv = _invert(x, ss[s_idx], entry)
+                inv_row = [(s2, x._compose(inv, be)) for s2, be in row.items()]
             for t2, ce in col.items():
-                for s2, be in row.items():
-                    corr = x._compose(ce, x._compose(inv, be))
-                    key = (t2, s2)
-                    entry_add(dd.setdefault(key, {}), entry_scale(corr, f(-1), f), f)
-                    if not dd[key]:
-                        del dd[key]
-            for q, side, idx in ((p - 1, 0, s_idx), (p + 1, 1, t_idx)):
-                dq = diff.get(q, {})
-                for key in [k for k in dq if k[side] == idx]:
-                    del dq[key]
+                for s2, ib in inv_row:
+                    corr = x._compose(ce, ib)
+                    if not corr:
+                        continue
+                    k2 = (t2, s2)
+                    e = dd.get(k2)
+                    if e is None:
+                        e = dd[k2] = {}
+                        index(k2, e)
+                    entry_add(e, entry_scale(corr, minus, f), f)
+                    if e:
+                        offer(k2, e)
+                    else:
+                        del dd[k2], by_src[s2][t2], by_tgt[t2][s2]
+            for s, _ in below.pop(s_idx, ()):
+                del diff[p - 1][(s_idx, s)]
+            for t, _ in above.pop(t_idx, ()):
+                del diff[p + 1][(t, t_idx)]
             dead.update(((p, s_idx), (p + 1, t_idx)))
     terms = {}
     new_id = {}
@@ -1004,6 +1042,8 @@ def tensor_right(x: RightComplex, u: ProjBimodComplex) -> RightComplex:
                         )
                         index[((p, si), m, (q, ti))] = (deg, idx)
     diff = {}
+    x_out = {p: _by_source(dd) for p, dd in x.diff.items()}
+    u_out = {q: _by_source(dd) for q, dd in u.diff.items()}
 
     def add(deg, tkey, skey, g, c):
         if c == 0:
@@ -1021,9 +1061,7 @@ def tensor_right(x: RightComplex, u: ProjBimodComplex) -> RightComplex:
         (p, si), m, (q, ti) = key
         t = u.terms[q][ti]
         # d_x (x) 1: left multiplier gamma changes the x summand and middle
-        for (t2, s2), elem in x.diff.get(p, {}).items():
-            if s2 != si:
-                continue
+        for t2, elem in x_out.get(p, {}).get(si, ()):
             for g, c in elem.items():
                 for m2, cm in alg.mult(g, m).items():
                     tkey = ((p + 1, t2), m2, (q, ti))
@@ -1032,9 +1070,7 @@ def tensor_right(x: RightComplex, u: ProjBimodComplex) -> RightComplex:
                         add(deg, tkey, key, e_l, f.mul(c, cm))
         # (-1)^p 1 (x) d_u
         sgn = f(1) if p % 2 == 0 else f(-1)
-        for (t2, s2), entry in u.diff.get(q, {}).items():
-            if s2 != ti:
-                continue
+        for t2, entry in u_out.get(q, {}).get(ti, ()):
             for (alpha, beta), c in entry.items():
                 for m2, cm in alg.mult(m, alpha).items():
                     tkey = ((p, si), m2, (q + 1, t2))

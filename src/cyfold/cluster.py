@@ -44,14 +44,15 @@ class TransQuiverSlice:
                 self.arrows.append(((m, a.source), (m, a.target)))
                 if m + 1 <= self.m1:
                     self.arrows.append(((m, a.target), (m + 1, a.source)))
+        self.vertex_set = set(self.vertices)
+        self.arrow_set = set(self.arrows)
 
     def tau(self, vertex):
         m, v = vertex
         return (m - 1, v)
 
     def contains(self, vertex):
-        m, v = vertex
-        return self.m0 <= m <= self.m1 and v in set(self.quiver.vertices)
+        return vertex in self.vertex_set
 
     def interior(self, margin):
         return [
@@ -91,19 +92,11 @@ class QuiverAuto:
         return all(self.apply(x) == other.apply(x) for x in vertices)
 
     def preserves_arrows(self, slice_: TransQuiverSlice):
-        """Check the mesh structure is preserved on the window interior."""
+        """Check the mesh structure is preserved on the window: every arrow
+        whose image has both ends in the window maps to an arrow."""
         for (src, tgt) in slice_.arrows:
             fs, ft = self.apply(src), self.apply(tgt)
-            if not (slice_.contains(fs) and slice_.contains(ft)):
-                continue
-            image_arrows = set()
-            m, u = fs
-            for a in slice_.quiver.arrows:
-                if a.source == u:
-                    image_arrows.add((m, a.target))
-                if a.target == u:
-                    image_arrows.add((m + 1, a.source))
-            if ft not in image_arrows:
+            if slice_.contains(fs) and slice_.contains(ft) and (fs, ft) not in slice_.arrow_set:
                 return False
         return True
 

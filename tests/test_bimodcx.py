@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from cyfold.bimodcx import (
     is_quasi_iso,
     map_from_vector,
     minimize,
+    projective_right,
     shift,
     standard_hereditary_resolution,
     tensor_over_A,
@@ -278,3 +280,55 @@ def _map_to_vector(x, y, r, coords, fmap):
             for (alpha, beta), c in entry.items():
                 vec[pos[(p, s, t, alpha, beta)]] = c
     return vec
+
+
+def _canonical_dump(cx):
+    """Summands in order with every slot (trace included), then every entry
+    in order with the type of each coefficient."""
+    lines = []
+    for p, ss in cx.terms.items():
+        for i, s in enumerate(ss):
+            slots = tuple(getattr(s, k) for k in type(s).__slots__)
+            lines.append(f"S {p} {i} {type(s).__name__} {slots!r}")
+    for p, dd in cx.diff.items():
+        for (t, s), entry in dd.items():
+            items = [(k, type(v).__name__, v) for k, v in entry.items()]
+            lines.append(f"D {p} {t} {s} {items!r}")
+    return "\n".join(lines).encode()
+
+
+# sha256 of the dumps of minimize(U^{(x)l}), l = 1..6, per Kronecker root
+# (s, eps).  They pin the pivot order: the first unit entry in dict order,
+# degree by degree, with new entries inserted in column-then-row order.
+MINIMIZED_POWER_DIGESTS = {
+    (0, 1): "2f2d4bdafb98e0bb27c83a46bcb3459174efe2d9ecf86d15afcb8f7420c569ae",
+    (0, -1): "eb5124263aa7e5ec191ed64b8088fbdf21cf01f71e2d8ee37c91137097391382",
+    (1, 1): "135921121b345f192386eabdcddd1af8a595c826eae4488951c601a2b425886a",
+    (1, -1): "247438fffc848bd2aa79b6164a594430f600f1b939bf9d36bd6e8dacebf3b55e",
+}
+
+# the same for the eight steps y -> minimize(y (x) U) from P_0
+TWIST_CHAIN_DIGESTS = {
+    (0, 1): "3a80dedf2716e524bb7b7bb0d6df43c63b3927ba9ebd9c15880eea2b8abb13a6",
+    (1, -1): "1354bee357613fbc487c288101f2da2075df9e72b8da63ed208154ba8a7cb89b",
+}
+
+
+@pytest.mark.parametrize("root", sorted(MINIMIZED_POWER_DIGESTS))
+def test_minimize_tensor_powers_golden(kron, root):
+    u = kronecker_root(kron, *root)
+    h = hashlib.sha256()
+    for l in range(1, 7):
+        h.update(_canonical_dump(minimize(tensor_power(u, l))))
+    assert h.hexdigest() == MINIMIZED_POWER_DIGESTS[root]
+
+
+@pytest.mark.parametrize("root", sorted(TWIST_CHAIN_DIGESTS))
+def test_minimize_twist_chain_golden(kron, root):
+    u = kronecker_root(kron, *root)
+    y = projective_right(kron, 0)
+    h = hashlib.sha256()
+    for _ in range(8):
+        y = minimize(tensor_right(y, u))
+        h.update(_canonical_dump(y))
+    assert h.hexdigest() == TWIST_CHAIN_DIGESTS[root]
