@@ -737,7 +737,7 @@ def find_quasi_iso(x, y, r, trials=24, seed=0):
     return None
 
 
-def minimize(x):
+def minimize(x, transfer=False):
     """Strip contractible pairs by Gaussian elimination on unit entries.
 
     Serves ProjBimodComplex and RightComplex and returns the same type.
@@ -758,11 +758,26 @@ def minimize(x):
     Unit entries wait in a min-heap keyed by insertion rank, which is dict
     order: a key deleted and re-created gets a new rank, an entry that
     gains its unit is pushed again, and stale items are skipped on pop.
+
+    With ``transfer=True`` the returned complex m also carries
+    ``m.transfer = (iota, pi)``: chain maps iota: m -> x and pi: x -> m
+    with pi iota = 1 and iota pi homotopic to 1, the deformation retract
+    of Gaussian elimination (Skoldberg 2006, Crainic 2004).  Cancelling
+    b: S -> T with inverse X, beta = d|B->T and gamma = d|S->D for the
+    other summands B, D of the two degrees, gives iota(B) = B - X beta(B),
+    pi(S) = 0, pi(T) = -gamma X and the identity elsewhere; both maps are
+    updated pair by pair, iota by columns and pi by rows, keyed by
+    (degree, summand id).
     """
     f = x.base.field
     minus = f(-1)
     diff = {p: {k: dict(e) for k, e in dd.items() if e} for p, dd in x.diff.items()}
     dead = set()  # (degree, summand id) of cancelled summands
+    iota, pi = {}, {}  # only with transfer: columns of iota, rows of pi
+
+    def unit_map(p, i):
+        s = x.summands(p)[i]
+        return {i: {x._unit_key(s, s): f.one()}}
     # A cancellation at degree p rewrites entries of degree p only and
     # deletes entries at p - 1 and p + 1, so the degrees done before p
     # still hold no unit entry.
@@ -798,10 +813,12 @@ def minimize(x):
                 del dd[(t, s_idx)], by_tgt[t][s_idx]
             for s in row:
                 del dd[(t_idx, s)], by_src[s][t_idx]
-            inv_row = []  # X o b, X the pivot's inverse: only corrections need it
-            if col and row:
+            inv, inv_row = None, []  # X o b, X the pivot's inverse
+            if (col and row) or (transfer and (col or row)):
                 inv = _invert(x, ss[s_idx], entry)
                 inv_row = [(s2, x._compose(inv, be)) for s2, be in row.items()]
+            if transfer:
+                _transfer_step(x, iota, pi, unit_map, p, s_idx, t_idx, inv, inv_row, col)
             for t2, ce in col.items():
                 for s2, ib in inv_row:
                     corr = x._compose(ce, ib)
@@ -832,7 +849,42 @@ def minimize(x):
         p: {(new_id[p + 1][t], new_id[p][s]): e for (t, s), e in dd.items()}
         for p, dd in diff.items()
     }
-    return type(x)(x.base, terms, diff)
+    m = type(x)(x.base, terms, diff)
+    if not transfer:
+        return m
+    to_m, to_x = {}, {}
+    for p, ids in new_id.items():
+        for i, n in ids.items():
+            for xi, e in (iota.get((p, i)) or unit_map(p, i)).items():
+                if e:
+                    to_x.setdefault(p, {})[(xi, n)] = e
+            for xi, e in (pi.get((p, i)) or unit_map(p, i)).items():
+                if e:
+                    to_m.setdefault(p, {})[(n, xi)] = e
+    m.transfer = (ChainMap(m, x, 0, to_x), ChainMap(x, m, 0, to_m))
+    return m
+
+
+def _transfer_step(x, iota, pi, unit_map, p, s_idx, t_idx, inv, inv_row, col):
+    """Compose minimize's transfer maps with those of one cancelled pair
+    S = (p, s_idx) -> T = (p + 1, t_idx): iota(B) -= iota(S) X beta(B) and
+    pi(D) -= gamma(D) X pi(T), then S and T leave both maps."""
+    f = x.base.field
+    minus = f(-1)
+    s_col = iota.pop((p, s_idx), None) or unit_map(p, s_idx)
+    for s2, ib in inv_row:
+        step = entry_scale(ib, minus, f)
+        dst = iota.get((p, s2)) or iota.setdefault((p, s2), unit_map(p, s2))
+        for xi, e in s_col.items():
+            entry_add(dst.setdefault(xi, {}), x._compose(e, step), f)
+    t_row = pi.pop((p + 1, t_idx), None) or unit_map(p + 1, t_idx)
+    for t2, ce in col.items():
+        step = entry_scale(x._compose(ce, inv), minus, f)
+        dst = pi.get((p + 1, t2)) or pi.setdefault((p + 1, t2), unit_map(p + 1, t2))
+        for xi, e in t_row.items():
+            entry_add(dst.setdefault(xi, {}), x._compose(step, e), f)
+    iota.pop((p + 1, t_idx), None)
+    pi.pop((p, s_idx), None)
 
 
 def _invert(x, summand, entry):
@@ -981,6 +1033,7 @@ def one_sided(x: ProjBimodComplex, e_vertices, side="left") -> RightComplex:
     f = alg.field
     terms = {}
     index = {}
+    by_summand = {}  # (p, s_idx) -> [(m, idx)], in the order of index
     for p, ss in x.terms.items():
         for s_idx, s in enumerate(ss):
             mids = [
@@ -994,14 +1047,12 @@ def one_sided(x: ProjBimodComplex, e_vertices, side="left") -> RightComplex:
                     RightSummand(s.right, p, s.adeg + alg.basis[m].adeg, trace=(s_idx, m))
                 )
                 index[(p, s_idx, m)] = idx
+                by_summand.setdefault((p, s_idx), []).append((m, idx))
     diff = {}
     for p, dd in x.diff.items():
         for (t_idx, s_idx), entry in dd.items():
             for (alpha, beta), c in entry.items():
-                for key, idx in index.items():
-                    pp, si, m = key
-                    if pp != p or si != s_idx:
-                        continue
+                for m, idx in by_summand.get((p, s_idx), ()):
                     for m2, cm in alg.mult(m, alpha).items():
                         tpos = index.get((p + 1, t_idx, m2))
                         if tpos is None:

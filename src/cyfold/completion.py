@@ -9,9 +9,13 @@ every verdict carries that window.
 from .bimodcx import (
     BimoduleData,
     ProjBimodComplex,
+    _by_source,
     assemble,
+    compose_entries,
+    entry_add,
+    minimize,
     resolution_of_algebra,
-    tensor_power,
+    tensor_over_A,
 )
 from .exactlin import (
     IncrementalSpan,
@@ -43,10 +47,19 @@ class InsufficientTruncation(Exception):
     pass
 
 
-def corner_restricted_cohomology(x: ProjBimodComplex, e_vertices):
-    """Dims of H^p(e X e) per cohomological degree p."""
-    f = x.base.field
-    filt = {(u, v) for u in e_vertices for v in e_vertices}
+def _require_degree(g, degree):
+    """A construction reading g up to Adams degree `degree` must not
+    silently drop what lies past g's cutoff."""
+    if g.cutoff < degree:
+        raise InsufficientTruncation(
+            f"need components up to degree {degree}, have {g.cutoff}"
+        )
+
+
+def corner_restricted_cohomology(x: ProjBimodComplex, e_vertices=None):
+    """Dims of H^p(e X e) per cohomological degree p; e_vertices=None
+    takes every corner, so the dims are those of H^p(X)."""
+    filt = None if e_vertices is None else {(u, v) for u in e_vertices for v in e_vertices}
     degs = x.degrees()
     out = {}
     dm = {}
@@ -63,26 +76,45 @@ def corner_restricted_cohomology(x: ProjBimodComplex, e_vertices):
 
 
 class TruncatedTensorAlgebra:
-    """Tensor powers of U up to an Adams cutoff, with cohomology tables."""
+    """Minimal models of the tensor powers of U up to an Adams cutoff, with
+    the cohomology table of their e-corners (every corner when e_vertices
+    is None).
 
-    def __init__(self, algebra, u, cutoff, resolution=None, summand_limit=40000):
+    components[l] is M_l, with M_1 = minimize(U) and
+    M_l = minimize(M_(l-1) (x)_A U).  Tensoring complexes of projective
+    bimodules over A preserves homotopy equivalence, so M_l is homotopy
+    equivalent to U^(x)l and has its cohomology in every corner, while
+    staying a few summands per Adams degree where U^(x)l grows
+    geometrically.  With transfer=True, transfer[l] holds (X_l, iota_l,
+    pi_l): X_l = M_(l-1) (x)_A U (U itself for l = 1) and minimize's
+    transfer maps iota_l: M_l -> X_l, pi_l: X_l -> M_l.  ResourceLimit,
+    with the partial table, is raised when an X_l exceeds summand_limit.
+    """
+
+    def __init__(self, algebra, u, cutoff, resolution=None, summand_limit=40000,
+                 e_vertices=None, transfer=False):
         self.algebra = algebra
         self.u = u
         self.cutoff = cutoff
         self.resolution = resolution or resolution_of_algebra(algebra)
         self.components = {0: self.resolution}
-        self.cohomology_table = {}
-        for p, dim in self.resolution.cohomology_dims().items():
-            self.cohomology_table[(p, 0)] = dim
+        self.transfer = {}
+        self.cohomology_table = {
+            (p, 0): d
+            for p, d in corner_restricted_cohomology(self.resolution, e_vertices).items()
+        }
         for l in range(1, cutoff + 1):
-            power = tensor_power(u, l)
-            if power.total_summands() > summand_limit:
+            x = u if l == 1 else tensor_over_A(self.components[l - 1], u)
+            if x.total_summands() > summand_limit:
                 raise ResourceLimit(
-                    f"power {l} has {power.total_summands()} summands",
+                    f"power {l} has {x.total_summands()} summands",
                     dict(self.cohomology_table),
                 )
+            power = minimize(x, transfer=transfer)
+            if transfer:
+                self.transfer[l] = (x,) + power.transfer
             self.components[l] = power
-            for p, dim in power.cohomology_dims().items():
+            for p, dim in corner_restricted_cohomology(power, e_vertices).items():
                 self.cohomology_table[(p, l)] = dim
 
     def table(self):
@@ -107,17 +139,10 @@ class CompletionData:
 
 
 def completion(algebra, u, e_vertices, cutoff, resolution=None) -> CompletionData:
-    """Idempotent-truncated completion table H^p(e U^(x)l e), l <= cutoff."""
-    table = {}
-    res = resolution or resolution_of_algebra(algebra)
-    dims0 = corner_restricted_cohomology(res, e_vertices)
-    for p, d in dims0.items():
-        table[(p, 0)] = d
-    for l in range(1, cutoff + 1):
-        power = tensor_power(u, l)
-        for p, d in corner_restricted_cohomology(power, e_vertices).items():
-            table[(p, l)] = d
-    return CompletionData(algebra, e_vertices, cutoff, table)
+    """Idempotent-truncated completion table H^p(e U^(x)l e), l <= cutoff,
+    read off the minimal powers of U."""
+    ta = TruncatedTensorAlgebra(algebra, u, cutoff, resolution, e_vertices=e_vertices)
+    return CompletionData(algebra, e_vertices, cutoff, ta.table())
 
 
 def rep_infinite_check(data: CompletionData) -> bool:
@@ -344,15 +369,21 @@ def free_graded_algebra(varnames, cutoff, field=None):
 
 
 def completion_algebra(algebra, u, e_vertices, cutoff, resolution=None):
-    """The completion as a graded algebra: H^0(e U^(x)l e) with chain-level
-    multiplication through flattened tensor powers.
+    """The completion as a graded algebra: H^0(e M_l e) over the minimal
+    powers M_l of U (TruncatedTensorAlgebra), multiplied at chain level
+    through minimize's transfer maps (_PowerProducts).
 
     Requires the completion window to be concentrated in degree 0.
     """
     alg = algebra
     f = alg.field
-    eset = set(e_vertices)
-    powers = {l: tensor_power(u, l) for l in range(1, cutoff + 1)}
+    ta = TruncatedTensorAlgebra(alg, u, cutoff, resolution, e_vertices=e_vertices,
+                                transfer=True)
+    if any(p != 0 for (p, l) in ta.table() if l):
+        raise ValueError(
+            "completion not concentrated in degree 0; no algebra structure"
+        )
+    powers = ta.components
     # degree 0: the corner algebra eAe
     zero_basis = []
     zero_index = {}
@@ -368,21 +399,11 @@ def completion_algebra(algebra, u, e_vertices, cutoff, resolution=None):
     coords_of = {}
     solvers = {}
     for l in range(1, cutoff + 1):
-        power = powers[l]
-        dims = corner_restricted_cohomology(power, e_vertices)
-        if any(p != 0 for p in dims):
-            raise ValueError(
-                "completion not concentrated in degree 0; no algebra structure"
-            )
-        reps[l], coords_of[l] = _h0_corner_reps(power, e_vertices)
-        solvers[l] = _rep_solver(power, coords_of[l], reps[l], e_vertices, f)
+        reps[l], coords_of[l], solvers[l] = _h0_corner_reps(powers[l], e_vertices)
 
     basis = {0: zero_basis}
     for l in range(1, cutoff + 1):
-        tagged = []
-        for vec, (src, tgt) in reps[l]:
-            tagged.append((f"h{l}", src, tgt))
-        basis[l] = tagged
+        basis[l] = [(f"h{l}", src, tgt) for _, (src, tgt) in reps[l]]
 
     mult = {}
     for k1, i1 in zero_index.items():
@@ -405,21 +426,113 @@ def completion_algebra(algebra, u, e_vertices, cutoff, resolution=None):
                 entry = _express_with_solver(solvers[l], len(reps[l]), right)
                 if entry:
                     mult[((l, j), (0, i0))] = entry
+    products = _PowerProducts(ta)
+    chains = {
+        l: [{coords_of[l][i]: c for i, c in enumerate(vec) if c != 0} for vec, _ in reps[l]]
+        for l in reps
+    }
     for l1 in range(1, cutoff + 1):
         for l2 in range(1, cutoff + 1 - l1):
-            p1, p2, p3 = powers[l1], powers[l2], powers[l1 + l2]
             c3 = coords_of[l1 + l2]
-            for j1, (v1, st1) in enumerate(reps[l1]):
-                for j2, (v2, st2) in enumerate(reps[l2]):
-                    prod = _flat_product(p1, p2, p3, coords_of[l1], coords_of[l2], c3, v1, v2, f)
-                    entry = _express_with_solver(solvers[l1 + l2], len(reps[l1 + l2]), prod)
+            for j1, z1 in enumerate(chains[l1]):
+                for j2, z2 in enumerate(chains[l2]):
+                    prod = products.cycles(l1, z1, l2, z2)
+                    vec = [prod.get(c, f.zero()) for c in c3]
+                    entry = _express_with_solver(solvers[l1 + l2], len(reps[l1 + l2]), vec)
                     if entry:
                         mult[((l1, j1), (l2, j2))] = entry
     return GradedAlgebraData(objects, cutoff, basis, mult, idem, f)
 
 
+class _PowerProducts:
+    """Chain maps m_{l1,l2}: M_l1 (x)_A M_l2 -> M_(l1+l2) between the
+    minimal powers of a TruncatedTensorAlgebra built with transfer maps:
+
+        m_{l,1} = pi_(l+1) o (1 (x) iota_1)
+        m_{l1,l2} = pi_(l1+l2) o (m_{l1,l2-1} (x) 1_U) o (1 (x) iota_l2)
+
+    With Phi_l = (Phi_(l-1) (x) 1) o iota_l: M_l -> U^(x)l, induction on
+    l2 gives Phi o m ~ Phi (x) Phi, so on cohomology m is the
+    concatenation product of tensor powers, up to a change of cocycle
+    representatives.  Every map is degree 0, so no Koszul signs arise.
+    """
+
+    def __init__(self, ta):
+        self.alg = ta.algebra
+        self.powers = ta.components
+        self.built = {l: x for l, (x, _, _) in ta.transfer.items()}
+        self.index = {l: x.trace_index() for l, x in self.built.items() if l > 1}
+        self.iota = {l: {p: _by_source(c) for p, c in iota.components.items()}
+                     for l, (_, iota, _) in ta.transfer.items()}
+        self.pi = {l: {p: _by_source(c) for p, c in pi.components.items()}
+                   for l, (_, _, pi) in ta.transfer.items()}
+        self.memo = {}
+
+    def generator(self, l1, l2, s1, mid, s2):
+        """m_{l1,l2} on the generator of the summand (s1, mid, s2) of
+        M_l1 (x)_A M_l2, s1 and s2 given as (degree, index): a map
+        {target index: entry} into degree s1[0] + s2[0] of M_(l1+l2)."""
+        key = (l1, l2, s1, mid, s2)
+        if key in self.memo:
+            return self.memo[key]
+        alg = self.alg
+        f = alg.field
+        (p, i), (q, j) = s1, s2
+        e_left = alg.idempotent_index(self.powers[l1].summands(p)[i].left)
+        index = self.index[l1 + l2]
+        chain = {}  # the image in X_(l1+l2) = M_(l1+l2-1) (x)_A U, by summand
+
+        def add(trace, entry):
+            entry_add(chain.setdefault(index[trace][1], {}), entry, f)
+
+        for t, entry in self.iota[l2].get(q, {}).get(j, ()):
+            for (a, b), c in entry.items():
+                for m2, cm in alg.mult(mid, a).items():
+                    c1 = f.mul(c, cm)
+                    if l2 == 1:  # t is a summand of U
+                        add(((p, i), m2, (q, t)), {(e_left, b): c1})
+                        continue
+                    (pp, s), m3, tail = self.built[l2].summands(q)[t].trace
+                    for t2, e2 in self.generator(l1, l2 - 1, s1, m2, (pp, s)).items():
+                        for (a2, b2), c2 in e2.items():
+                            for m4, cm4 in alg.mult(b2, m3).items():
+                                add(((p + pp, t2), m4, tail),
+                                    {(a2, b): f.mul(c1, f.mul(c2, cm4))})
+        out = {}
+        pi = self.pi[l1 + l2].get(p + q, {})
+        for k, entry in chain.items():
+            for t, pe in pi.get(k, ()):
+                entry_add(out.setdefault(t, {}), compose_entries(alg, pe, entry), f)
+        out = {t: e for t, e in out.items() if e}
+        self.memo[key] = out
+        return out
+
+    def cycles(self, l1, z1, l2, z2):
+        """m_{l1,l2}(z1 (x) z2) for degree-0 chains of M_l1 and M_l2 given
+        as {(summand, a, b): coeff}, in the same form over M_(l1+l2)."""
+        alg = self.alg
+        f = alg.field
+        out = {}
+        for (i1, a1, b1), c1 in z1.items():
+            for (i2, a2, b2), c2 in z2.items():
+                c12 = f.mul(c1, c2)
+                for mid, cm in alg.mult(b1, a2).items():
+                    c0 = f.mul(c12, cm)
+                    for t, entry in self.generator(l1, l2, (0, i1), mid, (0, i2)).items():
+                        for (al, be), c in entry.items():
+                            for a3, ca in alg.mult(a1, al).items():
+                                for b3, cb in alg.mult(be, b2).items():
+                                    k = (t, a3, b3)
+                                    out[k] = f.add(out.get(k, f.zero()),
+                                                   f.mul(c0, f.mul(c, f.mul(ca, cb))))
+        return out
+
+
 def _h0_corner_reps(power, e_vertices):
-    """Cocycle representatives of H^0(e X e), tagged with their corner."""
+    """Cocycle representatives of a basis of H^0(e X e), tagged with their
+    corner; the degree-0 corner coordinates; and a PreparedSolver that
+    writes a cocycle over (representatives + boundaries), None when both
+    are empty."""
     alg = power.base
     f = alg.field
     filt = {(u, v) for u in e_vertices for v in e_vertices}
@@ -440,9 +553,10 @@ def _h0_corner_reps(power, e_vertices):
     reps = []
     for z in cycles.basis.data:
         if span.add(z):
-            src, tgt = _coord_corner(alg, coords, z)
-            reps.append((z, (src, tgt)))
-    return reps, coords
+            reps.append((z, _coord_corner(alg, coords, z)))
+    cols = [z for z, _ in reps] + brows
+    solver = PreparedSolver(Matrix.from_rows(cols, n, f).transpose()) if cols else None
+    return reps, coords, solver
 
 
 def _coord_corner(alg, coords, vec):
@@ -476,51 +590,6 @@ def _corner_act(power, coords, vec, k0, side):
     return out
 
 
-def _flat_product(p1, p2, p3, coords1, coords2, coords3, v1, v2, f):
-    """Concatenation product H^0(U^l) x H^0(U^m) -> chains of U^(l+m)."""
-    alg = p1.base
-    pos3 = {c: i for i, c in enumerate(coords3)}
-    out = [f.zero()] * len(coords3)
-    for i1, c1 in enumerate(v1):
-        if c1 == 0:
-            continue
-        s1, a1, b1 = coords1[i1]
-        t1 = p1.summands(0)[s1]
-        ss1, ms1 = t1.trace
-        for i2, c2 in enumerate(v2):
-            if c2 == 0:
-                continue
-            s2, a2, b2 = coords2[i2]
-            t2 = p2.summands(0)[s2]
-            ss2, ms2 = t2.trace
-            for m, cm in alg.mult(b1, a2).items():
-                hit = p3.trace_index().get((ss1 + ss2, ms1 + (m,) + ms2))
-                if hit is None or hit[0] != 0:
-                    continue
-                t3 = hit[1]
-                j = pos3.get((t3, a1, b2))
-                if j is not None:
-                    out[j] = f.add(out[j], f.mul(f.mul(c1, c2), cm))
-    return out
-
-
-def _rep_solver(power, coords, reps, e_vertices, f):
-    """PreparedSolver for expressing cycles over (reps + boundaries)."""
-    filt = {(u, v) for u in e_vertices for v in e_vertices}
-    n = len(coords)
-    dprev, _, _ = power.diff_matrix(-1, filt)
-    brows = []
-    if dprev.rows and dprev.cols:
-        for c in range(dprev.cols):
-            col = [dprev.data[r][c] for r in range(dprev.rows)]
-            if any(v != 0 for v in col):
-                brows.append(col)
-    cols = [list(r[0]) for r in reps] + brows
-    if not cols:
-        return None
-    return PreparedSolver(Matrix.from_rows(cols, n, f).transpose())
-
-
 def _express_with_solver(solver, nreps, vec):
     if all(v == 0 for v in vec):
         return {}
@@ -534,6 +603,8 @@ def _express_with_solver(solver, nreps, vec):
 
 def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraData:
     """Degreewise product: degree i is X_i (x) Y_i."""
+    _require_degree(x, cutoff)
+    _require_degree(y, cutoff)
     f = x.field
     objects = [(ox, oy) for ox in x.objects for oy in y.objects]
     basis = {}
@@ -571,6 +642,8 @@ def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraDa
 
 def a_segre(x: GradedAlgebraData, y: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
     """Degree i is X_i (x) the a x a block matrix with (r, c) entry Y_{i+r-c}."""
+    _require_degree(x, cutoff)
+    _require_degree(y, cutoff + a - 1)
     f = x.field
     objects = [(ox, oy, r) for ox in x.objects for oy in y.objects for r in range(a)]
     basis = {}
@@ -580,7 +653,7 @@ def a_segre(x: GradedAlgebraData, y: GradedAlgebraData, a, cutoff) -> GradedAlge
         for r in range(a):
             for c in range(a):
                 ly = l + r - c
-                if ly < 0 or ly > y.cutoff:
+                if ly < 0:
                     continue
                 for i, bx in enumerate(x.basis.get(l, [])):
                     for j, by in enumerate(y.basis.get(ly, [])):
@@ -622,6 +695,7 @@ def a_segre(x: GradedAlgebraData, y: GradedAlgebraData, a, cutoff) -> GradedAlge
 
 def veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
     """Degree i is X_{a i}; objects unchanged."""
+    _require_degree(x, a * cutoff)
     basis = {l: list(x.basis.get(a * l, [])) for l in range(cutoff + 1)}
     mult = {}
     for l1 in range(cutoff + 1):
@@ -636,6 +710,7 @@ def veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
 
 def quasi_veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
     """Degree i is the a x a block matrix with (r, c) entry X_{a i + r - c}."""
+    _require_degree(x, a * cutoff + a - 1)
     f = x.field
     objects = [(ox, r) for ox in x.objects for r in range(a)]
     basis = {}
@@ -645,7 +720,7 @@ def quasi_veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
         for r in range(a):
             for c in range(a):
                 lx = a * l + r - c
-                if lx < 0 or lx > x.cutoff:
+                if lx < 0:
                     continue
                 for i, bx in enumerate(x.basis.get(lx, [])):
                     index[(l, r, c, i)] = len(items)
@@ -678,8 +753,7 @@ def matrix_root_pair(pi: GradedAlgebraData, a):
     Returns (algebra, U as BimoduleData, e vertex list); requires the
     components up to degree a.
     """
-    if pi.cutoff < a:
-        raise InsufficientTruncation(f"need components up to degree {a}")
+    _require_degree(pi, a)
     f = pi.field
     vertices = [(r, o) for r in range(a) for o in pi.objects]
     tagged = []
@@ -764,9 +838,16 @@ def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
     Builds the minimal graded free resolution of the degree-0 block within
     the window, dualizes termwise, and reports "yes" exactly when the dual
     cohomology concentrates in Adams degree -a.  Returns (verdict, detail).
+    A generator of shift s contributes to Adams degree -a only when
+    s >= a, and the window shows shifts up to N, so a > N is
+    "inconclusive": the resolution would look terminated before the
+    syzygy at shift a, and the answer would always be "no".
     """
     f = g.field
     N = cutoff if cutoff is not None else g.cutoff
+    if a > N:
+        return "inconclusive", {"reason": "window does not reach Adams degree -a",
+                                "window": N}
     # free modules are lists of (object, shift); module pieces are coord
     # spaces over such frees
     frees = [[(o, 0) for o in g.objects]]

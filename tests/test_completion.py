@@ -200,7 +200,8 @@ def test_veronese_identity(kron, pA, u01):
 
 
 def test_a_segre_with_kt_matches_quasi_veronese():
-    kxy = polynomial_algebra(["x", "y"], 8)
+    # quasi_veronese(kxy, 2, 4) reads kxy up to degree 2 * 4 + 1
+    kxy = polynomial_algebra(["x", "y"], 9)
     kt = _adams_a_polynomial(2, 4)
     left = a_segre(kt, kxy, 2, 4)
     # the a-Segre with k[t] (deg t = a) concentrates in multiples of a;
@@ -237,6 +238,30 @@ def test_gorenstein_parameters():
         graded_gorenstein_check(polynomial_algebra(["x0", "x1", "x2"], 6), 3)[0]
         == "yes"
     )
+
+
+def test_gorenstein_window_short_of_minus_a_is_inconclusive():
+    # k[x0, x1, x2] has its last syzygy at shift 3, outside a window of 2
+    verdict, detail = graded_gorenstein_check(polynomial_algebra(["x0", "x1", "x2"], 2), 3)
+    assert verdict == "inconclusive", detail
+
+
+def test_constructions_refuse_degrees_past_the_cutoff(kron, pA, u01):
+    kxy = polynomial_algebra(["x", "y"], 4)
+    with pytest.raises(InsufficientTruncation):
+        quasi_veronese(kxy, 2, 2)  # needs degree 5
+    with pytest.raises(InsufficientTruncation):
+        veronese(kxy, 2, 3)  # needs degree 6
+    with pytest.raises(InsufficientTruncation):
+        a_segre(kxy, kxy, 2, 4)  # needs degree 5 of the second factor
+    with pytest.raises(InsufficientTruncation):
+        segre(kxy, polynomial_algebra(["t"], 3), 4)
+    assert quasi_veronese(kxy, 2, 1).dims() == {0: 4, 1: 12}
+    assert veronese(kxy, 2, 2).dims() == {0: 1, 1: 3, 2: 5}
+    # the quasi-Veronese of a cutoff-10 completion once read as "no"
+    pi = completion_algebra(kron, u01, [0], 10, resolution=pA)
+    with pytest.raises(InsufficientTruncation):
+        quasi_veronese(pi, 2, 5)
 
 
 def test_gorenstein_free_algebra_not_parameter_one():

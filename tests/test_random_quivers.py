@@ -2,7 +2,8 @@
 
 Path algebras of quivers with at most three vertices and three arrows
 (arrows only run from a lower to a higher vertex, so every quiver is
-acyclic), built with build_algebra and no relations.
+acyclic), built with build_algebra, without relations and with zero
+relations on paths of length two.
 """
 
 from hypothesis import given, settings
@@ -11,22 +12,37 @@ from hypothesis import strategies as st
 from cyfold.bimodcx import (
     chain_maps,
     cone,
+    inverse_dualizing,
     map_from_vector,
     minimize,
     resolution_of_algebra,
     tensor_over_A,
+    tensor_power,
 )
+from cyfold.completion import completion, corner_restricted_cohomology
 from cyfold.exactlin import SplitMix64, random_vector
-from cyfold.quiveralg import Arrow, Quiver, build_algebra
+from cyfold.quiveralg import Arrow, Quiver, Relation, build_algebra
+
+
+def _quivers(draw):
+    n = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return Quiver(list(range(n)), [Arrow(f"a{k}", i, j) for k, (i, j) in enumerate(ends)])
 
 
 @st.composite
 def path_algebras(draw):
-    n = draw(st.integers(1, 3))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ends = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
-    arrows = [Arrow(f"a{k}", i, j) for k, (i, j) in enumerate(ends)]
-    return build_algebra(Quiver(list(range(n)), arrows), [], 3)
+    return build_algebra(_quivers(draw), [], 3)
+
+
+@st.composite
+def bound_path_algebras(draw):
+    """Path algebras modulo a drawn set of zero relations b a = 0."""
+    q = _quivers(draw)
+    paths = [(b.name, a.name) for a in q.arrows for b in q.arrows if a.target == b.source]
+    zero = draw(st.lists(st.sampled_from(paths), unique=True)) if paths else []
+    return build_algebra(q, [Relation([(1, p)]) for p in zero], 3)
 
 
 def _unit_entries(cx):
@@ -84,3 +100,19 @@ def test_tensor_term_dims_associative(alg):
     left = tensor_over_A(rr, res)
     right = tensor_over_A(res, rr)
     assert _term_dims(left) == _term_dims(right)
+
+
+@settings(max_examples=15, deadline=None)
+@given(bound_path_algebras(), st.data())
+def test_iterated_tables_match_flattened(alg, data):
+    """Corner tables of the minimal powers of U = Theta[1], Theta the inverse
+    dualizing complex, against those of the flattened powers."""
+    e = data.draw(st.lists(st.sampled_from(alg.vertices), min_size=1, unique=True))
+    u = inverse_dualizing(alg, 1)
+    flat = {
+        (p, l): d
+        for l in (1, 2, 3)
+        for p, d in corner_restricted_cohomology(tensor_power(u, l), e).items()
+    }
+    table = completion(alg, u, e, 3).table
+    assert {k: d for k, d in table.items() if k[1]} == flat
