@@ -30,23 +30,37 @@ BACKEND = "python"
 ZERO = Fraction(0)
 
 
-def sparse_row(values, p):
-    """(nums, den) of a dense row of Fractions (p == 0) or residues mod p."""
+def sparse_vector(values):
+    """The nonzero entries {j: v} of a dense vector of field elements."""
+    return {j: v for j, v in enumerate(values) if v is not ZERO and v}
+
+
+def _from_nonzeros(nz, p):
+    """(nums, den) of a list of (column, nonzero value) pairs."""
     if p:
         nums = {}
-        for j, v in enumerate(values):
+        for j, v in nz:
+            v %= p
             if v:
-                v %= p
-                if v:
-                    nums[j] = v
+                nums[j] = v
         return nums, 1
-    nz = [(j, v) for j, v in enumerate(values) if v is not ZERO and v]
     if not nz:
         return {}, 1
     den = lcm(*[v.denominator for _, v in nz])
     if den == 1:
         return {j: v.numerator for j, v in nz}, 1
     return {j: v.numerator * (den // v.denominator) for j, v in nz}, den
+
+
+def row_of(entries, p):
+    """(nums, den) of a sparse vector {j: v} of Fractions (p == 0) or
+    residues mod p; zero values are dropped."""
+    return _from_nonzeros([(j, v) for j, v in entries.items() if v], p)
+
+
+def sparse_row(values, p):
+    """(nums, den) of a dense row of Fractions (p == 0) or residues mod p."""
+    return _from_nonzeros([(j, v) for j, v in enumerate(values) if v is not ZERO and v], p)
 
 
 def dense_row(row, ncols, p):

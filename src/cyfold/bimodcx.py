@@ -23,12 +23,14 @@ from .exactlin import (
     PreparedSolver,
     Subspace,
     cohomology_dim,
-    combine_rows,
+    combine_sparse,
     derive_seed,
     kernel_basis,
+    kernel_vectors,
     random_vector,
     rref,
     solve_linear,
+    sparse_transpose,
 )
 
 
@@ -1191,10 +1193,13 @@ class BoundExceeded(Exception):
 
 
 class BimoduleData:
-    """(A, B)-bimodule by action matrices on a coordinate space.
+    """(A, B)-bimodule by sparse action rows on a coordinate space.
 
-    left_action[k][i][j] = coeff of m_j in a_k * m_i;
-    right_action[k][i][j] = coeff of m_j in m_i * b_k.
+    left_action[k][i] = {j: coeff of m_j in a_k * m_i};
+    right_action[k][i] = {j: coeff of m_j in m_i * b_k};
+    each row holds its nonzeros only.  Vectors in and out of the actions
+    are sparse too, {i: coeff}, so an action costs what its support
+    touches.
     """
 
     def __init__(self, left_alg, right_alg, dim, left_action, right_action):
@@ -1209,10 +1214,10 @@ class BimoduleData:
         return self.left_alg.field
 
     def left_act(self, k, vec):
-        return combine_rows(vec, self.left_action[k].data, self.field)
+        return combine_sparse(vec, self.left_action[k], self.field)
 
     def right_act(self, k, vec):
-        return combine_rows(vec, self.right_action[k].data, self.field)
+        return combine_sparse(vec, self.right_action[k], self.field)
 
     def corner_project(self, u, v, vec):
         eu = self.left_alg.idempotent_index(u)
@@ -1220,11 +1225,10 @@ class BimoduleData:
         return self.right_act(ev, self.left_act(eu, vec))
 
     def check_bimodule(self):
-        f = self.field
+        one = self.field.one()
         A, B = self.left_alg, self.right_alg
         for i in range(self.dim):
-            vec = [f.zero()] * self.dim
-            vec[i] = f.one()
+            vec = {i: one}
             for ka in range(A.dim):
                 for kb in range(B.dim):
                     lr = self.right_act(kb, self.left_act(ka, vec))
@@ -1235,43 +1239,30 @@ class BimoduleData:
 
 
 def regular_bimodule(alg) -> BimoduleData:
-    f = alg.field
     n = alg.dim
-    left = []
-    right = []
-    for k in range(n):
-        lm = Matrix.zero(n, n, f)
-        rm = Matrix.zero(n, n, f)
-        for i in range(n):
-            for t, c in alg.mult(k, i).items():
-                lm.data[i][t] = c
-            for t, c in alg.mult(i, k).items():
-                rm.data[i][t] = c
-        left.append(lm)
-        right.append(rm)
+    left = [[{t: c for t, c in alg.mult(k, i).items() if c} for i in range(n)]
+            for k in range(n)]
+    right = [[{t: c for t, c in alg.mult(i, k).items() if c} for i in range(n)]
+             for k in range(n)]
     return BimoduleData(alg, alg, n, left, right)
 
 
 def dual_regular_bimodule(alg) -> BimoduleData:
     """D(A) = Homk(A, k) with (a.f)(m) = f(ma), (f.a)(m) = f(am)."""
-    f = alg.field
     n = alg.dim
-    left = []
-    right = []
+    left = [[{} for _ in range(n)] for _ in range(n)]
+    right = [[{} for _ in range(n)] for _ in range(n)]
+    # a_k . delta_i = sum_j <delta_i, m_j a_k> delta_j, and on the right
+    # delta_i . a_k = sum_j <delta_i, a_k m_j> delta_j: each product m_j a_k
+    # with a nonzero coefficient c at m_i puts c at (i, j)
     for k in range(n):
-        lm = Matrix.zero(n, n, f)
-        rm = Matrix.zero(n, n, f)
-        for i in range(n):
-            # a_k . delta_i = sum_j <delta_i, m_j a_k> delta_j
-            for j in range(n):
-                c = alg.mult(j, k).get(i)
+        for j in range(n):
+            for i, c in alg.mult(j, k).items():
                 if c:
-                    lm.data[i][j] = c
-                c2 = alg.mult(k, j).get(i)
-                if c2:
-                    rm.data[i][j] = c2
-        left.append(lm)
-        right.append(rm)
+                    left[k][i][j] = c
+            for i, c in alg.mult(k, j).items():
+                if c:
+                    right[k][i][j] = c
     return BimoduleData(alg, alg, n, left, right)
 
 
@@ -1280,7 +1271,7 @@ class CoverStep:
 
     def __init__(self, generators, lifts):
         self.generators = generators  # list of (u, v)
-        self.lifts = lifts  # list of vectors in the covered space
+        self.lifts = lifts  # list of sparse vectors in the covered space
 
     def coords(self, left_alg, right_alg):
         out = []
@@ -1295,108 +1286,73 @@ def _top_generators(m: BimoduleData):
     """Corner-tagged lifts of a basis of M / (rad M + M rad)."""
     f = m.field
     A, B = m.left_alg, m.right_alg
-    rad_rows = []
-    for r in A.radical_indices():
-        mat = m.left_action[r]
-        rad_rows.extend(mat.data)
-    for r in B.radical_indices():
-        mat = m.right_action[r]
-        rad_rows.extend(mat.data)
     span = IncrementalSpan(m.dim, f)
-    for row in rad_rows:
-        span.add(row)
+    for r in A.radical_indices():
+        for row in m.left_action[r]:
+            span.add_sparse(row)
+    for r in B.radical_indices():
+        for row in m.right_action[r]:
+            span.add_sparse(row)
     gens = []
+    one = f.one()
     for i in range(m.dim):
-        unit = [f.zero()] * m.dim
-        unit[i] = f.one()
-        if span.contains(unit):
+        unit = {i: one}
+        if span.contains_sparse(unit):
             continue
         for u in A.vertices:
             for v in B.vertices:
                 w = m.corner_project(u, v, unit)
-                if all(x == 0 for x in w):
-                    continue
-                if span.add(w):
+                if w and span.add_sparse(w):
                     gens.append(((u, v), w))
     return gens
 
 
+def cover_images(m: BimoduleData, step, coords):
+    """The images in m of the coordinates (g, a, b) = a . lift_g . b of the
+    free bimodule on a cover step, as sparse vectors."""
+    return [m.right_act(bb, m.left_act(a, step.lifts[g])) for (g, a, bb) in coords]
+
+
 def _cover(m: BimoduleData):
-    """Projective cover step and the kernel as a BimoduleData with inclusion."""
+    """Projective cover step and its kernel as a sub-bimodule of the free
+    bimodule, with the kernel's basis rows."""
     f = m.field
     A, B = m.left_alg, m.right_alg
     gens = _top_generators(m)
     step = CoverStep([g for g, _ in gens], [w for _, w in gens])
     coords = step.coords(A, B)
-    cols = []
-    for (g, a, bb) in coords:
-        vec = m.right_act(bb, m.left_act(a, step.lifts[g]))
-        cols.append(vec)
-    phi = Matrix.from_rows(cols, m.dim, f).transpose()
-    ker = kernel_basis(phi)
-    p_data = _free_bimodule(A, B, step)
-    k_data, inclusion = _sub_bimodule(p_data, ker)
-    return step, coords, phi, p_data, k_data, inclusion
+    phi_rows = sparse_transpose(cover_images(m, step, coords), m.dim)
+    ker = kernel_vectors(phi_rows, len(coords), f)
+    k_data, inclusion = _sub_bimodule(_free_bimodule(A, B, step), ker)
+    return step, k_data, inclusion
 
 
 def _free_bimodule(A, B, step: CoverStep) -> BimoduleData:
-    f = A.field
     coords = step.coords(A, B)
     pos = {c: i for i, c in enumerate(coords)}
-    n = len(coords)
-    left = []
-    for k in range(A.dim):
-        mat = Matrix.zero(n, n, f)
-        for i, (g, a, bb) in enumerate(coords):
-            for a2, c in A.mult(k, a).items():
-                j = pos.get((g, a2, bb))
-                if j is not None:
-                    mat.data[i][j] = f.add(mat.data[i][j], c)
-        left.append(mat)
-    right = []
-    for k in range(B.dim):
-        mat = Matrix.zero(n, n, f)
-        for i, (g, a, bb) in enumerate(coords):
-            for b2, c in B.mult(bb, k).items():
-                j = pos.get((g, a, b2))
-                if j is not None:
-                    mat.data[i][j] = f.add(mat.data[i][j], c)
-        right.append(mat)
-    return BimoduleData(A, B, n, left, right)
+    # distinct products land on distinct coordinates, so no entry repeats
+    left = [[{pos[(g, a2, bb)]: c for a2, c in A.mult(k, a).items() if (g, a2, bb) in pos}
+             for (g, a, bb) in coords] for k in range(A.dim)]
+    right = [[{pos[(g, a, b2)]: c for b2, c in B.mult(bb, k).items() if (g, a, b2) in pos}
+              for (g, a, bb) in coords] for k in range(B.dim)]
+    return BimoduleData(A, B, len(coords), left, right)
 
 
-def _sub_bimodule(m: BimoduleData, subspace):
-    """Restrict actions to a subspace; returns (sub data, inclusion rows)."""
-    f = m.field
-    rows = subspace.basis.data
-    k = len(rows)
-    if k == 0:
-        empty = [Matrix.zero(0, 0, f) for _ in range(m.left_alg.dim)]
-        emptyr = [Matrix.zero(0, 0, f) for _ in range(m.right_alg.dim)]
-        return BimoduleData(m.left_alg, m.right_alg, 0, empty, emptyr), rows
-    solver = PreparedSolver(Matrix.from_rows(rows, m.dim, f).transpose())
+def _sub_bimodule(m: BimoduleData, rows):
+    """Restrict the actions to the span of independent sparse rows, an
+    action-stable subspace; returns (sub data, the rows as its inclusion)."""
+    solver = PreparedSolver.from_columns(rows, m.dim, m.field)
 
-    def express(vec):
-        sol = solver.solve(vec)
-        if sol is None:
+    def restrict(act):
+        images = [solver.solve_sparse(combine_sparse(r, act, m.field)) for r in rows]
+        if None in images:
             raise ValueError("subspace is not action-stable")
-        return sol
+        return images
 
-    left = []
-    for ka in range(m.left_alg.dim):
-        mat = Matrix.zero(k, k, f)
-        for i in range(k):
-            img = m.left_act(ka, rows[i])
-            mat.data[i] = express(img)
-        left.append(mat)
-    right = []
-    for kb in range(m.right_alg.dim):
-        mat = Matrix.zero(k, k, f)
-        for i in range(k):
-            img = m.right_act(kb, rows[i])
-            mat.data[i] = express(img)
-        right.append(mat)
-    return BimoduleData(m.left_alg, m.right_alg, k, left, right), rows
+    sub = BimoduleData(m.left_alg, m.right_alg, len(rows),
+                       [restrict(act) for act in m.left_action],
+                       [restrict(act) for act in m.right_action])
+    return sub, rows
 
 
 class CoverChain:
@@ -1405,7 +1361,7 @@ class CoverChain:
     def __init__(self, module, steps, maps):
         self.module = module
         self.steps = steps  # list of CoverStep
-        self.maps = maps  # maps[k]: coords of P_k -> vectors in P_{k-1} (or M)
+        self.maps = maps  # maps[k]: coords of P_k -> sparse vectors in P_{k-1} (or M)
 
 
 def resolve_cover_chain(m: BimoduleData, len_bound=12) -> CoverChain:
@@ -1416,15 +1372,12 @@ def resolve_cover_chain(m: BimoduleData, len_bound=12) -> CoverChain:
     for depth in range(len_bound + 1):
         if current.dim == 0:
             break
-        step, coords, phi, p_data, k_data, incl_rows = _cover(current)
+        step, k_data, incl_rows = _cover(current)
         # generator lifts expressed in the previous stage's coordinates
         if inclusion is None:
             lift_vectors = step.lifts
         else:
-            lift_vectors = [
-                combine_rows(step.lifts[g], inclusion, m.field)
-                for g in range(len(step.generators))
-            ]
+            lift_vectors = [combine_sparse(w, inclusion, m.field) for w in step.lifts]
         steps.append(step)
         maps.append(lift_vectors)
         current = k_data
@@ -1448,15 +1401,10 @@ def cover_chain_to_complex(chain: CoverChain, alg) -> ProjBimodComplex:
     f = alg.field
     for k in range(1, len(steps)):
         prev_coords = steps[k - 1].coords(alg, alg)
-        pos = {}
-        for idx, (g, a, b) in enumerate(prev_coords):
-            pos[idx] = (g, a, b)
         dd = {}
         for g2, vec in enumerate(chain.maps[k]):
-            for idx, c in enumerate(vec):
-                if c == 0:
-                    continue
-                g, a, b = pos[idx]
+            for idx, c in sorted(vec.items()):
+                g, a, b = prev_coords[idx]
                 entry = dd.setdefault((g, g2), {})
                 entry[(a, b)] = f.add(entry.get((a, b), f.zero()), c)
         diff[-k] = dd
@@ -1492,12 +1440,7 @@ def resolution_of_algebra(alg, len_bound=12) -> ProjBimodComplex:
     m = regular_bimodule(alg)
     chain = resolve_cover_chain(m, len_bound)
     cx = cover_chain_to_complex(chain, alg)
-    f = alg.field
-    aug = {}
-    for g, vec in enumerate(chain.maps[0]):
-        elem = {i: c for i, c in enumerate(vec) if c != 0}
-        aug[g] = elem
-    cx.augmentation = aug
+    cx.augmentation = {g: dict(sorted(vec.items())) for g, vec in enumerate(chain.maps[0])}
     return cx
 
 

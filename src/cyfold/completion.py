@@ -25,6 +25,7 @@ from .exactlin import (
     cohomology_dim,
     kernel_basis,
     rref,
+    sparse_vector,
     unit_vector,
 )
 from .quiveralg import PathBasisAlgebra, Quiver
@@ -419,11 +420,11 @@ def completion_algebra(algebra, u, e_vertices, cutoff, resolution=None):
         for k0, i0 in zero_index.items():
             for j, (vec, st) in enumerate(reps[l]):
                 left = _corner_act(power, coords, vec, k0, side="left")
-                entry = _express_with_solver(solvers[l], len(reps[l]), left)
+                entry = _express_with_solver(solvers[l], len(reps[l]), sparse_vector(left))
                 if entry:
                     mult[((0, i0), (l, j))] = entry
                 right = _corner_act(power, coords, vec, k0, side="right")
-                entry = _express_with_solver(solvers[l], len(reps[l]), right)
+                entry = _express_with_solver(solvers[l], len(reps[l]), sparse_vector(right))
                 if entry:
                     mult[((l, j), (0, i0))] = entry
     products = _PowerProducts(ta)
@@ -433,11 +434,11 @@ def completion_algebra(algebra, u, e_vertices, cutoff, resolution=None):
     }
     for l1 in range(1, cutoff + 1):
         for l2 in range(1, cutoff + 1 - l1):
-            c3 = coords_of[l1 + l2]
+            row = {c: i for i, c in enumerate(coords_of[l1 + l2])}
             for j1, z1 in enumerate(chains[l1]):
                 for j2, z2 in enumerate(chains[l2]):
                     prod = products.cycles(l1, z1, l2, z2)
-                    vec = [prod.get(c, f.zero()) for c in c3]
+                    vec = {row[c]: v for c, v in prod.items() if v and c in row}
                     entry = _express_with_solver(solvers[l1 + l2], len(reps[l1 + l2]), vec)
                     if entry:
                         mult[((l1, j1), (l2, j2))] = entry
@@ -591,14 +592,13 @@ def _corner_act(power, coords, vec, k0, side):
 
 
 def _express_with_solver(solver, nreps, vec):
-    if all(v == 0 for v in vec):
+    """The coefficients on the representatives of a sparse cocycle."""
+    if not vec:
         return {}
-    if solver is None:
-        raise ValueError("cycle not expressible; H^0 bookkeeping broken")
-    sol = solver.solve(vec)
+    sol = solver.solve_sparse(vec) if solver is not None else None
     if sol is None:
         raise ValueError("cycle not expressible; H^0 bookkeeping broken")
-    return {i: c for i, c in enumerate(sol[:nreps]) if c != 0}
+    return {i: c for i, c in sorted(sol.items()) if i < nreps}
 
 
 def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraData:
@@ -793,8 +793,8 @@ def matrix_root_pair(pi: GradedAlgebraData, a):
                 u_index[(r, c, i)] = len(u_coords)
                 u_coords.append((r, c, i))
     n = len(u_coords)
-    left = [Matrix.zero(n, n, f) for _ in range(alg.dim)]
-    right = [Matrix.zero(n, n, f) for _ in range(alg.dim)]
+    left = [[{} for _ in range(n)] for _ in range(alg.dim)]
+    right = [[{} for _ in range(n)] for _ in range(alg.dim)]
     rev_a = {v: k for k, v in a_index.items()}
     for k in range(alg.dim):
         ra, ca, ia = rev_a[k]
@@ -802,17 +802,13 @@ def matrix_root_pair(pi: GradedAlgebraData, a):
             # left: E_{ra,ca}(x) . U_{r,c}(y) = U_{ra,c}(xy) when ca == r
             if ca == r:
                 prod = pi.product(ra - ca, ia, r - c + 1, i)
-                for i3, cx in prod.items():
-                    j = u_index.get((ra, c, i3))
-                    if j is not None:
-                        left[k].data[idx][j] = f.add(left[k].data[idx][j], cx)
+                left[k][idx] = {u_index[(ra, c, i3)]: cx for i3, cx in prod.items()
+                                if cx and (ra, c, i3) in u_index}
             # right: U_{r,c}(y) . E_{ra,ca}(x) = U_{r,ca}(yx) when c == ra
             if c == ra:
                 prod = pi.product(r - c + 1, i, ra - ca, ia)
-                for i3, cx in prod.items():
-                    j = u_index.get((r, ca, i3))
-                    if j is not None:
-                        right[k].data[idx][j] = f.add(right[k].data[idx][j], cx)
+                right[k][idx] = {u_index[(r, ca, i3)]: cx for i3, cx in prod.items()
+                                 if cx and (r, ca, i3) in u_index}
     u_data = BimoduleData(alg, alg, n, left, right)
     e_vertices = [(0, o) for o in pi.objects]
     return alg, u_data, e_vertices

@@ -4,7 +4,11 @@ Everything downstream (cohomology ranks, chain-map solving, resolutions)
 funnels through rref/kernel/solve here.  Arithmetic is exact: Fractions in
 lowest terms over Q, int residues mod a prime otherwise.  Matrices come in
 and go out dense, but the elimination inside is sparse (``_kernels``): the
-matrices met here are a few per cent nonzero.  ``PreparedSolver`` factors
+matrices met here are a few per cent nonzero.  A sparse vector is a dict
+{index: value} of the nonzero entries only; ``combine_sparse``,
+``kernel_vectors``, ``PreparedSolver.solve_sparse`` and the ``*_sparse``
+methods of ``IncrementalSpan`` take and give them, so code that keeps its
+data sparse never builds a dense row.  ``PreparedSolver`` factors
 a matrix once for many right-hand sides and ``IncrementalSpan`` grows a
 row space one vector at a time; use them instead of calling
 ``solve_linear`` or ``rank`` in a loop over one matrix.  The seeded PRNG
@@ -14,7 +18,7 @@ is splitmix64 (state += 0x9E3779B97F4B9C15; mixes 0xBF58476D1CE4E5B9 and
 
 from fractions import Fraction
 
-from ._kernels import ZERO, Echelon, dense_row, sparse_row, value
+from ._kernels import ZERO, Echelon, dense_row, row_of, sparse_row, sparse_vector, value
 
 
 class Field:
@@ -97,6 +101,18 @@ class Matrix:
         if not data:
             return cls(0, cols or 0, [], field)
         return cls(len(data), len(data[0]), data, field)
+
+    @classmethod
+    def from_columns(cls, vectors, n, field=QQ):
+        """The n-row matrix whose columns are the sparse vectors."""
+        m = cls.zero(n, len(vectors), field)
+        for c, vec in enumerate(vectors):
+            for j, v in vec.items():
+                m.data[j][c] = v
+        return m
+
+    def sparse_rows(self):
+        return [sparse_vector(r) for r in self.data]
 
     def copy(self):
         return Matrix(self.rows, self.cols, self.data, self.field)
@@ -227,25 +243,57 @@ def combine_rows(coeffs, rows, field=QQ):
     return out
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of the right null space {x : m x = 0}, one vector per free
-    column c: 1 at c, minus the reduced rows' entries in c at the pivots."""
-    f = m.field
-    if m.rows == 0:
-        return Subspace(m.cols, Matrix.identity(m.cols, f))
-    p = f.char
-    ech = _echelon(m)
-    free = {c: i for i, c in enumerate(c for c in range(m.cols) if c not in ech.rows)}
-    zero = f.zero()
-    basis = [[zero] * m.cols for _ in free]
-    for c, i in free.items():
-        basis[i][c] = f.one()
+def dense_vector(vec, n, field=QQ):
+    """The length-n dense list of a sparse vector."""
+    out = [field.zero()] * n
+    for j, v in vec.items():
+        out[j] = v
+    return out
+
+
+def combine_sparse(coeffs, rows, field=QQ):
+    """sum_i coeffs[i] * rows[i] for sparse vectors: the work follows the
+    support of coeffs and of the rows it selects."""
+    p = field.char
+    out = {}
+    for i, c in coeffs.items():
+        for j, v in rows[i].items():
+            out[j] = out.get(j, 0) + c * v
+    if p:
+        return {j: v % p for j, v in out.items() if v % p}
+    return {j: v for j, v in out.items() if v}
+
+
+def sparse_transpose(vectors, n):
+    """The n rows, as sparse vectors, of the matrix with these columns."""
+    rows = [{} for _ in range(n)]
+    for c, vec in enumerate(vectors):
+        for j, v in vec.items():
+            rows[j][c] = v
+    return rows
+
+
+def kernel_vectors(rows, ncols, field=QQ):
+    """Sparse basis of the right null space {x : m x = 0} of the matrix
+    with the given sparse rows, one vector per free column c: 1 at c,
+    minus the reduced rows' entries in c at the pivots."""
+    p = field.char
+    ech = Echelon(p, [row_of(r, p) for r in rows])
+    basis = {c: {c: field.one()} for c in range(ncols) if c not in ech.rows}
     for pc, (nums, den) in ech.rows.items():
         # a reduced row is 0 in the other pivot columns
         for c, v in nums.items():
             if c != pc:
-                basis[free[c]][pc] = -v % p if p else Fraction(-v, den)
-    return Subspace(m.cols, Matrix.from_rows(basis, m.cols, f))
+                basis[c][pc] = -v % p if p else Fraction(-v, den)
+    return list(basis.values())
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """kernel_vectors of a dense matrix, as a Subspace."""
+    f = m.field
+    vecs = kernel_vectors(m.sparse_rows(), m.cols, f)
+    return Subspace(m.cols, Matrix.from_rows(
+        [dense_vector(v, m.cols, f) for v in vecs], m.cols, f))
 
 
 def solve_linear(m: Matrix, b):
@@ -343,18 +391,29 @@ class PreparedSolver:
     product with b; the rows without one span the left null space of m, so
     b is consistent iff each of them is orthogonal to b.  A solve touches
     only the columns in b's support.  The answer is solve_linear's.
+    ``solve_sparse`` takes and gives sparse vectors and the dense ``solve``
+    wraps it; ``from_columns`` factors a matrix given by sparse columns.
     """
 
     def __init__(self, m: Matrix):
-        self.m = m
-        self.field = m.field
-        p = m.field.char
-        k = m.cols
-        rows = []
-        for i, r in enumerate(m.data):
-            nums, den = sparse_row(r, p)
+        self._factor([sparse_row(r, m.field.char) for r in m.data], m.cols, m.field)
+
+    @classmethod
+    def from_columns(cls, vectors, n, field=QQ):
+        """The solver of the n-row matrix whose columns are the sparse
+        vectors: it writes b over them."""
+        solver = cls.__new__(cls)
+        rows = [row_of(r, field.char) for r in sparse_transpose(vectors, n)]
+        solver._factor(rows, len(vectors), field)
+        return solver
+
+    def _factor(self, rows, k, field):
+        """Factor the matrix with k columns and these (nums, den) rows."""
+        self.shape = (len(rows), k)
+        self.field = field
+        p = field.char
+        for i, (nums, den) in enumerate(rows):
             nums[k + i] = den  # the identity entry, den / den = 1
-            rows.append((nums, den))
         ech = Echelon(p, rows)
         self.pivots = [c for c in sorted(ech.rows) if c < k]
         self.rank = len(self.pivots)
@@ -367,17 +426,16 @@ class PreparedSolver:
                 if j >= k:
                     self._cols.setdefault(j - k, []).append((slot, v))
 
-    def solve(self, b):
-        if len(b) != self.m.rows:
-            raise ValueError("rhs length != row count")
-        f = self.field
-        p = f.char
-        bnums, bden = sparse_row(b, p)
+    def solve_sparse(self, b):
+        """m x = b for a sparse b {row: value}: a sparse x {column: value},
+        or None when b is outside the column space."""
+        p = self.field.char
+        bnums, bden = row_of(b, p)
         acc = {}
         for j, bv in bnums.items():
             for slot, v in self._cols.get(j, ()):
                 acc[slot] = acc.get(slot, 0) + v * bv
-        x = [f.zero()] * self.m.cols
+        x = {}
         for slot, a in acc.items():
             if p:
                 a %= p
@@ -387,6 +445,12 @@ class PreparedSolver:
                 return None
             x[self.pivots[slot]] = a if p else Fraction(a, self._dens[slot] * bden)
         return x
+
+    def solve(self, b):
+        if len(b) != self.shape[0]:
+            raise ValueError("rhs length != row count")
+        x = self.solve_sparse(sparse_vector(b))
+        return None if x is None else dense_vector(x, self.shape[1], self.field)
 
 
 class IncrementalSpan:
@@ -403,11 +467,17 @@ class IncrementalSpan:
         return self._echelon.rank
 
     def contains(self, vec):
-        return not self._echelon.reduce(sparse_row(vec, self.field.char))[0]
+        return self.contains_sparse(sparse_vector(vec))
+
+    def contains_sparse(self, vec):
+        return not self._echelon.reduce(row_of(vec, self.field.char))[0]
 
     def add(self, vec):
         """Insert if independent; returns True when the span grew."""
-        return self._echelon.insert(sparse_row(vec, self.field.char)) is not None
+        return self.add_sparse(sparse_vector(vec))
+
+    def add_sparse(self, vec):
+        return self._echelon.insert(row_of(vec, self.field.char)) is not None
 
     def rows(self):
         """The reduced basis, dense, in the order the rows were added."""

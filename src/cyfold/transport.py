@@ -11,15 +11,17 @@ The result is resolved to a complex of projective E-bimodules.
 from .bimodcx import (
     BimoduleData,
     BoundExceeded,
+    CoverStep,
     ProjBimodComplex,
     ProjBimodSummand,
     _by_source,
     _free_bimodule,
     _sub_bimodule,
-    assemble,
     _top_generators,
-    CoverStep,
+    assemble,
+    cover_images,
     minimize,
+    resolve_cover_chain,
 )
 from .exactlin import (
     IncrementalSpan,
@@ -27,8 +29,10 @@ from .exactlin import (
     PreparedSolver,
     SplitMix64,
     cohomology_dim,
-    combine_rows,
+    combine_sparse,
     kernel_basis,
+    kernel_vectors,
+    sparse_transpose,
     unit_vector,
 )
 from .quiveralg import PathBasisAlgebra
@@ -41,39 +45,29 @@ def endomorphism_matrices(module):
     n = module.dim
     if n == 0:
         return []
-    # phi n x n with phi . act_k = act_k . phi for all k
-    unknowns = n * n
+    # phi n x n with phi . act_k = act_k . phi for all k; the unknown
+    # phi_{im} is column i * n + m
+    zero = f.zero()
     rows = []
-    for k in range(alg.dim):
-        ak = module.action[k]
+    for ak in module.action:
+        ak_rows = ak.sparse_rows()
+        ak_cols = sparse_transpose(ak_rows, n)
         for i in range(n):
             for j in range(n):
-                row = [f.zero()] * unknowns
+                row = {}
                 # (phi ak)_{ij} = sum_m phi_{im} ak_{mj}
-                for m in range(n):
-                    if ak.data[m][j] != 0:
-                        row[i * n + m] = f.add(row[i * n + m], ak.data[m][j])
+                for m, v in ak_cols[j].items():
+                    row[i * n + m] = f.add(row.get(i * n + m, zero), v)
                 # -(ak phi)_{ij} = -sum_m ak_{im} phi_{mj}
-                for m in range(n):
-                    if ak.data[i][m] != 0:
-                        row[m * n + j] = f.add(row[m * n + j], f.neg(ak.data[i][m]))
-                if any(v != 0 for v in row):
+                for m, v in ak_rows[i].items():
+                    row[m * n + j] = f.add(row.get(m * n + j, zero), f.neg(v))
+                if row:
                     rows.append(row)
-    ker = kernel_basis(Matrix.from_rows(rows, unknowns, f)) if rows else None
-    basis = []
-    if ker is None:
-        for i in range(unknowns):
-            vec = [f.zero()] * unknowns
-            vec[i] = f.one()
-            basis.append(vec)
-    else:
-        basis = [list(v) for v in ker.basis.data]
     mats = []
-    for vec in basis:
+    for vec in kernel_vectors(rows, n * n, f):
         m = Matrix.zero(n, n, f)
-        for i in range(n):
-            for j in range(n):
-                m.data[i][j] = vec[i * n + j]
+        for c, v in vec.items():
+            m.data[c // n][c % n] = v
         mats.append(m)
     return mats
 
@@ -130,7 +124,6 @@ def primitive_idempotents(mats, f, seed=0):
     solver = PreparedSolver(
         Matrix.from_rows([flat(m) for m in quot] + rad_span.rows(), n * n, f).transpose())
     rng = SplitMix64(seed)
-    ident = Matrix.identity(n, f)
     for _ in range(40):
         coeffs = [f(rng.int_in(-9, 9)) for _ in range(semis)]
         z = Matrix.zero(n, n, f)
@@ -149,18 +142,21 @@ def primitive_idempotents(mats, f, seed=0):
             for lam in lams:
                 e = _lagrange_idempotent(z, lam, lams, f)
                 idems.append(e)
-            # Newton-lift each to an exact idempotent, orthogonalizing
+            # Newton-lift each inside rest = 1 - (the ones lifted so far),
+            # which keeps them orthogonal; they are complete when rest is 0
             out = []
-            total = Matrix.zero(n, n, f)
+            rest = Matrix.identity(n, f)
             for e in idems:
-                corr = _corner(e, total, ident, f)
-                lifted = _newton_idempotent(corr, f)
+                lifted = _newton_idempotent(rest.matmul(e).matmul(rest), f)
                 if lifted is None:
                     break
                 out.append(lifted)
-                total = _mat_add(total, lifted, f)
+                for rrow, lrow in zip(rest.data, lifted.data):
+                    for j, v in enumerate(lrow):
+                        if v:
+                            rrow[j] = f.add(rrow[j], f.neg(v))
             else:
-                if total.data == ident.data:
+                if not any(v for row in rest.data for v in row):
                     return out
     raise ValueError("could not split idempotents; algebra may not be basic")
 
@@ -225,25 +221,6 @@ def _lagrange_idempotent(z, lam, lams, f):
         for i in range(n):
             for j in range(n):
                 out.data[i][j] = f.mul(out.data[i][j], inv)
-    return out
-
-
-def _corner(e, total, ident, f):
-    """(1 - total) e (1 - total)."""
-    n = e.rows
-    comp = Matrix.zero(n, n, f)
-    for i in range(n):
-        for j in range(n):
-            comp.data[i][j] = f.neg(total.data[i][j])
-        comp.data[i][i] = f.add(comp.data[i][i], f.one())
-    return comp.matmul(e).matmul(comp)
-
-
-def _mat_add(a, b, f):
-    out = Matrix.zero(a.rows, a.cols, f)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out.data[i][j] = f.add(a.data[i][j], b.data[i][j])
     return out
 
 
@@ -340,8 +317,10 @@ def resolve_complex(x: CoordComplex, len_bound=16):
     """Surjective quasi-isomorphism from a complex of free bimodules.
 
     Built from the top degree down: each stage covers the pullback of the
-    previous stage's cycles against the incoming differential.  Returns a
-    ProjBimodComplex when both algebras coincide.
+    previous stage's cycles against the incoming differential.  Returns
+    (ProjBimodComplex, cover steps, q) when both algebras coincide, where
+    q[k] holds the images in X^k of the coordinates of P_k as sparse
+    vectors.
     """
     A, B = x.left_alg, x.right_alg
     f = A.field
@@ -351,13 +330,13 @@ def resolve_complex(x: CoordComplex, len_bound=16):
     top = max(degs)
     steps = {}
     q_maps = {}
-    d_maps = {}
+    d_maps = {}  # d_maps[k]: the images in P_{k+1} of the coordinates of P_k
     prev_free = None
     k = top
     while True:
         xk = x.modules.get(k)
         if xk is None:
-            xk = _zero_bimodule(A, B, f)
+            xk = _zero_bimodule(A, B)
         if prev_free is None:
             target = xk
             incl = None
@@ -370,40 +349,28 @@ def resolve_complex(x: CoordComplex, len_bound=16):
             if k < min(degs):
                 break
             steps[k] = CoverStep([], [])
-            q_maps[k] = Matrix.zero(x.modules[k].dim if k in x.modules else 0, 0, f)
-            d_maps[k] = Matrix.zero(prev_free.dim if prev_free else 0, 0, f)
-            prev_free = _zero_bimodule(A, B, f)
+            q_maps[k] = []
+            d_maps[k] = []
+            prev_free = _zero_bimodule(A, B)
             k -= 1
             if top - k > len_bound:
                 break
             continue
         gens = _top_generators(target)
         step = CoverStep([g for g, _ in gens], [w for _, w in gens])
-        free = _free_bimodule(A, B, step)
-        coords = step.coords(A, B)
-        # cover map into the target's coordinates
-        cover_cols = []
-        for (g, a, bb) in coords:
-            vec = target.right_act(bb, target.left_act(a, step.lifts[g]))
-            cover_cols.append(vec)
+        images = cover_images(target, step, step.coords(A, B))
         if incl is None:
-            xdim = xk.dim
-            q_cols = cover_cols
-            d_cols = None
+            q_maps[k] = images
         else:
+            # split each image in X^k + P_{k+1} into its two components
             xdim = xk.dim
-            q_cols = []
-            d_cols = []
-            for vec in cover_cols:
-                amb = combine_rows(vec, incl, f)
-                q_cols.append(amb[:xdim])
-                d_cols.append(amb[xdim:])
-        q_mat = Matrix.from_rows(q_cols, xdim, f).transpose()
-        q_maps[k] = q_mat
-        if d_cols is not None:
-            d_maps[k] = Matrix.from_rows(d_cols, prev_free.dim, f).transpose()
+            q_maps[k], d_maps[k] = [], []
+            for vec in images:
+                amb = combine_sparse(vec, incl, f)
+                q_maps[k].append({j: v for j, v in amb.items() if j < xdim})
+                d_maps[k].append({j - xdim: v for j, v in amb.items() if j >= xdim})
         steps[k] = step
-        prev_free = free
+        prev_free = _free_bimodule(A, B, step)
         k -= 1
         if top - k > len_bound:
             raise BoundExceeded("complex resolution exceeded the length bound")
@@ -417,8 +384,8 @@ def resolve_complex(x: CoordComplex, len_bound=16):
             for g, (u, v) in enumerate(step.generators)
         ]
     for deg, step in steps.items():
-        dmat = d_maps.get(deg)
-        if dmat is None or deg + 1 not in steps:
+        d_cols = d_maps.get(deg)
+        if d_cols is None or deg + 1 not in steps:
             continue
         upper = steps[deg + 1].coords(A, A)
         col_of = {c: i for i, c in enumerate(step.coords(A, A))}
@@ -426,10 +393,7 @@ def resolve_complex(x: CoordComplex, len_bound=16):
         for g2, (u, v) in enumerate(step.generators):
             # column of the generator itself: (g2, e_u, e_v)
             gen_col = col_of[(g2, A.idempotent_index(u), A.idempotent_index(v))]
-            vec = [dmat.data[r][gen_col] for r in range(dmat.rows)]
-            for ridx, c in enumerate(vec):
-                if c == 0:
-                    continue
+            for ridx, c in sorted(d_cols[gen_col].items()):
                 g, a, bb = upper[ridx]
                 entry = dd.setdefault((g, g2), {})
                 entry[(a, bb)] = f.add(entry.get((a, bb), f.zero()), c)
@@ -438,87 +402,48 @@ def resolve_complex(x: CoordComplex, len_bound=16):
     return cx, steps, q_maps
 
 
-def _zero_bimodule(A, B, f):
-    return BimoduleData(
-        A, B, 0,
-        [Matrix.zero(0, 0, f) for _ in range(A.dim)],
-        [Matrix.zero(0, 0, f) for _ in range(B.dim)],
-    )
+def _zero_bimodule(A, B):
+    return BimoduleData(A, B, 0, [[] for _ in range(A.dim)], [[] for _ in range(B.dim)])
 
 
 def _pullback_module(x, k, prev_free, q_upper, d_upper, f):
-    """Submodule of X^k + P_{k+1} of pairs matched by the differentials."""
-    A, B = x.left_alg, x.right_alg
+    """Submodule of X^k + P_{k+1} of the pairs (xv, pv) with d_X xv = q(pv)
+    and d_P pv = 0; q_upper and d_upper hold the images of the coordinates
+    of P_{k+1} in X^{k+1} and in P_{k+2}."""
     xk = x.modules.get(k)
     xdim = xk.dim if xk is not None else 0
-    pdim = prev_free.dim
-    total = xdim + pdim
-    rows = []
+    # one equation per coordinate of X^{k+1} and per coordinate of P_{k+2}
+    eqs = {}
     dxk = x.diffs.get(k)
-    up_dim = x.modules[k + 1].dim if (k + 1) in x.modules else 0
-    for i in range(up_dim):
-        row = [f.zero()] * total
-        nonzero = False
-        if dxk is not None and dxk.rows:
-            for c in range(xdim):
-                v = dxk.data[i][c]
-                if v != 0:
-                    row[c] = v
-                    nonzero = True
-        for c in range(pdim):
-            v = q_upper.data[i][c] if q_upper.rows else f.zero()
-            if v != 0:
-                row[xdim + c] = f.neg(v)
-                nonzero = True
-        if nonzero:
-            rows.append(row)
-    if d_upper is not None and d_upper.rows:
-        for i in range(d_upper.rows):
-            row = [f.zero()] * total
-            nonzero = False
-            for c in range(pdim):
-                v = d_upper.data[i][c]
-                if v != 0:
-                    row[xdim + c] = v
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    sum_data = _direct_sum_bimodule(xk, prev_free, A, B, f)
-    if rows:
-        ker = kernel_basis(Matrix.from_rows(rows, total, f))
-    else:
-        ker = kernel_basis(Matrix.zero(0, total, f))
-    sub, incl = _sub_bimodule(sum_data, ker)
-    return sub, incl
+    if dxk is not None:
+        for i, row in enumerate(dxk.sparse_rows()):
+            if row:
+                eqs[("x", i)] = row
+    for c, col in enumerate(q_upper):
+        for i, v in col.items():
+            eqs.setdefault(("x", i), {})[xdim + c] = f.neg(v)
+    for c, col in enumerate(d_upper or ()):
+        for i, v in col.items():
+            eqs.setdefault(("p", i), {})[xdim + c] = v
+    ker = kernel_vectors(list(eqs.values()), xdim + prev_free.dim, f)
+    return _sub_bimodule(_direct_sum_bimodule(xk, prev_free), ker)
 
 
-def _direct_sum_bimodule(xk, p, A, B, f):
-    xdim = xk.dim if xk is not None else 0
-    pdim = p.dim
-    total = xdim + pdim
-    left = []
-    for kk in range(A.dim):
-        m = Matrix.zero(total, total, f)
-        if xdim:
-            for i in range(xdim):
-                for j in range(xdim):
-                    m.data[i][j] = xk.left_action[kk].data[i][j]
-        for i in range(pdim):
-            for j in range(pdim):
-                m.data[xdim + i][xdim + j] = p.left_action[kk].data[i][j]
-        left.append(m)
-    right = []
-    for kk in range(B.dim):
-        m = Matrix.zero(total, total, f)
-        if xdim:
-            for i in range(xdim):
-                for j in range(xdim):
-                    m.data[i][j] = xk.right_action[kk].data[i][j]
-        for i in range(pdim):
-            for j in range(pdim):
-                m.data[xdim + i][xdim + j] = p.right_action[kk].data[i][j]
-        right.append(m)
-    return BimoduleData(A, B, total, left, right)
+def _direct_sum_bimodule(xk, p):
+    """X + P, block diagonal: the rows of X, then those of P shifted by
+    dim X."""
+    if xk is None:
+        return p
+    xdim = xk.dim
+
+    def blocks(x_rows, p_rows):
+        return x_rows + [{xdim + j: v for j, v in row.items()} for row in p_rows]
+
+    return BimoduleData(
+        p.left_alg, p.right_alg, xdim + p.dim,
+        [blocks(xa, pa) for xa, pa in zip(xk.left_action, p.left_action)],
+        [blocks(xa, pa) for xa, pa in zip(xk.right_action, p.right_action)],
+    )
 
 
 def coord_complex_of(x: ProjBimodComplex) -> CoordComplex:
@@ -553,12 +478,10 @@ def truncate_smart(x: CoordComplex, lo, hi):
         return x
     d_hi = x.diffs.get(hi)
     if d_hi is not None and d_hi.rows:
-        ker = kernel_basis(d_hi)
-        top_sub, top_rows = _sub_bimodule(top_mod, ker)
+        top_sub, top_rows = _sub_bimodule(
+            top_mod, kernel_vectors(d_hi.sparse_rows(), d_hi.cols, f))
     else:
-        top_sub, top_rows = top_mod, [
-            unit_vector(top_mod.dim, i, f) for i in range(top_mod.dim)
-        ]
+        top_sub, top_rows = top_mod, [{i: f.one()} for i in range(top_mod.dim)]
     # cokernel at the bottom
     low_mod = x.modules.get(lo)
     d_below = x.diffs.get(lo - 1)
@@ -579,28 +502,21 @@ def truncate_smart(x: CoordComplex, lo, hi):
         if d is None:
             continue
         if p == lo:
-            # factor through the quotient: columns indexed by coker basis
-            cols = []
-            for row in proj_rows:  # proj_rows: coker basis -> ambient reps
-                img = [f.zero()] * d.rows
-                for c, v in enumerate(row):
-                    if v != 0:
-                        for r in range(d.rows):
-                            img[r] = f.add(img[r], f.mul(v, d.data[r][c]))
-                cols.append(img)
-            d = Matrix.from_rows(cols, d.rows, f).transpose()
+            # factor through the quotient: columns indexed by coker basis,
+            # proj_rows: coker basis -> ambient reps
+            d_cols = sparse_transpose(d.sparse_rows(), d.cols)
+            d = Matrix.from_columns(
+                [combine_sparse(rep, d_cols, f) for rep in proj_rows], d.rows, f)
         if p == hi - 1:
             # corestrict into the kernel: express columns in top_rows
-            solver = PreparedSolver(
-                Matrix.from_rows(top_rows, x.modules[hi].dim, f).transpose())
+            solver = PreparedSolver.from_columns(top_rows, x.modules[hi].dim, f)
             cols = []
-            for c in range(d.cols):
-                vec = [d.data[r][c] for r in range(d.rows)]
-                sol = solver.solve(vec)
+            for vec in sparse_transpose(d.sparse_rows(), d.cols):
+                sol = solver.solve_sparse(vec)
                 if sol is None:
                     raise ValueError("cohomology extends beyond the window")
                 cols.append(sol)
-            d = Matrix.from_rows(cols, top_sub.dim, f).transpose()
+            d = Matrix.from_columns(cols, top_sub.dim, f)
         diffs[p] = d
     return CoordComplex(A, B, modules, diffs)
 
@@ -608,45 +524,28 @@ def truncate_smart(x: CoordComplex, lo, hi):
 def _quotient_bimodule(m: BimoduleData, image_matrix, f):
     """Quotient of m by the column space of image_matrix.
 
-    Returns (representative rows per quotient basis vector, quotient data).
+    Returns (representative sparse rows per quotient basis vector, quotient
+    data).
     """
-    A, B = m.left_alg, m.right_alg
     n = m.dim
+    images = []
+    if image_matrix is not None and image_matrix.rows:
+        images = sparse_transpose(image_matrix.sparse_rows(), image_matrix.cols)
     span = IncrementalSpan(n, f)
-    if image_matrix is not None and image_matrix.rows:
-        for c in range(image_matrix.cols):
-            span.add([image_matrix.data[r][c] for r in range(n)])
-    reps = []
-    for i in range(n):
-        probe = unit_vector(n, i, f)
-        if span.add(probe):
-            reps.append(probe)
-    k = len(reps)
-    img_rows = []
+    for vec in images:
+        span.add_sparse(vec)
+    reps = [{i: f.one()} for i in range(n) if span.add_sparse({i: f.one()})]
     respan = IncrementalSpan(n, f)
-    if image_matrix is not None and image_matrix.rows:
-        for c in range(image_matrix.cols):
-            col = [image_matrix.data[r][c] for r in range(n)]
-            if respan.add(col):
-                img_rows.append(col)
-    solver = PreparedSolver(Matrix.from_rows(reps + img_rows, n, f).transpose())
+    img_rows = [vec for vec in images if respan.add_sparse(vec)]
+    k = len(reps)
+    solver = PreparedSolver.from_columns(reps + img_rows, n, f)
 
     def project(vec):
-        return solver.solve(vec)[:k]
+        return {j: v for j, v in solver.solve_sparse(vec).items() if j < k}
 
-    left = []
-    for kk in range(A.dim):
-        mat = Matrix.zero(k, k, f)
-        for i, rep in enumerate(reps):
-            mat.data[i] = project(m.left_act(kk, rep))
-        left.append(mat)
-    right = []
-    for kk in range(B.dim):
-        mat = Matrix.zero(k, k, f)
-        for i, rep in enumerate(reps):
-            mat.data[i] = project(m.right_act(kk, rep))
-        right.append(mat)
-    return reps, BimoduleData(A, B, k, left, right)
+    left = [[project(m.left_act(kk, rep)) for rep in reps] for kk in range(m.left_alg.dim)]
+    right = [[project(m.right_act(kk, rep)) for rep in reps] for kk in range(m.right_alg.dim)]
+    return reps, BimoduleData(m.left_alg, m.right_alg, k, left, right)
 
 
 def corner_adapt_module(module):
@@ -684,12 +583,15 @@ def corner_adapt_module(module):
     return RightModule(alg, n, action), tags, rows
 
 
-def hom_transport_complex(e_alg, e_mats, d_alg, chain, module, tags, w):
+def hom_transport_complex(chain, tags, w):
     """Hom_D(P(M), M (x) W) as a strict (E, E)-bimodule coordinate complex.
 
-    chain resolves M over E (x) D^op; module is corner-adapted with vertex
-    tags; w is the carried bimodule complex over D.
+    chain resolves M over E (x) D^op; M is corner-adapted, tags[i] the
+    vertex of its i-th basis vector; w is the carried bimodule complex over
+    D.
     """
+    module = chain.module
+    e_alg, d_alg = module.left_alg, module.right_alg
     f = e_alg.field
     n = module.dim
     # N = M (x) W coordinates per degree: (w_deg, w_idx, m_tagged, d_basis)
@@ -711,11 +613,10 @@ def hom_transport_complex(e_alg, e_mats, d_alg, chain, module, tags, w):
         t_idx, mi, d = coord
         for t2, entry in w_out.get(q, {}).get(t_idx, ()):
             for (alpha, beta), c in entry.items():
-                mrow = module.action[alpha].data[mi]
+                mrow = module.right_action[alpha][mi]
                 for bd, cb in d_alg.mult(beta, d).items():
-                    for mj, cm in enumerate(mrow):
-                        if cm != 0:
-                            yield (t2, mj, bd), f.mul(c, f.mul(cm, cb))
+                    for mj, cm in mrow.items():
+                        yield (t2, mj, bd), f.mul(c, f.mul(cm, cb))
 
     # X^r coordinates: (j, g, x, ncoord) with P_j at degree -j
     steps = chain.steps
@@ -741,37 +642,39 @@ def hom_transport_complex(e_alg, e_mats, d_alg, chain, module, tags, w):
     for r, items in sorted(x_coords.items()):
         pos = {c: i for i, c in enumerate(items)}
         dim = len(items)
+        # every entry below is set once: distinct basis products land on
+        # distinct coordinates
         left = []
-        for k in range(e_alg.dim):
-            lm = Matrix.zero(dim, dim, f)
-            for i, (j, g, xx, ncoord) in enumerate(items):
-                # left: act on the N part through the module's E action
-                for key2, c in _n_left_by_basis(e_alg, k, module, tags, ncoord, f).items():
-                    jj = pos.get((j, g, xx, key2))
-                    if jj is not None:
-                        lm.data[i][jj] = f.add(lm.data[i][jj], c)
-            left.append(lm)
+        for e_rows in module.left_action:
+            # left: act on the N part through the module's E action, which
+            # stays inside the vertex tag
+            rows = [{} for _ in range(dim)]
+            for i, (j, g, xx, (t_idx, mi, d)) in enumerate(items):
+                for mj, c in e_rows[mi].items():
+                    jj = pos.get((j, g, xx, (t_idx, mj, d)))
+                    if jj is not None and tags[mj] == tags[mi]:
+                        rows[i][jj] = c
+            left.append(rows)
         right = []
         for k in range(e_alg.dim):
-            rm = Matrix.zero(dim, dim, f)
+            rows = [{} for _ in range(dim)]
             for jcol, (j, g, x2, ncoord) in enumerate(items):
                 # (phi . eps)[x2-coordinate] reads phi at the expansion of
                 # eps . x2, so rows are the expansion coordinates
                 for x1, c in e_alg.mult(k, x2).items():
                     ii = pos.get((j, g, x1, ncoord))
                     if ii is not None:
-                        rm.data[ii][jcol] = f.add(rm.data[ii][jcol], c)
-            right.append(rm)
+                        rows[ii][jcol] = c
+            right.append(rows)
         modules[r] = BimoduleData(e_alg, e_alg, dim, left, right)
     # d_P: P_{j+1} -> P_j by the P_j generator it lies over:
     # d_over[j][g] = [(g2, aa, dd, coefficient)]
     d_over = [{} for _ in steps]
     for j in range(len(steps) - 1):
         for g2, vec in enumerate(chain.maps[j + 1]):
-            for ci, cval in enumerate(vec):
-                if cval != 0:
-                    g, aa, dd = p_coords[j][ci]
-                    d_over[j].setdefault(g, []).append((g2, aa, dd, cval))
+            for ci, cval in sorted(vec.items()):
+                g, aa, dd = p_coords[j][ci]
+                d_over[j].setdefault(g, []).append((g2, aa, dd, cval))
     for r in sorted(x_coords):
         if r + 1 not in x_coords:
             continue
@@ -799,20 +702,6 @@ def hom_transport_complex(e_alg, e_mats, d_alg, chain, module, tags, w):
     return CoordComplex(e_alg, e_alg, modules, diffs)
 
 
-def _n_left_by_basis(e_alg, k, module, tags, ncoord, f):
-    t_idx, mi, d = ncoord
-    emat = module._e_action[k]
-    out = {}
-    for mj in range(module.dim):
-        c = emat.data[mi][mj]
-        if c != 0 and tags[mj] == tags[mi]:
-            out[(t_idx, mj, d)] = c
-    return out
-
-
-
-
-
 def transported_pair(a_alg, u_a, b_alg, u_b, e_vertices_a, len_bound=10, seed=0):
     """Carry a strict pair across the endomorphism algebra of the tensor
     tilting object: returns a dict with the endomorphism algebra E, the
@@ -829,16 +718,12 @@ def transported_pair(a_alg, u_a, b_alg, u_b, e_vertices_a, len_bound=10, seed=0)
     m_raw, _, _ = h0_right_module(direct_sum_right(t0, t1))
     module, tags, _ = corner_adapt_module(m_raw)
     e_alg, chosen, idems = algebra_from_endomorphisms(module, seed)
-    module._e_action = chosen
-    m_data = BimoduleData(
-        e_alg, d_alg, module.dim, chosen, module.action
-    )
+    m_data = BimoduleData(e_alg, d_alg, module.dim, [c.sparse_rows() for c in chosen],
+                          [a.sparse_rows() for a in module.action])
     if not m_data.check_bimodule():
         raise ValueError("E- and D-actions do not commute")
-    from .bimodcx import resolve_cover_chain
-
     chain = resolve_cover_chain(m_data, len_bound)
-    x = hom_transport_complex(e_alg, chosen, d_alg, chain, module, tags, w)
+    x = hom_transport_complex(chain, tags, w)
     dims = x.cohomology_dims()
     lo, hi = min(dims), max(dims)
     if lo != hi:

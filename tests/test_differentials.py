@@ -79,17 +79,45 @@ def _differentials(kind, s, eps, monkeypatch):
     return out
 
 
+def _assert_squares_to_zero(name, degs, diff):
+    composable = 0
+    for r in degs:
+        d_lo, d_hi = diff(r), diff(r + 1)
+        if not (_nonzero(d_lo) and _nonzero(d_hi)):
+            continue
+        composable += 1
+        assert not _nonzero(d_hi.matmul(d_lo)), (name, r)
+    assert composable, f"{name}: no two nonzero differentials in a row"
+
+
 @pytest.mark.parametrize("kind,s,eps", ROOTS, ids=[f"{k}-s{s}-eps{e}" for k, s, e in ROOTS])
 def test_assembled_differentials_square_to_zero(kind, s, eps, monkeypatch):
     for name, degs, diff in _differentials(kind, s, eps, monkeypatch):
-        composable = 0
-        for r in degs:
-            d_lo, d_hi = diff(r), diff(r + 1)
-            if not (_nonzero(d_lo) and _nonzero(d_hi)):
-                continue
-            composable += 1
-            assert not _nonzero(d_hi.matmul(d_lo)), (name, r)
-        assert composable, f"{name}: no two nonzero differentials in a row"
+        _assert_squares_to_zero(name, degs, diff)
+
+
+class _Built(Exception):
+    """Stops transported_pair once its Hom complex is built."""
+
+
+def test_kronecker_transport_differentials_square_to_zero(monkeypatch):
+    # the Hom complex of the Kronecker transport has terms of dimension
+    # 39, 389, 1276, 958 and 104; resolving it is left out here
+    alg, u = _root("kronecker", 0, 1)
+    built = []
+    hom_transport = transport.hom_transport_complex
+
+    def record(*args, **kwargs):
+        built.append(hom_transport(*args, **kwargs))
+        raise _Built
+
+    monkeypatch.setattr(transport, "hom_transport_complex", record)
+    with pytest.raises(_Built):
+        transport.transported_pair(alg, u, alg, u, [0])
+    (cx,) = built
+    assert {r: m.dim for r, m in cx.modules.items()} == {
+        -2: 39, -1: 389, 0: 1276, 1: 958, 2: 104}
+    _assert_squares_to_zero("Kronecker transported CoordComplex", range(-3, 3), cx.diffs.get)
 
 
 P31 = Field(2**31 - 1)

@@ -12,12 +12,18 @@ from cyfold.exactlin import (
     PreparedSolver,
     SplitMix64,
     Subspace,
+    combine_rows,
+    combine_sparse,
+    dense_vector,
     intersect,
     kernel_basis,
+    kernel_vectors,
     random_vector,
     rank,
     rref,
     solve_linear,
+    sparse_transpose,
+    sparse_vector,
 )
 
 
@@ -277,6 +283,38 @@ def test_solvers_match_oracle(case):
                 assert got is None
             else:
                 assert got is not None and same(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_sparse_entry_points_match_dense(case):
+    """solve_sparse on a solver built from sparse columns, kernel_vectors,
+    combine_sparse and the *_sparse span methods give the dense answers,
+    value and type."""
+    field, m, rhs = case
+    dense = PreparedSolver(m)
+    sparse = PreparedSolver.from_columns(sparse_transpose(m.sparse_rows(), m.cols), m.rows, field)
+    for b in rhs:
+        want = dense.solve(b)
+        got = sparse.solve_sparse(sparse_vector(b))
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert all(v for v in got.values())
+            assert same(dense_vector(got, m.cols, field), want)
+    kernel = [dense_vector(v, m.cols, field) for v in kernel_vectors(m.sparse_rows(), m.cols, field)]
+    assert all(same(a, b) for a, b in zip(kernel, kernel_basis(m).basis.data))
+    assert len(kernel) == kernel_basis(m).dim
+    for coeffs in rhs:
+        got = combine_sparse(sparse_vector(coeffs), m.sparse_rows(), field)
+        assert all(v for v in got.values())
+        if m.rows:
+            assert same(dense_vector(got, m.cols, field), combine_rows(coeffs, m.data, field))
+    dense_span, sparse_span = IncrementalSpan(m.cols, field), IncrementalSpan(m.cols, field)
+    for row in m.data:
+        assert sparse_span.add_sparse(sparse_vector(row)) == dense_span.add(row)
+    for vec in rhs:
+        vec = (vec + [field.zero()] * m.cols)[: m.cols]
+        assert sparse_span.contains_sparse(sparse_vector(vec)) == dense_span.contains(vec)
 
 
 @settings(max_examples=150, deadline=None)

@@ -27,7 +27,7 @@ from cyfold.completion import (
     matrix_root_pair,
     polynomial_algebra,
 )
-from cyfold.exactlin import QQ, Field
+from cyfold.exactlin import QQ, Field, sparse_vector
 from cyfold.presets import (
     a2n_algebra,
     a2n_root,
@@ -145,7 +145,7 @@ def flat_products(alg, u, e_vertices, cutoff):
                                 _, t3 = traces[(ss1 + ss2, ms1 + (mid,) + ms2)]
                                 j = pos3[(t3, a1, b2)]
                                 vec[j] = f.add(vec[j], f.mul(f.mul(c1, c2), cm))
-                    entry = _express_with_solver(solver3, len(reps3), vec)
+                    entry = _express_with_solver(solver3, len(reps3), sparse_vector(vec))
                     if entry:
                         out[((l1, j1), (l2, j2))] = entry
     return out

@@ -157,6 +157,6 @@ def _bimodule_from_complex_degree0(alg, cx):
                 j = pos.get((s_idx, a, b2))
                 if j is not None:
                     rm.data[i][j] = f.add(rm.data[i][j], c)
-        left.append(lm)
-        right.append(rm)
+        left.append(lm.sparse_rows())
+        right.append(rm.sparse_rows())
     return BimoduleData(alg, alg, n, left, right)

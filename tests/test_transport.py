@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from test_bimodcx import _canonical_dump
 
 from cyfold.bimodcx import (
     bimodule_dual,
@@ -11,6 +14,7 @@ from cyfold.bimodcx import (
     standard_hereditary_resolution,
     tensor_power,
 )
+from cyfold.exactlin import QQ, Field
 from cyfold.presets import a4_mod_longest_algebra, kronecker_algebra, linear_an_algebra
 from cyfold.rootpair import RootPairSpec, check_strict_pair, k0_spanning_check
 from cyfold.transport import (
@@ -92,3 +96,27 @@ def test_transported_strict_pair(pair):
     assert report.passed, report.as_dict()
     assert report.details["add"]["total_top"] == {v: 1 for v in e_alg.vertices}
     assert k0_spanning_check(spec)
+
+
+# sha256 of the dump of the transported A_2 pair (its terms and
+# differential) followed by repr(sorted(hom_dims.items())), per field
+# characteristic and lifting seed.  Recorded before the bimodule actions
+# became sparse; they pin the whole transport chain value for value.
+TRANSPORTED_PAIR_DIGESTS = {
+    (0, 0): "a9f96d830988764b71ce6f3e62e6693b8dcabb1365d7ad31f3c43ab57981e778",
+    (0, 7): "495a05029a9664890b0c70ff35b86b795ed364df93e7b3ce2b831d53aa54e2cf",
+    (0, 123): "744600810246670bc234e1981ef1c916ef9191377eb509b588806932ab5c2b4c",
+    (2**31 - 1, 0): "f8ec53c103a4cda9eef9d986b4ea86f6fd9c7b70e0212cc1340d3c77a2206303",
+    (2**31 - 1, 7): "7855c19eea706cab13cb937f43efb4a4a7cc6514174c697e0e14dea66ec0f8a3",
+    (2**31 - 1, 123): "40345e551651697fb3915e4b2a3f4f615936265791048bef5a3dd433b7ae4121",
+}
+
+
+@pytest.mark.parametrize("char,seed", sorted(TRANSPORTED_PAIR_DIGESTS))
+def test_transported_pair_golden(char, seed):
+    a2 = linear_an_algebra(2, Field(char) if char else QQ)
+    u = resolve_bimodule(dual_regular_bimodule(a2), len_bound=4)
+    pair = transported_pair(a2, u, a2, u, [1], seed=seed)
+    h = hashlib.sha256(_canonical_dump(pair["u"]))
+    h.update(repr(sorted(pair["hom_dims"].items())).encode())
+    assert h.hexdigest() == TRANSPORTED_PAIR_DIGESTS[(char, seed)]
