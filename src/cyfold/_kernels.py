@@ -30,11 +30,6 @@ BACKEND = "python"
 ZERO = Fraction(0)
 
 
-def sparse_vector(values):
-    """The nonzero entries {j: v} of a dense vector of field elements."""
-    return {j: v for j, v in enumerate(values) if v is not ZERO and v}
-
-
 def _from_nonzeros(nz, p):
     """(nums, den) of a list of (column, nonzero value) pairs."""
     if p:
@@ -75,13 +70,6 @@ def dense_row(row, ncols, p):
     for j, v in nums.items():
         out[j] = Fraction(v, den)
     return out
-
-
-def value(row, j, p):
-    """Entry j of a sparse row, as a field element."""
-    nums, den = row
-    v = nums.get(j, 0)
-    return v if p else Fraction(v, den)
 
 
 def _lowest_terms(nums, den):

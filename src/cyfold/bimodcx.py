@@ -19,18 +19,14 @@ import itertools
 
 from .exactlin import (
     IncrementalSpan,
-    Matrix,
     PreparedSolver,
     Subspace,
     cohomology_dim,
     combine_sparse,
     derive_seed,
     kernel_basis,
-    kernel_vectors,
     random_vector,
-    rref,
     solve_linear,
-    sparse_transpose,
 )
 
 
@@ -87,19 +83,22 @@ def compose_entries(alg, g_entry, f_entry):
 
 
 def assemble(src, tgt, image, field):
-    """Matrix of a linear map given on coordinates: column j is the image
-    of src[j] and rows follow tgt.  image(coord) yields (target coordinate,
-    coefficient) pairs; repeated targets add up, and targets outside tgt
-    are dropped.  Every differential matrix in the package is built here."""
+    """Sparse columns of a linear map given on coordinates: column j is
+    the image of src[j] over the positions of tgt.  image(coord) yields
+    (target coordinate, coefficient) pairs; repeated targets add up, and
+    targets outside tgt and sums that cancel are dropped.  Every
+    differential in the package is built here."""
     tpos = {c: i for i, c in enumerate(tgt)}
-    mat = Matrix.zero(len(tgt), len(src), field)
-    data = mat.data
-    for col, coord in enumerate(src):
+    zero = field.zero()
+    cols = []
+    for coord in src:
+        col = {}
         for t, c in image(coord):
             row = tpos.get(t)
             if row is not None:
-                data[row][col] = field.add(data[row][col], c)
-    return mat
+                col[row] = field.add(col.get(row, zero), c)
+        cols.append({i: v for i, v in col.items() if v})
+    return cols
 
 
 def _by_source(dd):
@@ -165,7 +164,8 @@ class ProjBimodComplex:
         return out
 
     def diff_matrix(self, p, corner_filter=None):
-        """Scalar matrix of d^p on underlying coordinates (rows: degree p+1)."""
+        """Sparse columns of d^p on underlying coordinates (rows: degree
+        p+1): (columns, source coordinates, target coordinates)."""
         alg = self.base
         f = alg.field
         out = _by_source(self.diff.get(p, {}))
@@ -243,27 +243,28 @@ class ProjBimodComplex:
         for p in range(min(degs) - 1, max(degs) + 1):
             mats[p], coords[p], _ = self.diff_matrix(p)
         alg = self.base
+        f = alg.field
         for p in degs:
             src = coords[p]
             dmat = mats[p]
             prev = mats[p - 1]
-            # corner split: group columns by (target(a), source(b)); both the
-            # cycle and boundary computations respect the split
+            # corner split: group coordinates by (target(a), source(b)); both
+            # the cycle and boundary computations respect the split
             corner_of = [
                 (alg.basis[a].target, alg.basis[b].source) for (_, a, b) in src
             ]
             per = {}
             for uv in sorted(set(corner_of), key=str):
-                cols = [i for i, c in enumerate(corner_of) if c == uv]
+                keep = {i for i, c in enumerate(corner_of) if c == uv}
                 d = cohomology_dim(
-                    len(cols),
-                    Matrix.from_rows([[row[c] for c in cols] for row in dmat.data],
-                                     len(cols), alg.field),
-                    Matrix.from_rows([prev.data[r] for r in cols], prev.cols, alg.field),
+                    len(keep),
+                    [dmat[i] for i in sorted(keep)],
+                    [{r: v for r, v in col.items() if r in keep} for col in prev],
+                    f,
                 )
                 if d:
                     per[uv] = d
-            per["total"] = cohomology_dim(len(src), dmat, prev)
+            per["total"] = cohomology_dim(len(src), dmat, prev, f)
             out[p] = per
         return out
 
@@ -407,6 +408,10 @@ def standard_hereditary_resolution(alg):
     quiver = alg.quiver
     if quiver is None:
         raise NotHereditary("algebra has no quiver presentation")
+    if not quiver.arrows and alg.radical_indices():
+        # structure constants without arrows: no path length tells a
+        # relation-free algebra apart
+        raise NotHereditary("radical not presented by arrows; use resolve_bimodule")
     for bi in alg.basis:
         for bj in alg.basis:
             if bj.target != bi.source:
@@ -631,14 +636,31 @@ def chain_maps(x: ProjBimodComplex, y: ProjBimodComplex, r: int):
     Coordinates enumerate (p, s_idx, t_idx, alpha, beta) with alpha in
     corner(i_S, i_T), beta in corner(l_T, j_S); both subspaces live in that
     coordinate space.  The closed maps are the kernel of delta_r, the
-    boundaries the reduced column space of delta_{r-1}.
+    boundaries spanned by independent columns of delta_{r-1}.
     """
     f = x.base.field
-    delta, coords, _ = hom_diff_matrix(x, y, r)
-    n = len(coords)
-    res = rref(hom_diff_matrix(x, y, r - 1)[0].transpose())
-    boundaries = Subspace(n, Matrix.from_rows(res.reduced.data[:res.rank], n, f))
-    return kernel_basis(delta), boundaries, coords
+    delta, coords, tgt = hom_diff_matrix(x, y, r)
+    span = IncrementalSpan(f)
+    boundaries = [col for col in hom_diff_matrix(x, y, r - 1)[0] if span.add(col)]
+    return kernel_basis(delta, len(tgt), f), Subspace(len(coords), boundaries, f), coords
+
+
+def h0_representatives(diff_matrix, field):
+    """Cocycles whose classes are a basis of H^0 of a complex, given its
+    diff_matrix(p) -> (columns, src, tgt).  The cycles are ker d^0, every
+    coordinate when d^0 is empty, and the nonzero columns of d^{-1} seed
+    the span that picks the representatives.  Returns (degree-0
+    coordinates, representatives, a PreparedSolver writing a cocycle over
+    the representatives followed by the boundaries, None when both are
+    empty)."""
+    d0, coords, tgt = diff_matrix(0)
+    bounds = [col for col in diff_matrix(-1)[0] if col]
+    span = IncrementalSpan(field)
+    for col in bounds:
+        span.add(col)
+    reps = [z for z in kernel_basis(d0, len(tgt), field).basis if span.add(z)]
+    cols = reps + bounds
+    return coords, reps, PreparedSolver(cols, len(coords), field) if cols else None
 
 
 def _map_coords(x, y, r):
@@ -659,8 +681,9 @@ def _map_coords(x, y, r):
 
 
 def hom_diff_matrix(x, y, r):
-    """Matrix of the Hom-complex differential delta f = d_Y f - (-1)^r f d_X
-    from degree-r to degree-(r+1) map coordinates: (mat, src, tgt)."""
+    """Sparse columns of the Hom-complex differential
+    delta f = d_Y f - (-1)^r f d_X from degree-r to degree-(r+1) map
+    coordinates: (columns, src, tgt)."""
     alg = x.base
     f = alg.field
     sgn = f(1) if r % 2 == 0 else f(-1)
@@ -689,14 +712,14 @@ def hom_diff_matrix(x, y, r):
 
 
 def map_from_vector(x, y, r, coords, vec) -> ChainMap:
+    """The chain map of a sparse vector over map coordinates, built in
+    coordinate order."""
     f = x.base.field
     comps = {}
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
+    for i in sorted(vec):
         p, s_idx, t_idx, alpha, beta = coords[i]
         entry = comps.setdefault(p, {}).setdefault((t_idx, s_idx), {})
-        entry[(alpha, beta)] = f.add(entry.get((alpha, beta), f.zero()), c)
+        entry[(alpha, beta)] = f.add(entry.get((alpha, beta), f.zero()), vec[i])
     return ChainMap(x, y, r, comps)
 
 
@@ -731,7 +754,7 @@ def find_quasi_iso(x, y, r, trials=24, seed=0):
         return None
     for t in range(trials):
         vec = random_vector(closed, derive_seed(seed, t))
-        if all(v == 0 for v in vec):
+        if not vec:
             continue
         fmap = map_from_vector(x, y, r, coords, vec)
         if is_quasi_iso(fmap):
@@ -895,16 +918,13 @@ def _invert(x, summand, entry):
     f = x.base.field
     basis = x._endo_basis(summand)
     pos = {b: k for k, b in enumerate(basis)}
-    mat = Matrix.zero(len(basis), len(basis), f)
-    for k, b in enumerate(basis):
-        for b2, c in x._compose(entry, {b: f.one()}).items():
-            mat.data[pos[b2]][k] = c
-    rhs = [f.zero()] * len(basis)
-    rhs[pos[x._unit_key(summand, summand)]] = f.one()
-    sol = solve_linear(mat, rhs)
+    cols = [{pos[b2]: c for b2, c in x._compose(entry, {b: f.one()}).items()}
+            for b in basis]
+    unit = {pos[x._unit_key(summand, summand)]: f.one()}
+    sol = solve_linear(cols, len(basis), unit, f)
     if sol is None:
         raise ValueError("entry is not invertible")
-    return {basis[k]: c for k, c in enumerate(sol) if c != 0}
+    return {basis[k]: c for k, c in sol.items()}
 
 
 class RightSummand:
@@ -978,17 +998,15 @@ class RightComplex:
         for p in self.degrees():
             m1, _, _ = self.diff_matrix(p)
             m2, _, _ = self.diff_matrix(p + 1)
-            if m1.rows and m2.rows:
-                prod = m2.matmul(m1)
-                if any(any(v != 0 for v in row) for row in prod.data):
-                    errors.append(f"d*d != 0 at degree {p}")
+            if any(combine_sparse(col, m2, alg.field) for col in m1):
+                errors.append(f"d*d != 0 at degree {p}")
         return errors
 
     def cohomology_dims(self):
         out = {}
         for p in self.degrees():
             d = cohomology_dim(len(self.coords(p)), self.diff_matrix(p)[0],
-                               self.diff_matrix(p - 1)[0])
+                               self.diff_matrix(p - 1)[0], self.base.field)
             if d:
                 out[p] = d
         return out
@@ -1157,7 +1175,8 @@ class HomComplex:
         return out
 
     def diff_matrix(self, r):
-        """Matrix of delta f = d_y f - (-1)^r f d_x from degree r to r+1."""
+        """Sparse columns of delta f = d_y f - (-1)^r f d_x from degree r
+        to r+1: (columns, src, tgt)."""
         alg = self.alg
         f = alg.field
         sgn = f(1) if r % 2 == 0 else f(-1)
@@ -1181,7 +1200,7 @@ class HomComplex:
 
     def cohomology_dim(self, r):
         return cohomology_dim(len(self.coords(r)), self.diff_matrix(r)[0],
-                              self.diff_matrix(r - 1)[0])
+                              self.diff_matrix(r - 1)[0], self.alg.field)
 
 
 def rhom_right(x: RightComplex, y: RightComplex) -> HomComplex:
@@ -1286,23 +1305,23 @@ def _top_generators(m: BimoduleData):
     """Corner-tagged lifts of a basis of M / (rad M + M rad)."""
     f = m.field
     A, B = m.left_alg, m.right_alg
-    span = IncrementalSpan(m.dim, f)
+    span = IncrementalSpan(f)
     for r in A.radical_indices():
         for row in m.left_action[r]:
-            span.add_sparse(row)
+            span.add(row)
     for r in B.radical_indices():
         for row in m.right_action[r]:
-            span.add_sparse(row)
+            span.add(row)
     gens = []
     one = f.one()
     for i in range(m.dim):
         unit = {i: one}
-        if span.contains_sparse(unit):
+        if span.contains(unit):
             continue
         for u in A.vertices:
             for v in B.vertices:
                 w = m.corner_project(u, v, unit)
-                if w and span.add_sparse(w):
+                if w and span.add(w):
                     gens.append(((u, v), w))
     return gens
 
@@ -1320,9 +1339,7 @@ def _cover(m: BimoduleData):
     A, B = m.left_alg, m.right_alg
     gens = _top_generators(m)
     step = CoverStep([g for g, _ in gens], [w for _, w in gens])
-    coords = step.coords(A, B)
-    phi_rows = sparse_transpose(cover_images(m, step, coords), m.dim)
-    ker = kernel_vectors(phi_rows, len(coords), f)
+    ker = kernel_basis(cover_images(m, step, step.coords(A, B)), m.dim, f).basis
     k_data, inclusion = _sub_bimodule(_free_bimodule(A, B, step), ker)
     return step, k_data, inclusion
 
@@ -1341,10 +1358,10 @@ def _free_bimodule(A, B, step: CoverStep) -> BimoduleData:
 def _sub_bimodule(m: BimoduleData, rows):
     """Restrict the actions to the span of independent sparse rows, an
     action-stable subspace; returns (sub data, the rows as its inclusion)."""
-    solver = PreparedSolver.from_columns(rows, m.dim, m.field)
+    solver = PreparedSolver(rows, m.dim, m.field)
 
     def restrict(act):
-        images = [solver.solve_sparse(combine_sparse(r, act, m.field)) for r in rows]
+        images = [solver.solve(combine_sparse(r, act, m.field)) for r in rows]
         if None in images:
             raise ValueError("subspace is not action-stable")
         return images

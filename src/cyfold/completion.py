@@ -13,21 +13,12 @@ from .bimodcx import (
     assemble,
     compose_entries,
     entry_add,
+    h0_representatives,
     minimize,
     resolution_of_algebra,
     tensor_over_A,
 )
-from .exactlin import (
-    IncrementalSpan,
-    Matrix,
-    PreparedSolver,
-    Subspace,
-    cohomology_dim,
-    kernel_basis,
-    rref,
-    sparse_vector,
-    unit_vector,
-)
+from .exactlin import IncrementalSpan, cohomology_dim, kernel_basis, rank
 from .quiveralg import PathBasisAlgebra, Quiver
 
 
@@ -70,7 +61,7 @@ def corner_restricted_cohomology(x: ProjBimodComplex, e_vertices=None):
     for p in (range(min(degs) - 1, max(degs)) if degs else []):
         dm[p], _, _ = x.diff_matrix(p, filt)
     for p in degs:
-        d = cohomology_dim(sizes[p], dm.get(p), dm.get(p - 1))
+        d = cohomology_dim(sizes[p], dm.get(p), dm.get(p - 1), x.base.field)
         if d:
             out[p] = d
     return out
@@ -252,7 +243,7 @@ def dg_path_cohomology(p: DgPathAlgebra, adams_max) -> dict:
             for cdeg, plist in by_cdeg.items()
         }
         for cdeg, plist in sorted(by_cdeg.items()):
-            d = cohomology_dim(len(plist), mats.get(cdeg), mats.get(cdeg - 1))
+            d = cohomology_dim(len(plist), mats.get(cdeg), mats.get(cdeg - 1), f)
             if d:
                 table[(cdeg, l)] = d
     return table
@@ -420,16 +411,16 @@ def completion_algebra(algebra, u, e_vertices, cutoff, resolution=None):
         for k0, i0 in zero_index.items():
             for j, (vec, st) in enumerate(reps[l]):
                 left = _corner_act(power, coords, vec, k0, side="left")
-                entry = _express_with_solver(solvers[l], len(reps[l]), sparse_vector(left))
+                entry = _express_with_solver(solvers[l], len(reps[l]), left)
                 if entry:
                     mult[((0, i0), (l, j))] = entry
                 right = _corner_act(power, coords, vec, k0, side="right")
-                entry = _express_with_solver(solvers[l], len(reps[l]), sparse_vector(right))
+                entry = _express_with_solver(solvers[l], len(reps[l]), right)
                 if entry:
                     mult[((l, j), (0, i0))] = entry
     products = _PowerProducts(ta)
     chains = {
-        l: [{coords_of[l][i]: c for i, c in enumerate(vec) if c != 0} for vec, _ in reps[l]]
+        l: [{coords_of[l][i]: vec[i] for i in sorted(vec)} for vec, _ in reps[l]]
         for l in reps
     }
     for l1 in range(1, cutoff + 1):
@@ -535,67 +526,44 @@ def _h0_corner_reps(power, e_vertices):
     writes a cocycle over (representatives + boundaries), None when both
     are empty."""
     alg = power.base
-    f = alg.field
     filt = {(u, v) for u in e_vertices for v in e_vertices}
-    d0, coords, _ = power.diff_matrix(0, filt)
-    dprev, _, _ = power.diff_matrix(-1, filt)
-    n = len(coords)
-    cycles = kernel_basis(d0) if d0.rows else Subspace(n, Matrix.identity(n, f))
-    brows = []
-    if dprev.rows and dprev.cols:
-        for c in range(dprev.cols):
-            col = [dprev.data[r][c] for r in range(dprev.rows)]
-            if any(v != 0 for v in col):
-                brows.append(col)
-
-    span = IncrementalSpan(n, f)
-    for row in brows:
-        span.add(row)
-    reps = []
-    for z in cycles.basis.data:
-        if span.add(z):
-            reps.append((z, _coord_corner(alg, coords, z)))
-    cols = [z for z, _ in reps] + brows
-    solver = PreparedSolver(Matrix.from_rows(cols, n, f).transpose()) if cols else None
-    return reps, coords, solver
+    coords, reps, solver = h0_representatives(
+        lambda p: power.diff_matrix(p, filt), alg.field)
+    return [(z, _coord_corner(alg, coords, z)) for z in reps], coords, solver
 
 
 def _coord_corner(alg, coords, vec):
-    for i, v in enumerate(vec):
-        if v != 0:
-            _, a, b = coords[i]
-            return alg.basis[b].source, alg.basis[a].target
-    return None, None
+    _, a, b = coords[min(vec)]
+    return alg.basis[b].source, alg.basis[a].target
 
 
 def _corner_act(power, coords, vec, k0, side):
-    """Multiply an H^0 representative by a corner element of eAe."""
+    """Multiply a sparse H^0 representative by a corner element of eAe."""
     alg = power.base
     f = alg.field
     pos = {c: i for i, c in enumerate(coords)}
-    out = [f.zero()] * len(coords)
-    for i, v in enumerate(vec):
-        if v == 0:
-            continue
+    out = {}
+    for i in sorted(vec):
+        v = vec[i]
         s_idx, a, b = coords[i]
         if side == "left":
             for a2, c in alg.mult(k0, a).items():
                 j = pos.get((s_idx, a2, b))
                 if j is not None:
-                    out[j] = f.add(out[j], f.mul(v, c))
+                    out[j] = f.add(out.get(j, f.zero()), f.mul(v, c))
         else:
             for b2, c in alg.mult(b, k0).items():
                 j = pos.get((s_idx, a, b2))
                 if j is not None:
-                    out[j] = f.add(out[j], f.mul(v, c))
-    return out
+                    out[j] = f.add(out.get(j, f.zero()), f.mul(v, c))
+    return {j: c for j, c in out.items() if c}
 
 
 def _express_with_solver(solver, nreps, vec):
     """The coefficients on the representatives of a sparse cocycle."""
     if not vec:
         return {}
-    sol = solver.solve_sparse(vec) if solver is not None else None
+    sol = solver.solve(vec) if solver is not None else None
     if sol is None:
         raise ValueError("cycle not expressible; H^0 bookkeeping broken")
     return {i: c for i, c in sorted(sol.items()) if i < nreps}
@@ -857,9 +825,7 @@ def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
         if d == 0:
             kernels[d] = []
         else:
-            kernels[d] = [
-                unit_vector(len(coords), i, f) for i in range(len(coords))
-            ]
+            kernels[d] = [{i: f.one()} for i in range(len(coords))]
     current_gens = frees[0]
     current_kernel = kernels
     terminated = False
@@ -913,7 +879,7 @@ def _graded_cover_step(g, gens, kernel, N, f):
             continue
         coords_d = _free_coords(g, gens, d)
         # span of already chosen generators at this degree
-        span = IncrementalSpan(len(coords_d), f)
+        span = IncrementalSpan(f)
         for vec in covered[d]:
             span.add(vec)
         for vec in kd:
@@ -921,9 +887,7 @@ def _graded_cover_step(g, gens, kernel, N, f):
                 continue
             # split by right object and add as generators
             for obj in g.objects:
-                comp = _right_object_component(g, gens, coords_d, vec, obj, f)
-                if all(v == 0 for v in comp):
-                    continue
+                comp = _right_object_component(g, coords_d, vec, obj)
                 if not span.add(comp):
                     continue
                 new_gens.append((obj, d))
@@ -935,7 +899,7 @@ def _graded_cover_step(g, gens, kernel, N, f):
                         img = _free_right_mult(
                             g, gens, coords_d, coords_d2, comp, d2 - d, bi2, f
                         )
-                        if any(v != 0 for v in img):
+                        if img:
                             covered[d2].append(img)
     diff_vectors = [vec for (_, vec, _) in gen_vectors]
     # next kernel: per degree, kernel of (combination map) restricted to
@@ -950,39 +914,30 @@ def _graded_cover_step(g, gens, kernel, N, f):
                 gen_vectors[gi][1], m, bi, f,
             )
             cols.append(vec)
-        if not cols:
-            next_kernel[d] = []
-            continue
-        mat = Matrix.from_rows(cols, len(coords_d), f).transpose()
-        ker = kernel_basis(mat)
-        next_kernel[d] = [list(v) for v in ker.basis.data]
+        next_kernel[d] = kernel_basis(cols, len(coords_d), f).basis
     return new_gens, diff_vectors, next_kernel
 
 
-def _right_object_component(g, gens, coords_d, vec, obj, f):
-    out = [f.zero()] * len(coords_d)
-    for i, v in enumerate(vec):
-        if v == 0:
-            continue
+def _right_object_component(g, coords_d, vec, obj):
+    out = {}
+    for i in sorted(vec):
         gi, m, bi = coords_d[i]
         if g.basis[m][bi][1] == obj:
-            out[i] = v
+            out[i] = vec[i]
     return out
 
 
 def _free_right_mult(g, gens, src_coords, tgt_coords, vec, l, bi2, f):
-    """(vector over F at degree d) . (basis element bi2 of Gamma_l)."""
+    """(sparse vector over F at degree d) . (basis element bi2 of Gamma_l)."""
     pos = {c: i for i, c in enumerate(tgt_coords)}
-    out = [f.zero()] * len(tgt_coords)
-    for i, v in enumerate(vec):
-        if v == 0:
-            continue
+    out = {}
+    for i in sorted(vec):
         gi, m, bi = src_coords[i]
         for b3, c in g.product(m, bi, l, bi2).items():
             j = pos.get((gi, m + l, b3))
             if j is not None:
-                out[j] = f.add(out[j], f.mul(v, c))
-    return out
+                out[j] = f.add(out.get(j, f.zero()), f.mul(vec[i], c))
+    return {j: v for j, v in out.items() if v}
 
 
 def _dual_cohomology_at(g, frees, diffs, t, N, f):
@@ -1003,10 +958,9 @@ def _dual_cohomology_at(g, frees, diffs, t, N, f):
         over = {}
         for gj, (_, sj) in enumerate(frees[k + 1]):
             img_coords = _free_coords(g, frees[k], sj)
-            for ci, v in enumerate(diffs[k][gj]):
-                if v != 0:
-                    gi, m2, bi2 = img_coords[ci]
-                    over.setdefault(gi, []).append((gj, m2, bi2, v))
+            for ci, v in sorted(diffs[k][gj].items()):
+                gi, m2, bi2 = img_coords[ci]
+                over.setdefault(gi, []).append((gj, m2, bi2, v))
 
         def image(coord):
             # functional w at generator gi of F_k, precomposed with the
@@ -1021,7 +975,7 @@ def _dual_cohomology_at(g, frees, diffs, t, N, f):
     out = {}
     for k in range(len(spaces)):
         d = cohomology_dim(len(spaces[k]), mats[k] if k < len(mats) else None,
-                           mats[k - 1] if k else None)
+                           mats[k - 1] if k else None, f)
         if d:
             out[k] = d
     return out
@@ -1072,12 +1026,10 @@ def graded_quotient_dims(quiver, relations, adams_max, field=None):
                 ):
                     if wtgt != rsrc or uadeg + radeg + wadeg != l:
                         continue
-                    row = [f.zero()] * len(items)
+                    row = {}
                     for c, p in r.terms:
-                        full = (wsrc, upath + p + wpath)
-                        row[pos[full]] = f.add(row[pos[full]], f(c.numerator, c.denominator))
-                    if any(v != 0 for v in row):
-                        rows.append(row)
-        rank = rref(Matrix.from_rows(rows, len(items), f)).rank if rows else 0
-        out[l] = len(items) - rank
+                        j = pos[(wsrc, upath + p + wpath)]
+                        row[j] = f.add(row.get(j, f.zero()), f(c.numerator, c.denominator))
+                    rows.append(row)
+        out[l] = len(items) - rank(rows, f)
     return out

@@ -1,24 +1,24 @@
 """Deterministic exact linear algebra over Q and prime fields.
 
 Everything downstream (cohomology ranks, chain-map solving, resolutions)
-funnels through rref/kernel/solve here.  Arithmetic is exact: Fractions in
-lowest terms over Q, int residues mod a prime otherwise.  Matrices come in
-and go out dense, but the elimination inside is sparse (``_kernels``): the
-matrices met here are a few per cent nonzero.  A sparse vector is a dict
-{index: value} of the nonzero entries only; ``combine_sparse``,
-``kernel_vectors``, ``PreparedSolver.solve_sparse`` and the ``*_sparse``
-methods of ``IncrementalSpan`` take and give them, so code that keeps its
-data sparse never builds a dense row.  ``PreparedSolver`` factors
-a matrix once for many right-hand sides and ``IncrementalSpan`` grows a
-row space one vector at a time; use them instead of calling
-``solve_linear`` or ``rank`` in a loop over one matrix.  The seeded PRNG
-is splitmix64 (state += 0x9E3779B97F4B9C15; mixes 0xBF58476D1CE4E5B9 and
+funnels through the entry points here.  Arithmetic is exact: Fractions in
+lowest terms over Q, int residues mod a prime otherwise.  A vector is
+sparse, a dict {index: value} of its nonzero entries, and a matrix is the
+list of its columns as such vectors together with its row count n: the
+matrices met here are a few per cent nonzero, and the elimination behind
+every entry point is sparse too (``_kernels``).  The dense ``Matrix``
+serves only ``rref``, whose reduced rows some callers read, and small
+ring arithmetic through ``matmul``.  ``PreparedSolver`` factors a matrix
+once for many right-hand sides and ``IncrementalSpan`` grows a span one
+vector at a time; use them instead of calling ``solve_linear`` or ``rank``
+in a loop over one matrix.  The seeded PRNG is splitmix64
+(state += 0x9E3779B97F4B9C15; mixes 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB) so every randomized search is reproducible.
 """
 
 from fractions import Fraction
 
-from ._kernels import ZERO, Echelon, dense_row, row_of, sparse_row, sparse_vector, value
+from ._kernels import ZERO, Echelon, dense_row, row_of, sparse_row
 
 
 class Field:
@@ -102,18 +102,6 @@ class Matrix:
             return cls(0, cols or 0, [], field)
         return cls(len(data), len(data[0]), data, field)
 
-    @classmethod
-    def from_columns(cls, vectors, n, field=QQ):
-        """The n-row matrix whose columns are the sparse vectors."""
-        m = cls.zero(n, len(vectors), field)
-        for c, vec in enumerate(vectors):
-            for j, v in vec.items():
-                m.data[j][c] = v
-        return m
-
-    def sparse_rows(self):
-        return [sparse_vector(r) for r in self.data]
-
     def copy(self):
         return Matrix(self.rows, self.cols, self.data, self.field)
 
@@ -140,18 +128,6 @@ class Matrix:
                         trow[j] = f.add(trow[j], f.mul(a, b))
         return out
 
-    def apply(self, vec):
-        f = self.field
-        out = [f.zero()] * self.rows
-        for i in range(self.rows):
-            acc = f.zero()
-            row = self.data[i]
-            for j, v in enumerate(vec):
-                if v != 0 and row[j] != 0:
-                    acc = f.add(acc, f.mul(row[j], v))
-            out[i] = acc
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -164,29 +140,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
 
-class Subspace:
-    """Subspace of field^ambient_dim, spanned by independent basis rows."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim, basis):
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width != ambient dimension")
-
-    @property
-    def dim(self):
-        return self.basis.rows
-
-    def contains(self, vec):
-        if self.dim == 0:
-            return all(v == 0 for v in vec)
-        ech = _echelon(self.basis)
-        return (ech.rank == self.dim
-                and not ech.reduce(sparse_row(vec, self.basis.field.char))[0])
-
-
 class RrefResult:
     __slots__ = ("reduced", "rank", "pivots")
 
@@ -196,59 +149,17 @@ class RrefResult:
         self.pivots = pivots
 
 
-def _echelon(m: Matrix) -> Echelon:
-    p = m.field.char
-    return Echelon(p, [sparse_row(r, p) for r in m.data])
-
-
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row echelon form with rank and pivot columns."""
     if m.rows == 0 or m.cols == 0:
         return RrefResult(m.copy(), 0, [])
     p = m.field.char
-    ech = _echelon(m)
+    ech = Echelon(p, [sparse_row(r, p) for r in m.data])
     pivots = sorted(ech.rows)
     data = [dense_row(ech.rows[c], m.cols, p) for c in pivots]
     zero = m.field.zero()
     data += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
     return RrefResult(Matrix(m.rows, m.cols, data, m.field), len(pivots), pivots)
-
-
-def rank(m: Matrix) -> int:
-    return _echelon(m).rank
-
-
-def cohomology_dim(n, d_out, d_in):
-    """dim ker(d_out) - dim im(d_in) at a term of dimension n; None stands
-    for a zero map."""
-    return (n - (rank(d_out) if d_out is not None else 0)
-            - (rank(d_in) if d_in is not None else 0))
-
-
-def unit_vector(n, i, field=QQ):
-    v = [field.zero()] * n
-    v[i] = field.one()
-    return v
-
-
-def combine_rows(coeffs, rows, field=QQ):
-    """sum_k coeffs[k] * rows[k], densely."""
-    out = [field.zero()] * (len(rows[0]) if rows else 0)
-    for c, row in zip(coeffs, rows):
-        if not c:
-            continue
-        for j, v in enumerate(row):
-            if v:
-                out[j] = field.add(out[j], field.mul(c, v))
-    return out
-
-
-def dense_vector(vec, n, field=QQ):
-    """The length-n dense list of a sparse vector."""
-    out = [field.zero()] * n
-    for j, v in vec.items():
-        out[j] = v
-    return out
 
 
 def combine_sparse(coeffs, rows, field=QQ):
@@ -273,46 +184,72 @@ def sparse_transpose(vectors, n):
     return rows
 
 
-def kernel_vectors(rows, ncols, field=QQ):
-    """Sparse basis of the right null space {x : m x = 0} of the matrix
-    with the given sparse rows, one vector per free column c: 1 at c,
-    minus the reduced rows' entries in c at the pivots."""
+class Subspace:
+    """Subspace of field^ambient_dim spanned by independent sparse vectors."""
+
+    __slots__ = ("ambient_dim", "basis", "field")
+
+    def __init__(self, ambient_dim, basis, field=QQ):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+        self.field = field
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def contains(self, vec):
+        p = self.field.char
+        ech = Echelon(p, [row_of(b, p) for b in self.basis])
+        return not ech.reduce(row_of(vec, p))[0]
+
+
+def rank(vectors, field=QQ) -> int:
+    """Dimension of the span of the sparse vectors: the rank of the matrix
+    with them as columns, or as rows."""
     p = field.char
-    ech = Echelon(p, [row_of(r, p) for r in rows])
-    basis = {c: {c: field.one()} for c in range(ncols) if c not in ech.rows}
+    return Echelon(p, [row_of(v, p) for v in vectors]).rank
+
+
+def cohomology_dim(n, d_out, d_in, field=QQ):
+    """dim ker(d_out) - dim im(d_in) at a term of dimension n, for maps
+    given by their sparse columns; None stands for a zero map."""
+    return n - (rank(d_out, field) if d_out else 0) - (rank(d_in, field) if d_in else 0)
+
+
+def kernel_basis(columns, n, field=QQ) -> Subspace:
+    """The relations {x : sum_j x_j columns[j] = 0} among the columns of
+    an n-row matrix, one basis vector per free column c: 1 at c, minus
+    the reduced rows' entries in c at the pivots."""
+    p = field.char
+    ech = Echelon(p, [row_of(r, p) for r in sparse_transpose(columns, n) if r])
+    basis = {c: {c: field.one()} for c in range(len(columns)) if c not in ech.rows}
     for pc, (nums, den) in ech.rows.items():
         # a reduced row is 0 in the other pivot columns
         for c, v in nums.items():
             if c != pc:
                 basis[c][pc] = -v % p if p else Fraction(-v, den)
-    return list(basis.values())
+    return Subspace(len(columns), list(basis.values()), field)
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """kernel_vectors of a dense matrix, as a Subspace."""
-    f = m.field
-    vecs = kernel_vectors(m.sparse_rows(), m.cols, f)
-    return Subspace(m.cols, Matrix.from_rows(
-        [dense_vector(v, m.cols, f) for v in vecs], m.cols, f))
-
-
-def solve_linear(m: Matrix, b):
-    """Some x with m x = b, or None when b is outside the column space.
-    The free unknowns are 0.  To solve many systems with one m, use
+def solve_linear(columns, n, b, field=QQ):
+    """Some x with m x = b for the n-row matrix m with these columns, or
+    None when b is outside the column space; b and x are sparse and the
+    free unknowns are 0.  To solve many systems with one m, use
     PreparedSolver."""
-    if len(b) != m.rows:
-        raise ValueError("rhs length != row count")
-    f = m.field
-    if m.rows == 0:
-        return [f.zero()] * m.cols
-    p = f.char
-    k = m.cols
-    ech = Echelon(p, [sparse_row(m.data[i] + [b[i]], p) for i in range(m.rows)])
+    p = field.char
+    k = len(columns)
+    rows = sparse_transpose(columns, n)
+    for i, v in b.items():
+        rows[i][k] = v
+    ech = Echelon(p, [row_of(r, p) for r in rows if r])
     if k in ech.rows:
         return None
-    x = [f.zero()] * k
-    for pc, row in ech.rows.items():
-        x[pc] = value(row, k, p)
+    x = {}
+    for pc in sorted(ech.rows):
+        nums, den = ech.rows[pc]
+        if nums.get(k):
+            x[pc] = nums[k] if p else Fraction(nums[k], den)
     return x
 
 
@@ -348,70 +285,34 @@ def derive_seed(seed, index):
 
 
 def random_vector(space: Subspace, seed, bound=10):
-    """Deterministic random element of the subspace.
+    """Deterministic random element of the subspace, as a sparse vector.
 
     Coefficients over the basis are drawn from {-bound..bound}; the zero
     subspace yields the zero vector.
     """
-    f = space.basis.field
-    if space.dim == 0:
-        return [f.zero()] * space.ambient_dim
+    f = space.field
     rng = SplitMix64(seed)
-    coeffs = [f(rng.int_in(-bound, bound)) for _ in space.basis.data]
-    return combine_rows(coeffs, space.basis.data, f)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient mismatch")
-    f = a.basis.field
-    if a.dim == 0 or b.dim == 0:
-        return Subspace(a.ambient_dim, Matrix.zero(0, a.ambient_dim, f))
-    # solve x*A - y*B = 0 over coefficient vectors (x, y)
-    stacked = Matrix.from_rows(
-        a.basis.data + [[f.neg(v) for v in row] for row in b.basis.data],
-        a.ambient_dim,
-        f,
-    ).transpose()
-    ker = kernel_basis(stacked)
-    rows = [combine_rows(coeffs[:a.dim], a.basis.data, f) for coeffs in ker.basis.data]
-    if not rows:
-        return Subspace(a.ambient_dim, Matrix.zero(0, a.ambient_dim, f))
-    res = rref(Matrix.from_rows(rows, a.ambient_dim, f))
-    rows = [res.reduced.data[i] for i in range(res.rank)]
-    return Subspace(a.ambient_dim, Matrix.from_rows(rows, a.ambient_dim, f))
+    coeffs = {k: f(rng.int_in(-bound, bound)) for k in range(space.dim)}
+    return combine_sparse(coeffs, space.basis, f)
 
 
 class PreparedSolver:
     """Factor a matrix once, then solve m x = b for many right-hand sides.
 
-    Row-reduces [m | I] and keeps only the nonzeros of the right block, by
-    column.  A row with its pivot in m gives x at that pivot as its dot
-    product with b; the rows without one span the left null space of m, so
-    b is consistent iff each of them is orthogonal to b.  A solve touches
-    only the columns in b's support.  The answer is solve_linear's.
-    ``solve_sparse`` takes and gives sparse vectors and the dense ``solve``
-    wraps it; ``from_columns`` factors a matrix given by sparse columns.
+    m is the n-row matrix with the given sparse columns, and b and x are
+    sparse vectors.  Row-reduces [m | I] and keeps only the nonzeros of
+    the right block, by column.  A row with its pivot in m gives x at that
+    pivot as its dot product with b; the rows without one span the left
+    null space of m, so b is consistent iff each of them is orthogonal to
+    b.  A solve touches only the columns in b's support.  The answer is
+    solve_linear's.
     """
 
-    def __init__(self, m: Matrix):
-        self._factor([sparse_row(r, m.field.char) for r in m.data], m.cols, m.field)
-
-    @classmethod
-    def from_columns(cls, vectors, n, field=QQ):
-        """The solver of the n-row matrix whose columns are the sparse
-        vectors: it writes b over them."""
-        solver = cls.__new__(cls)
-        rows = [row_of(r, field.char) for r in sparse_transpose(vectors, n)]
-        solver._factor(rows, len(vectors), field)
-        return solver
-
-    def _factor(self, rows, k, field):
-        """Factor the matrix with k columns and these (nums, den) rows."""
-        self.shape = (len(rows), k)
-        self.field = field
+    def __init__(self, columns, n, field=QQ):
         p = field.char
+        k = len(columns)
+        self.field = field
+        rows = [row_of(r, p) for r in sparse_transpose(columns, n)]
         for i, (nums, den) in enumerate(rows):
             nums[k + i] = den  # the identity entry, den / den = 1
         ech = Echelon(p, rows)
@@ -426,9 +327,9 @@ class PreparedSolver:
                 if j >= k:
                     self._cols.setdefault(j - k, []).append((slot, v))
 
-    def solve_sparse(self, b):
-        """m x = b for a sparse b {row: value}: a sparse x {column: value},
-        or None when b is outside the column space."""
+    def solve(self, b):
+        """m x = b: a sparse x {column: value}, or None when b is outside
+        the column space."""
         p = self.field.char
         bnums, bden = row_of(b, p)
         acc = {}
@@ -446,19 +347,13 @@ class PreparedSolver:
             x[self.pivots[slot]] = a if p else Fraction(a, self._dens[slot] * bden)
         return x
 
-    def solve(self, b):
-        if len(b) != self.shape[0]:
-            raise ValueError("rhs length != row count")
-        x = self.solve_sparse(sparse_vector(b))
-        return None if x is None else dense_vector(x, self.shape[1], self.field)
-
 
 class IncrementalSpan:
-    """Row space with one-at-a-time insertion; sparse, fully reduced rows
-    make a membership test cost one pass over the vector's support."""
+    """Span with one-at-a-time insertion of sparse vectors; sparse, fully
+    reduced rows make a membership test cost one pass over the vector's
+    support."""
 
-    def __init__(self, n, field=QQ):
-        self.n = n
+    def __init__(self, field=QQ):
         self.field = field
         self._echelon = Echelon(field.char)
 
@@ -467,19 +362,8 @@ class IncrementalSpan:
         return self._echelon.rank
 
     def contains(self, vec):
-        return self.contains_sparse(sparse_vector(vec))
-
-    def contains_sparse(self, vec):
         return not self._echelon.reduce(row_of(vec, self.field.char))[0]
 
     def add(self, vec):
         """Insert if independent; returns True when the span grew."""
-        return self.add_sparse(sparse_vector(vec))
-
-    def add_sparse(self, vec):
         return self._echelon.insert(row_of(vec, self.field.char)) is not None
-
-    def rows(self):
-        """The reduced basis, dense, in the order the rows were added."""
-        p = self.field.char
-        return [dense_row(r, self.n, p) for r in self._echelon.rows.values()]

@@ -10,7 +10,7 @@ reduction of the relation ideal.
 
 from fractions import Fraction
 
-from .exactlin import QQ, Matrix, Subspace, combine_rows, rref
+from .exactlin import QQ, IncrementalSpan, Matrix, combine_sparse, rank, rref
 
 
 class NotFiniteDimensional(Exception):
@@ -154,16 +154,6 @@ class PathBasisAlgebra:
             ]
         return self._corner_cache[key]
 
-    def corner(self, i, j) -> Subspace:
-        idxs = self.corner_indices(i, j)
-        f = self.field
-        rows = []
-        for ix in idxs:
-            row = [f.zero()] * self.dim
-            row[ix] = f.one()
-            rows.append(row)
-        return Subspace(self.dim, Matrix.from_rows(rows, self.dim, f))
-
     def radical_indices(self):
         idem = set(self.idempotents.values())
         return [b.index for b in self.basis if b.index not in idem]
@@ -218,17 +208,8 @@ class PathBasisAlgebra:
             if not nxt:
                 return n
             # keep only an independent spanning set to bound growth
-            rows = []
-            for x in nxt:
-                row = [f.zero()] * self.dim
-                for k, c in x.items():
-                    row[k] = c
-                rows.append(row)
-            res = rref(Matrix.from_rows(rows, self.dim, f))
-            current = []
-            for ridx in range(res.rank):
-                vec = res.reduced.data[ridx]
-                current.append({k: v for k, v in enumerate(vec) if v != 0})
+            span = IncrementalSpan(f)
+            current = [x for x in nxt if span.add(x)]
             n += 1
         return None if current else n
 
@@ -484,10 +465,10 @@ def tensor_product_algebra(a: PathBasisAlgebra, b: PathBasisAlgebra):
 
 
 class RightModule:
-    """Finite-dimensional right module given by action matrices.
+    """Finite-dimensional right module given by sparse action rows.
 
-    action[k] is the dim x dim matrix of right multiplication by
-    basis[k]: (m . b)_j = sum_i m_i action[k][i][j].
+    action[k][i] = {j: coeff of m_j in m_i . basis[k]}, nonzeros only;
+    vectors in and out of ``act`` are sparse too.
     """
 
     def __init__(self, algebra, dim, action):
@@ -496,7 +477,7 @@ class RightModule:
         self.action = action
 
     def act(self, vec, k):
-        return combine_rows(vec, self.action[k].data, self.algebra.field)
+        return combine_sparse(vec, self.action[k], self.algebra.field)
 
 
 def dimension_vector(m: RightModule):
@@ -504,17 +485,11 @@ def dimension_vector(m: RightModule):
     out = {}
     for v in m.algebra.vertices:
         e = m.algebra.idempotent_index(v)
-        out[v] = rref(m.action[e]).rank
+        out[v] = rank(m.action[e], m.algebra.field)
     return out
 
 
 def regular_module(a: PathBasisAlgebra) -> RightModule:
-    f = a.field
-    action = []
-    for k in range(a.dim):
-        mat = Matrix.zero(a.dim, a.dim, f)
-        for i in range(a.dim):
-            for t, c in a.mult(i, k).items():
-                mat.data[i][t] = c
-        action.append(mat)
+    action = [[{t: c for t, c in a.mult(i, k).items() if c} for i in range(a.dim)]
+              for k in range(a.dim)]
     return RightModule(a, a.dim, action)

@@ -19,6 +19,7 @@ from .bimodcx import (
     bimodule_dual,
     chain_maps,
     find_quasi_iso,
+    h0_representatives,
     hom_diff_matrix,
     is_quasi_iso,
     map_from_vector,
@@ -29,14 +30,11 @@ from .bimodcx import (
     tensor_right,
 )
 from .exactlin import (
-    IncrementalSpan,
-    Matrix,
-    PreparedSolver,
-    Subspace,
+    combine_sparse,
     derive_seed,
     kernel_basis,
     random_vector,
-    rref,
+    rank,
     solve_linear,
 )
 from .quiveralg import RightModule
@@ -128,11 +126,10 @@ class ContractWithA:
         return assemble(self.coords(r), self.coords(r + 1), image, f)
 
     def boundary_decompose(self, r, vec):
-        """Write vec at degree r as d(w) if possible, else return None."""
-        mat = self.diff_matrix(r - 1)
-        if not mat.rows:
-            return None if any(v != 0 for v in vec) else []
-        return solve_linear(mat, vec)
+        """Write a dense vec at degree r as d(w), w sparse, if possible,
+        else return None."""
+        b = {i: v for i, v in enumerate(vec) if v}
+        return solve_linear(self.diff_matrix(r - 1), len(self.coords(r)), b, self.alg.field)
 
 
 def evaluation_matrix(x: ProjBimodComplex, dual, contracted: ContractedComplex, r):
@@ -155,6 +152,8 @@ def evaluation_matrix(x: ProjBimodComplex, dual, contracted: ContractedComplex, 
 
 
 class CasimirElement:
+    """A degree-0 chain of X (x) X^dual as a sparse vector over coords."""
+
     def __init__(self, x, dual, contracted, coords, vector):
         self.complex = x
         self.dual = dual
@@ -163,9 +162,24 @@ class CasimirElement:
         self.vector = vector
 
     def items(self):
-        for coord, c in zip(self.coords, self.vector):
-            if c != 0:
-                yield coord, c
+        for i in sorted(self.vector):
+            yield self.coords[i], self.vector[i]
+
+
+def _identity_vector(x, end_coords):
+    """The identity of X as a sparse vector over End(X) coordinates."""
+    alg = x.base
+    one = alg.field.one()
+    out = {}
+    for i, (p, s_idx, t_idx, alpha, beta) in enumerate(end_coords):
+        s = x.summands(p)[s_idx]
+        if (
+            t_idx == s_idx
+            and alpha == alg.idempotent_index(s.left)
+            and beta == alg.idempotent_index(s.right)
+        ):
+            out[i] = one
+    return out
 
 
 def casimir(x: ProjBimodComplex, dual=None, perturb_seed=None) -> CasimirElement:
@@ -176,69 +190,39 @@ def casimir(x: ProjBimodComplex, dual=None, perturb_seed=None) -> CasimirElement
     a random element of the solution space's homogeneous part (a different
     but equally valid representative).
     """
-    alg = x.base
-    f = alg.field
+    f = x.base.field
     if dual is None:
         dual = bimodule_dual(x)
     contracted = ContractedComplex(x, dual)
     coords = contracted.coords(0)
     n = len(coords)
     ev, _, end_coords = evaluation_matrix(x, dual, contracted, 0)
-    hd, h_coords, _ = hom_diff_matrix(x, x, -1)
-    dc = contracted.diff_matrix(0)
+    hd, _, _ = hom_diff_matrix(x, x, -1)
     n_end = len(end_coords)
-    n_h = len(h_coords)
-    rows = []
-    rhs = []
-    # identity vector in End coordinates
-    idvec = [f.zero()] * n_end
-    for i, (p, s_idx, t_idx, alpha, beta) in enumerate(end_coords):
-        s = x.summands(p)[s_idx]
-        if (
-            t_idx == s_idx
-            and alpha == alg.idempotent_index(s.left)
-            and beta == alg.idempotent_index(s.right)
-        ):
-            idvec[i] = f.one()
-    # ev * c - hd * h = id
-    for i in range(n_end):
-        row = [ev.data[i][j] for j in range(n)]
-        row += [f.neg(hd.data[i][j]) for j in range(n_h)]
-        rows.append(row)
-        rhs.append(idvec[i])
-    # d(c) = 0
-    for i in range(dc.rows):
-        row = [dc.data[i][j] for j in range(n)] + [f.zero()] * n_h
-        rows.append(row)
-        rhs.append(f.zero())
-    mat = Matrix.from_rows(rows, n + n_h, f) if rows else Matrix.zero(0, n + n_h, f)
-    sol = solve_linear(mat, rhs)
+    # unknowns (c, h): the rows ev c - hd h = id, then the rows d(c) = 0
+    cols = [e | {n_end + i: v for i, v in d.items()}
+            for e, d in zip(ev, contracted.diff_matrix(0))]
+    cols += [{i: f.neg(v) for i, v in col.items()} for col in hd]
+    n_rows = n_end + len(contracted.coords(1))
+    sol = solve_linear(cols, n_rows, _identity_vector(x, end_coords), f)
     if sol is None:
         raise LiftFailed("no Casimir element; sign conventions broken")
-    vec = sol[:n]
     if perturb_seed is not None:
-        hom = kernel_basis(mat)
-        if hom.dim:
-            shift_vec = random_vector(hom, perturb_seed)
-            vec = [f.add(vec[i], shift_vec[i]) for i in range(n)]
+        shift_vec = random_vector(kernel_basis(cols, n_rows, f), perturb_seed)
+        sol = combine_sparse({0: f.one(), 1: f.one()}, [sol, shift_vec], f)
+    vec = {j: v for j, v in sol.items() if j < n}
     return CasimirElement(x, dual, contracted, coords, vec)
 
 
 def casimir_identity_defect(cas: CasimirElement):
-    """Residual ev(c) - id, for tests; must be exact in End(X)."""
+    """Residual ev(c) - id as a sparse vector, for tests; must be exact in
+    End(X)."""
     x = cas.complex
     f = x.base.field
     ev, _, end_coords = evaluation_matrix(x, cas.dual, cas.contracted, 0)
-    img = ev.apply(cas.vector)
-    for i, (p, s_idx, t_idx, alpha, beta) in enumerate(end_coords):
-        s = x.summands(p)[s_idx]
-        if (
-            t_idx == s_idx
-            and alpha == x.base.idempotent_index(s.left)
-            and beta == x.base.idempotent_index(s.right)
-        ):
-            img[i] = f.add(img[i], f.neg(f.one()))
-    return img, end_coords
+    img = combine_sparse(cas.vector, ev, f)
+    ident = _identity_vector(x, end_coords)
+    return combine_sparse({0: f.one(), 1: f.neg(f.one())}, [img, ident], f), end_coords
 
 
 class HHClass:
@@ -251,10 +235,8 @@ class HHClass:
         self.vector = vector
 
     def is_cycle(self):
-        mat = self.ambient.diff_matrix(self.degree)
-        if not mat.rows:
-            return True
-        return all(v == 0 for v in mat.apply(self.vector))
+        vec = {i: v for i, v in enumerate(self.vector) if v}
+        return not combine_sparse(vec, self.ambient.diff_matrix(self.degree), self.power.base.field)
 
 
 def hh_class(phi: ChainMap, cas: CasimirElement, power: ProjBimodComplex) -> HHClass:
@@ -335,21 +317,6 @@ def rotate(cls: HHClass, n: int) -> HHClass:
     return HHClass(power, cls.ambient, cls.degree, out)
 
 
-def class_matrix(x_dual, power, cas, coords, r):
-    """Columns: hh_class of each unit closed-map coordinate."""
-    f = power.base.field
-    ambient = ContractWithA(power)
-    m = len(ambient.coords(r))
-    cols = []
-    for k in range(len(coords)):
-        vec = [f.zero()] * len(coords)
-        vec[k] = f.one()
-        fmap = map_from_vector(x_dual, power, r, coords, vec)
-        cls = hh_class(fmap, cas, power)
-        cols.append(cls.vector)
-    return cols, ambient
-
-
 def is_cyclically_invariant(
     alg,
     u: ProjBimodComplex,
@@ -379,60 +346,25 @@ def is_cyclically_invariant(
         fmap = find_quasi_iso(dual, power, r, trials=trials, seed=seed)
         return (fmap is not None), fmap
     cas = casimir(resolution)
-    cols, ambient = class_matrix(dual, power, cas, coords, r)
-    amb_coords = ambient.coords(r)
-    m = len(amb_coords)
-    dmat = ambient.diff_matrix(r - 1)
-    nb = dmat.cols
-    # unknowns: t (over closed basis) and w (boundary preimage)
-    rows = []
-    zdim = closed.dim
-    for i in range(m):
-        row = []
-        for k in range(zdim):
-            zvec = closed.basis.data[k]
-            # class((1 - rho) applied to the k-th closed basis map), entry i
-            acc = f.zero()
-            for j, cj in enumerate(zvec):
-                if cj != 0:
-                    acc = f.add(acc, f.mul(cj, cols[j][i]))
-            row.append(acc)
-        rows.append(row)
-    # rotation applied columnwise
-    rot_rows = [[f.zero()] * zdim for _ in range(m)]
-    for k in range(zdim):
-        zvec = closed.basis.data[k]
-        vec = [f.zero()] * m
-        for j, cj in enumerate(zvec):
-            if cj != 0:
-                for i in range(m):
-                    vec[i] = f.add(vec[i], f.mul(cj, cols[j][i]))
-        cls = HHClass(power, ambient, r, vec)
-        rvec = rotate(cls, a).vector
-        for i in range(m):
-            rot_rows[i][k] = rvec[i]
-    eq_rows = []
-    for i in range(m):
-        row = [f.add(rows[i][k], f.neg(rot_rows[i][k])) for k in range(zdim)]
-        row += [f.neg(dmat.data[i][j]) for j in range(nb)]
-        eq_rows.append(row)
-    if eq_rows:
-        sol_space = kernel_basis(Matrix.from_rows(eq_rows, zdim + nb, f))
-    else:
-        sol_space = Subspace(zdim + nb, Matrix.identity(zdim + nb, f))
+    ambient = ContractWithA(power)
+    m = len(ambient.coords(r))
+    # unknowns: t (over the closed basis) and w (a boundary preimage), with
+    # class((1 - rho) sum_k t_k z_k) = d w
+    eq_cols = []
+    for z in closed.basis:
+        cls = hh_class(map_from_vector(dual, power, r, coords, z), cas, power)
+        rot = rotate(cls, a).vector
+        diff = (f.add(c, f.neg(rc)) for c, rc in zip(cls.vector, rot))
+        eq_cols.append({i: v for i, v in enumerate(diff) if v})
+    eq_cols += [{i: f.neg(v) for i, v in col.items()} for col in ambient.diff_matrix(r - 1)]
+    sol_space = kernel_basis(eq_cols, m, f)
     if sol_space.dim == 0:
         return False, None
+    zdim = closed.dim
     for t in range(trials):
         coeffs = random_vector(sol_space, derive_seed(seed, t))
-        tpart = coeffs[:zdim]
-        vec = [f.zero()] * len(coords)
-        for k, ck in enumerate(tpart):
-            if ck == 0:
-                continue
-            for j, cj in enumerate(closed.basis.data[k]):
-                if cj != 0:
-                    vec[j] = f.add(vec[j], f.mul(ck, cj))
-        if all(v == 0 for v in vec):
+        vec = combine_sparse({k: c for k, c in coeffs.items() if k < zdim}, closed.basis, f)
+        if not vec:
             continue
         fmap = map_from_vector(dual, power, r, coords, vec)
         if is_quasi_iso(fmap):
@@ -468,7 +400,7 @@ def peel_map(phi: ChainMap, u: ProjBimodComplex, a: int, d: int, resolution=None
     amb_pos = {c: i for i, c in enumerate(amb_coords)}
     m = len(amb_coords)
     # pairing columns for each psi coordinate, mapped into ambient coords
-    pair_cols = [[f.zero()] * m for _ in range(len(psi_coords))]
+    pair_cols = [{} for _ in psi_coords]
     for ((p, s_idx), (q, t_idx), (u1, v1)), c_cas in cas_u.items():
         sgn = f(1) if (d * p) % 2 == 0 else f(-1)
         for k, (pp, psrc, ptgt, alpha, beta) in enumerate(psi_coords):
@@ -485,42 +417,24 @@ def peel_map(phi: ChainMap, u: ProjBimodComplex, a: int, d: int, resolution=None
                             ((p, s_idx),) + ss2, (a2,) + ms2, b2,
                         )
                         if amb_i is not None:
-                            pair_cols[k][amb_i] = f.add(pair_cols[k][amb_i], val)
+                            col = pair_cols[k]
+                            col[amb_i] = f.add(col.get(amb_i, f.zero()), val)
                     else:
                         for amb_j, cval in _find_a1_coord(
                             power_a, resolution, amb_pos, alg, f,
                             p, s_idx, q + r, ptgt, a2, b2,
                         ):
-                            pair_cols[k][amb_j] = f.add(
-                                pair_cols[k][amb_j], f.mul(val, cval)
-                            )
-    dmat = amb.diff_matrix(r - 1)
-    nb = dmat.cols
-    zdim = closed.dim
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = []
-        for kk in range(zdim):
-            acc = f.zero()
-            for j, cj in enumerate(closed.basis.data[kk]):
-                if cj != 0:
-                    acc = f.add(acc, f.mul(cj, pair_cols[j][i]))
-            row.append(acc)
-        row += [f.neg(dmat.data[i][j]) for j in range(nb)]
-        rows.append(row)
-        rhs.append(tau.vector[i])
-    mat = Matrix.from_rows(rows, zdim + nb, f) if rows else Matrix.zero(0, zdim + nb, f)
-    sol = solve_linear(mat, rhs)
+                            col = pair_cols[k]
+                            col[amb_j] = f.add(col.get(amb_j, f.zero()), f.mul(val, cval))
+    # unknowns: t (over the closed basis) and w, with pair(sum_k t_k z_k) - d w = tau
+    cols = [combine_sparse(z, pair_cols, f) for z in closed.basis]
+    cols += [{i: f.neg(v) for i, v in col.items()} for col in amb.diff_matrix(r - 1)]
+    rhs = {i: v for i, v in enumerate(tau.vector) if v}
+    sol = solve_linear(cols, m, rhs, f)
     if sol is None:
         raise LiftFailed("pairing identity has no solution")
-    vec = [f.zero()] * len(psi_coords)
-    for kk in range(zdim):
-        if sol[kk] == 0:
-            continue
-        for j, cj in enumerate(closed.basis.data[kk]):
-            if cj != 0:
-                vec[j] = f.add(vec[j], f.mul(sol[kk], cj))
+    zdim = closed.dim
+    vec = combine_sparse({k: c for k, c in sol.items() if k < zdim}, closed.basis, f)
     return map_from_vector(dual_u, target, r, psi_coords, vec)
 
 
@@ -654,45 +568,25 @@ def h0_right_module(rc: RightComplex):
     """H^0 of a right complex as a RightModule, with chosen representatives."""
     alg = rc.base
     f = alg.field
-    coords = rc.coords(0)
-    n = len(coords)
-    d0, _, _ = rc.diff_matrix(0)
-    dprev, _, _ = rc.diff_matrix(-1)
-    cycles = kernel_basis(d0) if d0.rows else Subspace(n, Matrix.identity(n, f))
-    brows = []
-    if dprev.rows and dprev.cols:
-        for c in range(dprev.cols):
-            col = [dprev.data[rr][c] for rr in range(dprev.rows)]
-            if any(v != 0 for v in col):
-                brows.append(col)
-
-    span = IncrementalSpan(n, f)
-    for row in brows:
-        span.add(row)
-    reps = [zrow for zrow in cycles.basis.data if span.add(zrow)]
+    coords, reps, solver = h0_representatives(rc.diff_matrix, f)
     k = len(reps)
-    if k == 0:
-        zero = [Matrix.zero(0, 0, f) for _ in range(alg.dim)]
-        return RightModule(alg, 0, zero), coords, []
+    pos = {c: i for i, c in enumerate(coords)}
     # express act(rep) = sum c_j rep_j + boundary
-    solver = PreparedSolver(Matrix.from_rows(reps + brows, n, f).transpose())
     action = []
     for kk in range(alg.dim):
-        mat = Matrix.zero(k, k, f)
-        for i, rep in enumerate(reps):
-            img = [f.zero()] * n
-            for ci, val in enumerate(rep):
-                if val == 0:
-                    continue
+        rows = []
+        for rep in reps:
+            img = {}
+            for ci in sorted(rep):
                 s_idx, b = coords[ci]
                 for b2, cb in alg.mult(b, kk).items():
-                    j = coords.index((s_idx, b2))
-                    img[j] = f.add(img[j], f.mul(val, cb))
-            sol = solver.solve(img)
+                    j = pos[(s_idx, b2)]
+                    img[j] = f.add(img.get(j, f.zero()), f.mul(rep[ci], cb))
+            sol = solver.solve({j: v for j, v in img.items() if v})
             if sol is None:
                 raise ValueError("action does not preserve cycles")
-            mat.data[i] = sol[:k]
-        action.append(mat)
+            rows.append({i: v for i, v in sorted(sol.items()) if i < k})
+        action.append(rows)
     return RightModule(alg, k, action), coords, reps
 
 
@@ -701,26 +595,10 @@ def top_vector(m: RightModule):
     alg = m.algebra
     f = alg.field
     out = {}
-    units = []
-    for i in range(m.dim):
-        v = [f.zero()] * m.dim
-        v[i] = f.one()
-        units.append(v)
     for v in alg.vertices:
-        e = alg.idempotent_index(v)
-        mev = [m.act(u, e) for u in units]
-        mev = [row for row in mev if any(x != 0 for x in row)]
-        dim_ev = rref(Matrix.from_rows(mev, m.dim, f)).rank if mev else 0
-        rad_rows = []
-        for r in alg.radical_indices():
-            if alg.basis[r].source != v:
-                continue
-            for u in units:
-                w = m.act(u, r)
-                if any(x != 0 for x in w):
-                    rad_rows.append(w)
-        dim_rad = rref(Matrix.from_rows(rad_rows, m.dim, f)).rank if rad_rows else 0
-        out[v] = dim_ev - dim_rad
+        rad_rows = [row for r in alg.radical_indices() if alg.basis[r].source == v
+                    for row in m.action[r]]
+        out[v] = rank(m.action[alg.idempotent_index(v)], f) - rank(rad_rows, f)
     return out
 
 
@@ -823,6 +701,6 @@ def k0_spanning_check(spec: RootPairSpec) -> bool:
         xi = projective_sum(alg, [v])
         for _ in range(spec.a):
             ev = euler_vector(xi, alg)
-            rows.append([f(ev[w]) for w in verts])
+            rows.append({j: f(ev[w]) for j, w in enumerate(verts) if ev[w]})
             xi = tensor_right(xi, spec.u)
-    return rref(Matrix.from_rows(rows, len(verts), f)).rank == len(verts)
+    return rank(rows, f) == len(verts)

@@ -31,9 +31,8 @@ from .exactlin import (
     cohomology_dim,
     combine_sparse,
     kernel_basis,
-    kernel_vectors,
+    rank,
     sparse_transpose,
-    unit_vector,
 )
 from .quiveralg import PathBasisAlgebra
 
@@ -50,8 +49,7 @@ def endomorphism_matrices(module):
     zero = f.zero()
     rows = []
     for ak in module.action:
-        ak_rows = ak.sparse_rows()
-        ak_cols = sparse_transpose(ak_rows, n)
+        ak_cols = sparse_transpose(ak, n)
         for i in range(n):
             for j in range(n):
                 row = {}
@@ -59,12 +57,12 @@ def endomorphism_matrices(module):
                 for m, v in ak_cols[j].items():
                     row[i * n + m] = f.add(row.get(i * n + m, zero), v)
                 # -(ak phi)_{ij} = -sum_m ak_{im} phi_{mj}
-                for m, v in ak_rows[i].items():
+                for m, v in ak[i].items():
                     row[m * n + j] = f.add(row.get(m * n + j, zero), f.neg(v))
                 if row:
                     rows.append(row)
     mats = []
-    for vec in kernel_vectors(rows, n * n, f):
+    for vec in kernel_basis(sparse_transpose(rows, n * n), len(rows), f).basis:
         m = Matrix.zero(n, n, f)
         for c, v in vec.items():
             m.data[c // n][c % n] = v
@@ -72,18 +70,24 @@ def endomorphism_matrices(module):
     return mats
 
 
+def _flat(m):
+    """A dense n x n End(M) matrix as a sparse vector over n * n entries."""
+    return {i * m.cols + j: v for i, row in enumerate(m.data) for j, v in enumerate(row) if v}
+
+
 def _trace_radical(mats, f):
     """Radical of the span via the trace form (char 0)."""
     k = len(mats)
-    gram = Matrix.zero(k, k, f)
+    gram = [{} for _ in range(k)]  # columns of the symmetric Gram matrix
     for i in range(k):
         for j in range(k):
             prod = mats[i].matmul(mats[j])
             tr = f.zero()
             for t in range(prod.rows):
                 tr = f.add(tr, prod.data[t][t])
-            gram.data[i][j] = tr
-    return kernel_basis(gram)
+            if tr:
+                gram[j][i] = tr
+    return kernel_basis(gram, k, f)
 
 
 def primitive_idempotents(mats, f, seed=0):
@@ -94,35 +98,26 @@ def primitive_idempotents(mats, f, seed=0):
     n = mats[0].rows
     rad = _trace_radical(mats, f)
     rad_mats = []
-    for vec in rad.basis.data:
+    for vec in rad.basis:
         m = Matrix.zero(n, n, f)
-        for i, c in enumerate(vec):
-            if c != 0:
-                for r in range(n):
-                    for s in range(n):
-                        if mats[i].data[r][s] != 0:
-                            m.data[r][s] = f.add(m.data[r][s], f.mul(c, mats[i].data[r][s]))
+        for i, c in sorted(vec.items()):
+            for r in range(n):
+                for s in range(n):
+                    if mats[i].data[r][s] != 0:
+                        m.data[r][s] = f.add(m.data[r][s], f.mul(c, mats[i].data[r][s]))
         rad_mats.append(m)
     semis = k - rad.dim
-
-    def flat(m):
-        return [m.data[i][j] for i in range(n) for j in range(n)]
-
-    rad_span = IncrementalSpan(n * n, f)
-    for m in rad_mats:
-        rad_span.add(flat(m))
     # representatives of a basis of E/rad
     quot = []
-    span = IncrementalSpan(n * n, f)
+    span = IncrementalSpan(f)
     for m in rad_mats:
-        span.add(flat(m))
+        span.add(_flat(m))
     for m in mats:
-        if span.add(flat(m)):
+        if span.add(_flat(m)):
             quot.append(m)
     assert len(quot) == semis
     # expresses z.m over quot + rad, for every trial z below
-    solver = PreparedSolver(
-        Matrix.from_rows([flat(m) for m in quot] + rad_span.rows(), n * n, f).transpose())
+    solver = PreparedSolver([_flat(m) for m in quot + rad_mats], n * n, f)
     rng = SplitMix64(seed)
     for _ in range(40):
         coeffs = [f(rng.int_in(-9, 9)) for _ in range(semis)]
@@ -166,37 +161,24 @@ def _eigenvalues_mod_rad(z, quot, solver, f):
     quotient, via iterated minimal-polynomial factor stripping.  ``solver``
     expresses flattened matrices over the quotient representatives
     followed by a basis of the radical."""
-    n = z.rows
-    # matrix of left multiplication by z on span(quot) mod rad
+    # columns of left multiplication by z on span(quot) mod rad
     k = len(quot)
-    lmul = Matrix.zero(k, k, f)
-    for j, m in enumerate(quot):
-        zm = z.matmul(m)
-        vec = [zm.data[i][jj] for i in range(n) for jj in range(n)]
-        sol = solver.solve(vec)
+    lmul = []
+    for m in quot:
+        sol = solver.solve(_flat(z.matmul(m)))
         if sol is None:
             return None
-        for i in range(k):
-            lmul.data[j][i] = sol[i]
-    lmul = lmul.transpose()
+        lmul.append({i: v for i, v in sol.items() if i < k})
     # rational eigenvalues via integer root search on the characteristic
     # action: try small rationals (entries of quotient algebras here are
     # tiny); collect lambda with nontrivial kernel
     lams = []
     for num in range(-12, 13):
         lam = f(num)
-        shifted = Matrix.from_rows(
-            [
-                [
-                    f.add(lmul.data[i][j], f.neg(lam) if i == j else f.zero())
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ],
-            k,
-            f,
-        )
-        kerdim = kernel_basis(shifted).dim
+        shifted = [dict(col) for col in lmul]
+        for j, col in enumerate(shifted):
+            col[j] = f.add(col.get(j, f.zero()), f.neg(lam))
+        kerdim = k - rank(shifted, f)
         for _ in range(kerdim):
             lams.append(lam)
     if len(lams) != k or len(set(lams)) != k:
@@ -253,38 +235,29 @@ def algebra_from_endomorphisms(module, seed=0):
     tagged = []
     chosen = []
     n = module.dim
-
-    def flat(m):
-        return [m.data[i][j] for i in range(n) for j in range(n)]
-
-    span = IncrementalSpan(n * n, f)
+    span = IncrementalSpan(f)
     # corner-split the endomorphism space: e_i E e_j
     for i, ei in enumerate(idems):
         for j, ej in enumerate(idems):
             for m in mats:
                 c = ei.matmul(m).matmul(ej)
-                if all(v == 0 for row in c.data for v in row):
-                    continue
-                if span.add(flat(c)):
+                if span.add(_flat(c)):
                     tagged.append((f"f{len(chosen)}", i, j))
                     chosen.append(c)
     # put idempotents first per vertex: ensure e_i themselves are present
     mult = {}
-    solver = PreparedSolver(Matrix.from_rows([flat(c) for c in chosen], n * n, f).transpose())
+    solver = PreparedSolver([_flat(c) for c in chosen], n * n, f)
     for i, ci in enumerate(chosen):
         for j, cj in enumerate(chosen):
             # x . y composes y first (path convention); matrices act in row
             # convention, so the composite matrix is cj then ci
-            prod = cj.matmul(ci)
-            vec = flat(prod)
-            if all(v == 0 for v in vec):
+            vec = _flat(cj.matmul(ci))
+            if not vec:
                 continue
             sol = solver.solve(vec)
             if sol is None:
                 raise ValueError("endomorphism span not closed under product")
-            entry = {t: c for t, c in enumerate(sol) if c != 0}
-            if entry:
-                mult[(i, j)] = entry
+            mult[(i, j)] = dict(sorted(sol.items()))
     alg = PathBasisAlgebra.from_structure_constants(list(range(r)), tagged, mult, f)
     return alg, chosen, idems
 
@@ -296,7 +269,7 @@ class CoordComplex:
         self.left_alg = left_alg
         self.right_alg = right_alg
         self.modules = dict(modules)  # degree -> BimoduleData
-        self.diffs = dict(diffs)  # degree p -> Matrix rows: X^{p+1}, cols...
+        self.diffs = dict(diffs)  # degree p -> sparse columns of X^p -> X^{p+1}
 
     def degrees(self):
         return sorted(self.modules)
@@ -307,7 +280,8 @@ class CoordComplex:
     def cohomology_dims(self):
         out = {}
         for p in self.degrees():
-            d = cohomology_dim(self.modules[p].dim, self.diffs.get(p), self.diffs.get(p - 1))
+            d = cohomology_dim(self.modules[p].dim, self.diffs.get(p), self.diffs.get(p - 1),
+                               self.left_alg.field)
             if d:
                 out[p] = d
         return out
@@ -416,7 +390,7 @@ def _pullback_module(x, k, prev_free, q_upper, d_upper, f):
     eqs = {}
     dxk = x.diffs.get(k)
     if dxk is not None:
-        for i, row in enumerate(dxk.sparse_rows()):
+        for i, row in enumerate(sparse_transpose(dxk, x.modules[k + 1].dim)):
             if row:
                 eqs[("x", i)] = row
     for c, col in enumerate(q_upper):
@@ -425,7 +399,8 @@ def _pullback_module(x, k, prev_free, q_upper, d_upper, f):
     for c, col in enumerate(d_upper or ()):
         for i, v in col.items():
             eqs.setdefault(("p", i), {})[xdim + c] = v
-    ker = kernel_vectors(list(eqs.values()), xdim + prev_free.dim, f)
+    ncols = xdim + prev_free.dim
+    ker = kernel_basis(sparse_transpose(list(eqs.values()), ncols), len(eqs), f).basis
     return _sub_bimodule(_direct_sum_bimodule(xk, prev_free), ker)
 
 
@@ -455,9 +430,9 @@ def coord_complex_of(x: ProjBimodComplex) -> CoordComplex:
         # CoverStep.coords enumerates a summand's coordinates as x.coords does
         step = CoverStep([(s.left, s.right) for s in x.summands(p)], [])
         modules[p] = _free_bimodule(alg, alg, step)
-        mat, _, _ = x.diff_matrix(p)
-        if mat.rows:
-            diffs[p] = mat
+        cols, _, tgt = x.diff_matrix(p)
+        if tgt:
+            diffs[p] = cols
     return CoordComplex(alg, alg, modules, diffs)
 
 
@@ -477,9 +452,9 @@ def truncate_smart(x: CoordComplex, lo, hi):
     if top_mod is None:
         return x
     d_hi = x.diffs.get(hi)
-    if d_hi is not None and d_hi.rows:
+    if d_hi is not None:
         top_sub, top_rows = _sub_bimodule(
-            top_mod, kernel_vectors(d_hi.sparse_rows(), d_hi.cols, f))
+            top_mod, kernel_basis(d_hi, x.modules[hi + 1].dim, f).basis)
     else:
         top_sub, top_rows = top_mod, [{i: f.one()} for i in range(top_mod.dim)]
     # cokernel at the bottom
@@ -504,44 +479,41 @@ def truncate_smart(x: CoordComplex, lo, hi):
         if p == lo:
             # factor through the quotient: columns indexed by coker basis,
             # proj_rows: coker basis -> ambient reps
-            d_cols = sparse_transpose(d.sparse_rows(), d.cols)
-            d = Matrix.from_columns(
-                [combine_sparse(rep, d_cols, f) for rep in proj_rows], d.rows, f)
+            d = [combine_sparse(rep, d, f) for rep in proj_rows]
         if p == hi - 1:
             # corestrict into the kernel: express columns in top_rows
-            solver = PreparedSolver.from_columns(top_rows, x.modules[hi].dim, f)
+            solver = PreparedSolver(top_rows, x.modules[hi].dim, f)
             cols = []
-            for vec in sparse_transpose(d.sparse_rows(), d.cols):
-                sol = solver.solve_sparse(vec)
+            for vec in d:
+                sol = solver.solve(vec)
                 if sol is None:
                     raise ValueError("cohomology extends beyond the window")
                 cols.append(sol)
-            d = Matrix.from_columns(cols, top_sub.dim, f)
+            d = cols
         diffs[p] = d
     return CoordComplex(A, B, modules, diffs)
 
 
-def _quotient_bimodule(m: BimoduleData, image_matrix, f):
-    """Quotient of m by the column space of image_matrix.
+def _quotient_bimodule(m: BimoduleData, image_cols, f):
+    """Quotient of m by the span of image_cols, sparse columns (None for
+    a zero map).
 
     Returns (representative sparse rows per quotient basis vector, quotient
     data).
     """
     n = m.dim
-    images = []
-    if image_matrix is not None and image_matrix.rows:
-        images = sparse_transpose(image_matrix.sparse_rows(), image_matrix.cols)
-    span = IncrementalSpan(n, f)
+    images = image_cols or []
+    span = IncrementalSpan(f)
     for vec in images:
-        span.add_sparse(vec)
-    reps = [{i: f.one()} for i in range(n) if span.add_sparse({i: f.one()})]
-    respan = IncrementalSpan(n, f)
-    img_rows = [vec for vec in images if respan.add_sparse(vec)]
+        span.add(vec)
+    reps = [{i: f.one()} for i in range(n) if span.add({i: f.one()})]
+    respan = IncrementalSpan(f)
+    img_rows = [vec for vec in images if respan.add(vec)]
     k = len(reps)
-    solver = PreparedSolver.from_columns(reps + img_rows, n, f)
+    solver = PreparedSolver(reps + img_rows, n, f)
 
     def project(vec):
-        return {j: v for j, v in solver.solve_sparse(vec).items() if j < k}
+        return {j: v for j, v in solver.solve(vec).items() if j < k}
 
     left = [[project(m.left_act(kk, rep)) for rep in reps] for kk in range(m.left_alg.dim)]
     right = [[project(m.right_act(kk, rep)) for rep in reps] for kk in range(m.right_alg.dim)]
@@ -552,7 +524,8 @@ def corner_adapt_module(module):
     """Rewrite a right module on a basis split by the vertex idempotents.
 
     Returns (new RightModule, tags, change) with tags[i] the vertex of the
-    i-th new basis vector and change the old->new basis matrix rows.
+    i-th new basis vector and change the new basis vectors, sparse over
+    the old basis.
     """
     alg = module.algebra
     f = alg.field
@@ -560,24 +533,19 @@ def corner_adapt_module(module):
     rows = []
     tags = []
     for v in alg.vertices:
-        e = alg.idempotent_index(v)
-        span = IncrementalSpan(n, f)
-        for i in range(n):
-            w = module.act(unit_vector(n, i, f), e)
-            if any(x != 0 for x in w):
-                if span.add(w):
-                    rows.append(w)
-                    tags.append(v)
+        span = IncrementalSpan(f)
+        # m_i . e_v for each basis vector m_i
+        for w in module.action[alg.idempotent_index(v)]:
+            if span.add(w):
+                rows.append(w)
+                tags.append(v)
     if len(rows) != n:
         raise ValueError("idempotents do not decompose the module")
-    solver = PreparedSolver(Matrix.from_rows(rows, n, f).transpose())
+    solver = PreparedSolver(rows, n, f)
     action = []
     for k in range(alg.dim):
-        mat = Matrix.zero(n, n, f)
-        for i, rep in enumerate(rows):
-            img = module.act(rep, k)
-            mat.data[i] = solver.solve(img)
-        action.append(mat)
+        # action rows keep their entries in coordinate order
+        action.append([dict(sorted(solver.solve(module.act(rep, k)).items())) for rep in rows])
     from .quiveralg import RightModule
 
     return RightModule(alg, n, action), tags, rows
@@ -718,8 +686,8 @@ def transported_pair(a_alg, u_a, b_alg, u_b, e_vertices_a, len_bound=10, seed=0)
     m_raw, _, _ = h0_right_module(direct_sum_right(t0, t1))
     module, tags, _ = corner_adapt_module(m_raw)
     e_alg, chosen, idems = algebra_from_endomorphisms(module, seed)
-    m_data = BimoduleData(e_alg, d_alg, module.dim, [c.sparse_rows() for c in chosen],
-                          [a.sparse_rows() for a in module.action])
+    e_action = [[{j: v for j, v in enumerate(row) if v} for row in c.data] for c in chosen]
+    m_data = BimoduleData(e_alg, d_alg, module.dim, e_action, module.action)
     if not m_data.check_bimodule():
         raise ValueError("E- and D-actions do not commute")
     chain = resolve_cover_chain(m_data, len_bound)

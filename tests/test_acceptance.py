@@ -339,8 +339,8 @@ def test_ac13_property_suites(kron, pA):
     from cyfold.rootpair import hom_diff_matrix
     from cyfold.exactlin import solve_linear
 
-    dmat, _, _ = hom_diff_matrix(pA, pA, -1)
-    assert solve_linear(dmat, defect) is not None
+    dmat, _, tgt = hom_diff_matrix(pA, pA, -1)
+    assert solve_linear(dmat, len(tgt), defect, pA.base.field) is not None
     pieces = [
         pA,
         kronecker_root(kron, 0, 1),

@@ -18,6 +18,7 @@ from cyfold.bimodcx import (
     map_from_vector,
     minimize,
     projective_right,
+    resolution_of_algebra,
     shift,
     standard_hereditary_resolution,
     tensor_over_A,
@@ -33,6 +34,7 @@ from cyfold.presets import (
     kronecker_root,
     linear_an_algebra,
 )
+from cyfold.quiveralg import PathBasisAlgebra
 from cyfold.rootpair import projective_sum
 
 
@@ -65,6 +67,20 @@ def test_resolution_cohomology_is_algebra(kron, pA):
 def test_not_hereditary_raises():
     with pytest.raises(NotHereditary):
         standard_hereditary_resolution(a4_mod_longest_algebra())
+
+
+def test_structure_constant_algebra_gets_the_cover_chain():
+    # A_2 given by structure constants has no arrows, and its composable
+    # products are single basis elements with coefficient 1; it is not
+    # semisimple, so the one-term resolution would be wrong
+    a2 = PathBasisAlgebra.from_structure_constants(
+        [0, 1], [("e0", 0, 0), ("e1", 1, 1), ("a", 0, 1)],
+        {(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 0): {2: 1}, (1, 2): {2: 1}})
+    with pytest.raises(NotHereditary):
+        standard_hereditary_resolution(a2)
+    res = resolution_of_algebra(a2)
+    assert {p: len(ss) for p, ss in res.terms.items()} == {0: 2, -1: 1}
+    assert res.cohomology_dims() == {0: 3}
 
 
 def test_empty_complex_valid(kron):
@@ -272,9 +288,9 @@ def _path(alg, path):
 
 
 def _map_to_vector(x, y, r, coords, fmap):
+    """The sparse vector of a chain map over map coordinates."""
     pos = {c: i for i, c in enumerate(coords)}
-    f = x.base.field
-    vec = [f.zero()] * len(coords)
+    vec = {}
     for p, comps in fmap.components.items():
         for (t, s), entry in comps.items():
             for (alpha, beta), c in entry.items():

@@ -12,18 +12,14 @@ from cyfold.exactlin import (
     PreparedSolver,
     SplitMix64,
     Subspace,
-    combine_rows,
+    cohomology_dim,
     combine_sparse,
-    dense_vector,
-    intersect,
     kernel_basis,
-    kernel_vectors,
     random_vector,
     rank,
     rref,
     solve_linear,
     sparse_transpose,
-    sparse_vector,
 )
 
 
@@ -33,6 +29,39 @@ def F(v, d=1):
 
 def mat(data, field=QQ):
     return Matrix.from_rows([[field(v) for v in row] for row in data], field=field)
+
+
+# adapters between the dense lists the tests write and the sparse vectors
+# of the entry points
+
+
+def sparse(values):
+    return {j: v for j, v in enumerate(values) if v}
+
+
+def dense(vec, n, field=QQ):
+    out = [field.zero()] * n
+    for j, v in vec.items():
+        out[j] = v
+    return out
+
+
+def columns(m):
+    """(sparse columns, row count, field) of a dense Matrix."""
+    return [sparse(col) for col in m.transpose().data], m.rows, m.field
+
+
+def solve(m, b):
+    """solve_linear on a dense matrix and right-hand side, answered densely."""
+    cols, n, field = columns(m)
+    x = solve_linear(cols, n, sparse(b), field)
+    return None if x is None else dense(x, m.cols, field)
+
+
+def apply(m, x):
+    """m x for a dense matrix and vector, densely."""
+    cols, n, field = columns(m)
+    return dense(combine_sparse(sparse(x), cols, field), n, field)
 
 
 def test_rref_identity():
@@ -66,18 +95,18 @@ def test_rref_idempotent():
 
 
 def test_kernel_identity():
-    assert kernel_basis(Matrix.identity(3)).dim == 0
+    assert kernel_basis(*columns(Matrix.identity(3))).dim == 0
 
 
 def test_kernel_line():
-    ker = kernel_basis(mat([[1, 1]]))
+    ker = kernel_basis(*columns(mat([[1, 1]])))
     assert ker.dim == 1
-    v = ker.basis.data[0]
+    v = dense(ker.basis[0], 2)
     assert v[0] + v[1] == 0 and v != [0, 0]
 
 
 def test_kernel_full():
-    ker = kernel_basis(Matrix.zero(2, 3))
+    ker = kernel_basis(*columns(Matrix.zero(2, 3)))
     assert ker.dim == 3
 
 
@@ -88,21 +117,21 @@ def test_rank_nullity():
         cols = rng.int_in(1, 5)
         m = mat([[rng.int_in(-3, 3) for _ in range(cols)] for _ in range(rows)])
         res = rref(m)
-        assert res.rank + kernel_basis(m).dim == cols
+        assert res.rank + kernel_basis(*columns(m)).dim == cols
 
 
 def test_solve_identity():
     b = [F(3), F(-1)]
-    assert solve_linear(Matrix.identity(2), b) == b
+    assert solve(Matrix.identity(2), b) == b
 
 
 def test_solve_underdetermined():
-    x = solve_linear(mat([[1, 1]]), [F(3)])
+    x = solve(mat([[1, 1]]), [F(3)])
     assert x is not None and x[0] + x[1] == 3
 
 
 def test_solve_inconsistent():
-    assert solve_linear(mat([[1], [0]]), [F(0), F(1)]) is None
+    assert solve(mat([[1], [0]]), [F(0), F(1)]) is None
 
 
 def test_solve_iff_rank_condition():
@@ -114,18 +143,18 @@ def test_solve_iff_rank_condition():
         b = [F(rng.int_in(-2, 2)) for _ in range(rows)]
         aug = Matrix.from_rows([m.data[i] + [b[i]] for i in range(rows)], cols + 1)
         solvable = rref(m).rank == rref(aug).rank
-        assert (solve_linear(m, b) is not None) == solvable
+        assert (solve(m, b) is not None) == solvable
 
 
 def test_random_vector_zero_space():
-    space = Subspace(3, Matrix.zero(0, 3))
-    assert random_vector(space, 1) == [F(0)] * 3
+    space = Subspace(3, [])
+    assert dense(random_vector(space, 1), 3) == [F(0)] * 3
 
 
 def test_random_vector_deterministic():
-    space = Subspace(2, mat([[1, -1]]))
+    space = Subspace(2, [sparse(mat([[1, -1]]).data[0])])
     assert random_vector(space, 42) == random_vector(space, 42)
-    v = random_vector(space, 5)
+    v = dense(random_vector(space, 5), 2)
     assert v[0] == -v[1]
 
 
@@ -134,11 +163,11 @@ def test_modp_field():
     m = mat([[1, 2], [2, 4]], gf)
     res = rref(m)
     assert res.rank == 1
-    ker = kernel_basis(m)
+    ker = kernel_basis(*columns(m))
     assert ker.dim == 1
-    x = solve_linear(m, [gf(1), gf(2)])
+    x = solve(m, [gf(1), gf(2)])
     assert x is not None
-    assert m.apply(x) == [1, 2]
+    assert apply(m, x) == [1, 2]
 
 
 def test_field_rejects_composite_char():
@@ -159,15 +188,7 @@ def test_field_inverts_denominator_prime_to_p():
 
 def test_random_vector_of_zero_subspace_is_ambient_zero():
     for f in (QQ, Field(13)):
-        assert random_vector(Subspace(3, Matrix.zero(0, 3, f)), 7) == [f.zero()] * 3
-
-
-def test_intersect():
-    a = Subspace(3, mat([[1, 0, 0], [0, 1, 0]]))
-    b = Subspace(3, mat([[0, 1, 0], [0, 0, 1]]))
-    c = intersect(a, b)
-    assert c.dim == 1
-    assert c.contains([F(0), F(1), F(0)])
+        assert dense(random_vector(Subspace(3, [], f), 7), 3, f) == [f.zero()] * 3
 
 
 # -- differential tests against a naive dense Gauss-Jordan oracle ------------
@@ -239,6 +260,10 @@ def same(xs, ys):
     return xs == ys and all(type(x) is type(y) for x, y in zip(xs, ys))
 
 
+def nonzeros_only(vec):
+    return all(v for v in vec.values())
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rref_matches_oracle(case):
@@ -248,7 +273,10 @@ def test_rref_matches_oracle(case):
         assert res.rank == 0 and res.pivots == []
         return
     red, pivots = oracle_rref(m.data, m.cols, field)
-    assert res.pivots == pivots and res.rank == len(pivots) == rank(m)
+    cols = columns(m)[0]
+    assert res.pivots == pivots and res.rank == len(pivots) == rank(cols, field)
+    assert rank([sparse(r) for r in m.data], field) == len(pivots)
+    assert cohomology_dim(m.cols, cols, None, field) == m.cols - len(pivots)
     assert all(same(a, b) for a, b in zip(res.reduced.data, red))
 
 
@@ -265,8 +293,10 @@ def test_kernel_basis_matches_oracle(case):
         for i, pc in enumerate(pivots):
             vec[pc] = field.neg(red[i][c])
         want.append(vec)
-    got = kernel_basis(m).basis.data
-    assert len(got) == len(want)
+    ker = kernel_basis(*columns(m))
+    assert all(nonzeros_only(v) for v in ker.basis)
+    got = [dense(v, m.cols, field) for v in ker.basis]
+    assert len(got) == len(want) == ker.dim
     assert all(same(a, b) for a, b in zip(got, want))
 
 
@@ -274,68 +304,59 @@ def test_kernel_basis_matches_oracle(case):
 @given(matrices())
 def test_solvers_match_oracle(case):
     field, m, rhs = case
-    solver = PreparedSolver(m)
+    cols, n, _ = columns(m)
+    solver = PreparedSolver(cols, n, field)
     probe = [field(k + 1) for k in range(m.cols)]
-    for b in rhs + [m.apply(probe)]:
+    for b in rhs + [apply(m, probe)]:
         want = oracle_solution(m.data, b, m.cols, field)
-        for got in (solve_linear(m, b), solver.solve(b)):
+        for got in (solve_linear(cols, n, sparse(b), field), solver.solve(sparse(b))):
             if want is None:
                 assert got is None
             else:
-                assert got is not None and same(got, want)
+                assert got is not None and nonzeros_only(got)
+                assert same(dense(got, m.cols, field), want)
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
-def test_sparse_entry_points_match_dense(case):
-    """solve_sparse on a solver built from sparse columns, kernel_vectors,
-    combine_sparse and the *_sparse span methods give the dense answers,
-    value and type."""
+def test_combine_sparse_matches_dense(case):
+    """combine_sparse against the dense combination of the rows, value and
+    type, over the rows of m and its transpose."""
     field, m, rhs = case
-    dense = PreparedSolver(m)
-    sparse = PreparedSolver.from_columns(sparse_transpose(m.sparse_rows(), m.cols), m.rows, field)
-    for b in rhs:
-        want = dense.solve(b)
-        got = sparse.solve_sparse(sparse_vector(b))
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert all(v for v in got.values())
-            assert same(dense_vector(got, m.cols, field), want)
-    kernel = [dense_vector(v, m.cols, field) for v in kernel_vectors(m.sparse_rows(), m.cols, field)]
-    assert all(same(a, b) for a, b in zip(kernel, kernel_basis(m).basis.data))
-    assert len(kernel) == kernel_basis(m).dim
+    rows = [sparse(r) for r in m.data]
     for coeffs in rhs:
-        got = combine_sparse(sparse_vector(coeffs), m.sparse_rows(), field)
-        assert all(v for v in got.values())
-        if m.rows:
-            assert same(dense_vector(got, m.cols, field), combine_rows(coeffs, m.data, field))
-    dense_span, sparse_span = IncrementalSpan(m.cols, field), IncrementalSpan(m.cols, field)
-    for row in m.data:
-        assert sparse_span.add_sparse(sparse_vector(row)) == dense_span.add(row)
-    for vec in rhs:
-        vec = (vec + [field.zero()] * m.cols)[: m.cols]
-        assert sparse_span.contains_sparse(sparse_vector(vec)) == dense_span.contains(vec)
+        got = combine_sparse(sparse(coeffs), rows, field)
+        want = [field.zero()] * m.cols
+        for c, row in zip(coeffs, m.data):
+            want = [field.add(w, field.mul(c, v)) for w, v in zip(want, row)]
+        assert nonzeros_only(got) and same(dense(got, m.cols, field), want)
+    assert sparse_transpose(columns(m)[0], m.rows) == rows
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_incremental_span_matches_oracle(case):
     field, m, rhs = case
-    span = IncrementalSpan(m.cols, field)
+    span = IncrementalSpan(field)
     added = []
+    grew = []
     for row in m.data:
         before = len(oracle_rref(added, m.cols, field)[1])
         added.append(row)
         red, pivots = oracle_rref(added, m.cols, field)
-        assert span.add(row) == (len(pivots) > before)
+        assert span.add(sparse(row)) == (len(pivots) > before)
+        if len(pivots) > before:
+            grew.append(sparse(row))
         assert span.dim == len(pivots)
     red, pivots = oracle_rref(added, m.cols, field)
-    assert sorted(span.rows(), key=lambda r: next(j for j, v in enumerate(r) if v)) \
-        == red[: len(pivots)]
+    space = Subspace(m.cols, grew, field)
+    assert space.dim == span.dim
+    assert all(span.contains(sparse(r)) for r in red[: len(pivots)])
     for vec in rhs + [[field.one()] * m.cols]:
         vec = (vec + [field.zero()] * m.cols)[: m.cols]
         grows = len(oracle_rref(added + [vec], m.cols, field)[1]) > len(pivots)
-        assert span.contains(vec) == (not grows)
+        assert span.contains(sparse(vec)) == (not grows)
+        assert space.contains(sparse(vec)) == (not grows)
 
 
 P31 = 2**31 - 1
@@ -349,8 +370,8 @@ def test_full_rank_mod_p_implies_full_rank_over_q(rows):
     ncols = len(rows[0])
     full = min(len(rows), ncols)
     gfp = Field(P31)
-    mod_rank = rank(Matrix.from_rows([[gfp(v) for v in r] for r in rows], field=gfp))
-    q_rank = rank(Matrix.from_rows([[Fraction(v) for v in r] for r in rows]))
+    mod_rank = rank([sparse([gfp(v) for v in r]) for r in rows], gfp)
+    q_rank = rank([sparse([Fraction(v) for v in r]) for r in rows])
     assert mod_rank <= q_rank
     if mod_rank == full:
         assert q_rank == full

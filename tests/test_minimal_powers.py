@@ -27,7 +27,7 @@ from cyfold.completion import (
     matrix_root_pair,
     polynomial_algebra,
 )
-from cyfold.exactlin import QQ, Field, sparse_vector
+from cyfold.exactlin import QQ, Field
 from cyfold.presets import (
     a2n_algebra,
     a2n_root,
@@ -134,18 +134,19 @@ def flat_products(alg, u, e_vertices, cutoff):
             traces = powers[l1 + l2].trace_index()
             for j1, (v1, _) in enumerate(reps1):
                 for j2, (v2, _) in enumerate(reps2):
-                    vec = [f.zero()] * len(coords3)
-                    for i1, c1 in ((i, c) for i, c in enumerate(v1) if c != 0):
+                    vec = {}
+                    for i1, c1 in sorted(v1.items()):
                         s1, a1, b1 = coords1[i1]
                         ss1, ms1 = powers[l1].summands(0)[s1].trace
-                        for i2, c2 in ((i, c) for i, c in enumerate(v2) if c != 0):
+                        for i2, c2 in sorted(v2.items()):
                             s2, a2, b2 = coords2[i2]
                             ss2, ms2 = powers[l2].summands(0)[s2].trace
                             for mid, cm in alg.mult(b1, a2).items():
                                 _, t3 = traces[(ss1 + ss2, ms1 + (mid,) + ms2)]
                                 j = pos3[(t3, a1, b2)]
-                                vec[j] = f.add(vec[j], f.mul(f.mul(c1, c2), cm))
-                    entry = _express_with_solver(solver3, len(reps3), sparse_vector(vec))
+                                vec[j] = f.add(vec.get(j, f.zero()), f.mul(f.mul(c1, c2), cm))
+                    vec = {j: c for j, c in vec.items() if c}
+                    entry = _express_with_solver(solver3, len(reps3), vec)
                     if entry:
                         out[((l1, j1), (l2, j2))] = entry
     return out

@@ -17,7 +17,6 @@ from cyfold.bimodcx import (
     standard_hereditary_resolution,
     tensor_right,
 )
-from cyfold.exactlin import Matrix
 from cyfold.presets import (
     a4_mod_longest_algebra,
     kronecker_algebra,
@@ -146,17 +145,17 @@ def _bimodule_from_complex_degree0(alg, cx):
     left = []
     right = []
     for k in range(alg.dim):
-        lm = Matrix.zero(n, n, f)
-        rm = Matrix.zero(n, n, f)
+        lm = [{} for _ in range(n)]
+        rm = [{} for _ in range(n)]
         for i, (s_idx, a, b) in enumerate(coords):
             for a2, c in alg.mult(k, a).items():
                 j = pos.get((s_idx, a2, b))
                 if j is not None:
-                    lm.data[i][j] = f.add(lm.data[i][j], c)
+                    lm[i][j] = f.add(lm[i].get(j, f.zero()), c)
             for b2, c in alg.mult(b, k).items():
                 j = pos.get((s_idx, a, b2))
                 if j is not None:
-                    rm.data[i][j] = f.add(rm.data[i][j], c)
-        left.append(lm.sparse_rows())
-        right.append(rm.sparse_rows())
+                    rm[i][j] = f.add(rm[i].get(j, f.zero()), c)
+        left.append([{j: c for j, c in row.items() if c} for row in lm])
+        right.append([{j: c for j, c in row.items() if c} for row in rm])
     return BimoduleData(alg, alg, n, left, right)

@@ -10,15 +10,7 @@ from cyfold.bimodcx import (
     dual_regular_bimodule,
     regular_bimodule,
 )
-from cyfold.exactlin import (
-    QQ,
-    Field,
-    Matrix,
-    SplitMix64,
-    combine_rows,
-    dense_vector,
-    sparse_vector,
-)
+from cyfold.exactlin import QQ, Field, SplitMix64
 from cyfold.presets import a4_mod_longest_algebra, kronecker_algebra
 from cyfold.transport import _direct_sum_bimodule, _quotient_bimodule
 
@@ -32,7 +24,7 @@ def _producers(alg):
     corners = [(u, v) for u in alg.vertices for v in alg.vertices]
     free = _free_bimodule(alg, alg, CoverStep(corners, []))
     _, sub, _ = _cover(reg)  # the first syzygy of A, inside a free bimodule
-    rad = Matrix.from_columns([{i: f.one()} for i in alg.radical_indices()], alg.dim, f)
+    rad = [{i: f.one()} for i in alg.radical_indices()]
     _, top = _quotient_bimodule(reg, rad, f)  # A / rad A
     return [
         ("regular", reg),
@@ -42,6 +34,29 @@ def _producers(alg):
         ("quotient", top),
         ("direct_sum", _direct_sum_bimodule(sub, reg)),
     ]
+
+
+def sparse_vector(values):
+    return {j: v for j, v in enumerate(values) if v}
+
+
+def dense_vector(vec, n, field):
+    out = [field.zero()] * n
+    for j, v in vec.items():
+        out[j] = v
+    return out
+
+
+def combine_rows(coeffs, rows, field):
+    """The dense oracle: sum_k coeffs[k] * rows[k] over dense lists."""
+    out = [field.zero()] * (len(rows[0]) if rows else 0)
+    for c, row in zip(coeffs, rows):
+        if not c:
+            continue
+        for j, v in enumerate(row):
+            if v:
+                out[j] = field.add(out[j], field.mul(c, v))
+    return out
 
 
 def _random_vector(rng, n, field):
