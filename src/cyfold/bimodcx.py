@@ -27,6 +27,7 @@ from .exactlin import (
     kernel_basis,
     random_vector,
     solve_linear,
+    sparse_transpose,
 )
 
 
@@ -1300,6 +1301,13 @@ class CoverStep:
                     out.append((g, a, bb))
         return out
 
+    def generator_columns(self, cols, left_alg, right_alg):
+        """The columns of cols, one per coordinate, at the generators
+        (g, e_u, e_v) themselves."""
+        col_of = {c: i for i, c in enumerate(self.coords(left_alg, right_alg))}
+        return [cols[col_of[(g, left_alg.idempotent_index(u), right_alg.idempotent_index(v))]]
+                for g, (u, v) in enumerate(self.generators)]
+
 
 def _top_generators(m: BimoduleData):
     """Corner-tagged lifts of a basis of M / (rad M + M rad)."""
@@ -1332,18 +1340,6 @@ def cover_images(m: BimoduleData, step, coords):
     return [m.right_act(bb, m.left_act(a, step.lifts[g])) for (g, a, bb) in coords]
 
 
-def _cover(m: BimoduleData):
-    """Projective cover step and its kernel as a sub-bimodule of the free
-    bimodule, with the kernel's basis rows."""
-    f = m.field
-    A, B = m.left_alg, m.right_alg
-    gens = _top_generators(m)
-    step = CoverStep([g for g, _ in gens], [w for _, w in gens])
-    ker = kernel_basis(cover_images(m, step, step.coords(A, B)), m.dim, f).basis
-    k_data, inclusion = _sub_bimodule(_free_bimodule(A, B, step), ker)
-    return step, k_data, inclusion
-
-
 def _free_bimodule(A, B, step: CoverStep) -> BimoduleData:
     coords = step.coords(A, B)
     pos = {c: i for i, c in enumerate(coords)}
@@ -1372,92 +1368,171 @@ def _sub_bimodule(m: BimoduleData, rows):
     return sub, rows
 
 
-class CoverChain:
-    """Minimal projective resolution ... -> P_1 -> P_0 -> M."""
+def _direct_sum_bimodule(xk, p):
+    """X + P, block diagonal: the rows of X, then those of P shifted by
+    dim X."""
+    if xk is None:
+        return p
+    xdim = xk.dim
 
-    def __init__(self, module, steps, maps):
-        self.module = module
-        self.steps = steps  # list of CoverStep
-        self.maps = maps  # maps[k]: coords of P_k -> sparse vectors in P_{k-1} (or M)
+    def blocks(x_rows, p_rows):
+        return x_rows + [{xdim + j: v for j, v in row.items()} for row in p_rows]
+
+    return BimoduleData(
+        p.left_alg, p.right_alg, xdim + p.dim,
+        [blocks(xa, pa) for xa, pa in zip(xk.left_action, p.left_action)],
+        [blocks(xa, pa) for xa, pa in zip(xk.right_action, p.right_action)],
+    )
 
 
-def resolve_cover_chain(m: BimoduleData, len_bound=12) -> CoverChain:
-    steps = []
-    maps = []
-    current = m
-    inclusion = None
-    for depth in range(len_bound + 1):
-        if current.dim == 0:
-            break
-        step, k_data, incl_rows = _cover(current)
-        # generator lifts expressed in the previous stage's coordinates
-        if inclusion is None:
-            lift_vectors = step.lifts
+class CoordComplex:
+    """Bounded complex of (A, B)-bimodules in coordinates; a bimodule is
+    the complex with one term in degree 0."""
+
+    def __init__(self, left_alg, right_alg, modules, diffs):
+        self.left_alg = left_alg
+        self.right_alg = right_alg
+        self.modules = dict(modules)  # degree -> BimoduleData
+        self.diffs = dict(diffs)  # degree p -> sparse columns of X^p -> X^{p+1}
+
+    def degrees(self):
+        return sorted(self.modules)
+
+    def diff(self, p):
+        return self.diffs.get(p)
+
+    def cohomology_dims(self):
+        out = {}
+        for p in self.degrees():
+            d = cohomology_dim(self.modules[p].dim, self.diffs.get(p), self.diffs.get(p - 1),
+                               self.left_alg.field)
+            if d:
+                out[p] = d
+        return out
+
+
+def _pullback_module(x, k, prev_free, q_upper, d_upper, f):
+    """Submodule of X^k + P_{k+1} of the pairs (xv, pv) with d_X xv = q(pv)
+    and d_P pv = 0; q_upper and d_upper hold the images of the coordinates
+    of P_{k+1} in X^{k+1} and in P_{k+2}."""
+    xk = x.modules.get(k)
+    xdim = xk.dim if xk is not None else 0
+    # one equation per coordinate of X^{k+1} and per coordinate of P_{k+2}
+    eqs = {}
+    dxk = x.diffs.get(k)
+    if dxk is not None:
+        for i, row in enumerate(sparse_transpose(dxk, x.modules[k + 1].dim)):
+            if row:
+                eqs[("x", i)] = row
+    for c, col in enumerate(q_upper):
+        for i, v in col.items():
+            eqs.setdefault(("x", i), {})[xdim + c] = f.neg(v)
+    for c, col in enumerate(d_upper or ()):
+        for i, v in col.items():
+            eqs.setdefault(("p", i), {})[xdim + c] = v
+    ncols = xdim + prev_free.dim
+    ker = kernel_basis(sparse_transpose(list(eqs.values()), ncols), len(eqs), f).basis
+    return _sub_bimodule(_direct_sum_bimodule(xk, prev_free), ker)
+
+
+def resolution_steps(x: CoordComplex, len_bound):
+    """Cover steps of a surjective quasi-isomorphism P -> X from a complex
+    of free (A, B)-bimodules, for any two algebras.
+
+    Built from the top degree t of X down: each stage covers the pullback
+    of the previous stage's cycles against the incoming differential.  P
+    stays in degrees t - len_bound .. t; BoundExceeded means a nonzero
+    pullback remains below that.  Returns (steps, q, d), keyed by degree
+    from the top down: q[k] and d[k] hold the images of the coordinates of
+    P_k in X^k and in P_{k+1} (no d at the top), as sparse vectors.
+    """
+    A, B = x.left_alg, x.right_alg
+    f = A.field
+    steps, q_maps, d_maps = {}, {}, {}
+    degs = x.degrees()
+    if not degs:
+        return steps, q_maps, d_maps
+    bottom, top = degs[0], degs[-1]
+    target, incl = x.modules[top], None
+    k = top
+    while target.dim or k >= bottom:
+        if target.dim and top - k > len_bound:
+            raise BoundExceeded(f"a nonzero syzygy remains past length {len_bound}")
+        gens = _top_generators(target)
+        step = CoverStep([g for g, _ in gens], [w for _, w in gens])
+        images = cover_images(target, step, step.coords(A, B))
+        if incl is None:
+            q_maps[k] = images
         else:
-            lift_vectors = [combine_sparse(w, inclusion, m.field) for w in step.lifts]
-        steps.append(step)
-        maps.append(lift_vectors)
-        current = k_data
-        inclusion = incl_rows
-    else:
-        raise BoundExceeded(f"syzygies persist past length {len_bound}")
-    return CoverChain(m, steps, maps)
+            # split each image in X^k + P_{k+1} into its two components
+            xdim = x.modules[k].dim if k in x.modules else 0
+            q_maps[k], d_maps[k] = [], []
+            for vec in images:
+                amb = combine_sparse(vec, incl, f)
+                q_maps[k].append({j: v for j, v in amb.items() if j < xdim})
+                d_maps[k].append({j - xdim: v for j, v in amb.items() if j >= xdim})
+        steps[k] = step
+        # V = {(xv, pv) : d_X xv = q(pv), d_P pv = 0}
+        target, incl = _pullback_module(
+            x, k - 1, _free_bimodule(A, B, step), q_maps[k], d_maps.get(k), f)
+        k -= 1
+    return steps, q_maps, d_maps
 
 
-def cover_chain_to_complex(chain: CoverChain, alg) -> ProjBimodComplex:
-    """Cover chain over (A, A) as a projective bimodule complex in degrees
-    -len..0, augmented onto the module."""
-    steps = chain.steps
-    terms = {}
-    for k, step in enumerate(steps):
-        terms[-k] = [
-            ProjBimodSummand(u, v, -k, 0, trace=("res", k, g))
-            for g, (u, v) in enumerate(step.generators)
-        ]
+def resolve_complex(x: CoordComplex, len_bound=16):
+    """Surjective quasi-isomorphism from a complex of projective bimodules,
+    for equal algebras on both sides (see resolution_steps, which also
+    says what len_bound bounds).
+
+    Returns (ProjBimodComplex, cover steps, q), with q[k] the images in X^k
+    of the coordinates of P_k as sparse vectors.
+    """
+    A = x.left_alg
+    if A is not x.right_alg:
+        raise ValueError("projective complexes need equal algebras both sides")
+    steps, q_maps, d_maps = resolution_steps(x, len_bound)
+    terms = {
+        deg: [ProjBimodSummand(u, v, deg, 0, trace=("res", deg, g))
+              for g, (u, v) in enumerate(step.generators)]
+        for deg, step in steps.items()
+    }
     diff = {}
-    f = alg.field
-    for k in range(1, len(steps)):
-        prev_coords = steps[k - 1].coords(alg, alg)
+    for deg, cols in d_maps.items():
+        upper = steps[deg + 1].coords(A, A)
         dd = {}
-        for g2, vec in enumerate(chain.maps[k]):
-            for idx, c in sorted(vec.items()):
-                g, a, b = prev_coords[idx]
-                entry = dd.setdefault((g, g2), {})
-                entry[(a, b)] = f.add(entry.get((a, b), f.zero()), c)
-        diff[-k] = dd
-    aug = None
-    if steps:
-        aug = {}
-        # augmentation only meaningful when the module is the regular one
-    return ProjBimodComplex(alg, terms, diff, augmentation=aug)
+        for g2, vec in enumerate(steps[deg].generator_columns(cols, A, A)):
+            for ridx, c in sorted(vec.items()):
+                g, a, bb = upper[ridx]
+                dd.setdefault((g, g2), {})[(a, bb)] = c
+        diff[deg] = dd
+    return ProjBimodComplex(A, terms, diff), steps, q_maps
 
 
 def resolve_bimodule(m: BimoduleData, len_bound=12) -> ProjBimodComplex:
-    """Minimal projective bimodule resolution, as a complex in degrees <= 0.
+    """Minimal projective bimodule resolution, as a complex in degrees
+    0 .. -len_bound, without augmentation.
 
-    Requires left and right algebras equal; raises BoundExceeded when the
-    syzygies do not stop within len_bound steps.
+    Requires left and right algebras equal; raises BoundExceeded when a
+    nonzero syzygy remains past length len_bound.
     """
-    if m.left_alg is not m.right_alg:
-        raise ValueError("use the transport machinery for two-algebra bimodules")
-    chain = resolve_cover_chain(m, len_bound)
-    return cover_chain_to_complex(chain, m.left_alg)
+    return resolve_complex(CoordComplex(m.left_alg, m.right_alg, {0: m}, {}), len_bound)[0]
 
 
 def resolution_of_algebra(alg, len_bound=12) -> ProjBimodComplex:
     """Projective bimodule resolution of A itself, with augmentation.
 
     Uses the standard two-term resolution for relation-free path algebras
-    and the minimal cover chain otherwise.
+    and the minimal resolution of the regular bimodule otherwise, augmented
+    by the images of its degree-0 generators.
     """
     try:
         return standard_hereditary_resolution(alg)
     except NotHereditary:
         pass
-    m = regular_bimodule(alg)
-    chain = resolve_cover_chain(m, len_bound)
-    cx = cover_chain_to_complex(chain, alg)
-    cx.augmentation = {g: dict(sorted(vec.items())) for g, vec in enumerate(chain.maps[0])}
+    cx, steps, q = resolve_complex(CoordComplex(alg, alg, {0: regular_bimodule(alg)}, {}),
+                                   len_bound)
+    cx.augmentation = {g: dict(sorted(vec.items()))
+                       for g, vec in enumerate(steps[0].generator_columns(q[0], alg, alg))}
     return cx
 
 

@@ -514,13 +514,11 @@ def check_peel_identity(phi, u, a, d, resolution=None, seed=7):
                             if amb_i is not None:
                                 lhs[amb_i] = f.add(lhs[amb_i], val)
                         else:
-                            res = _find_a1_coord(
+                            for amb_j, cval in _find_a1_coord(
                                 power_a, resolution, amb_pos, alg, f,
                                 p, s_idx, q + r, ptgt, a2, b2,
-                            )
-                            if isinstance(res, list):
-                                for amb_j, cval in res:
-                                    lhs[amb_j] = f.add(lhs[amb_j], f.mul(val, cval))
+                            ):
+                                lhs[amb_j] = f.add(lhs[amb_j], f.mul(val, cval))
     resid = [f.add(lhs[i], f.neg(tau.vector[i])) for i in range(m)]
     return amb.boundary_decompose(r, resid) is not None
 

@@ -5,30 +5,29 @@ object, this builds E = End_D(M) as a path-basis algebra (primitive
 idempotents found by trace-form radical + lifting), and carries the
 bimodule W over to U_E = RHom_D(P(M), M (x) W) where P(M) is a projective
 resolution of M over E (x) D^op, so both E-actions are strict on the nose.
-The result is resolved to a complex of projective E-bimodules.
+The result is resolved to a complex of projective E-bimodules.  Both
+resolutions are bimodcx's one resolver: resolution_steps for P(M), whose
+algebras differ, and resolve_complex for the Hom complex.
 """
 
 from .bimodcx import (
     BimoduleData,
-    BoundExceeded,
+    CoordComplex,
     CoverStep,
     ProjBimodComplex,
-    ProjBimodSummand,
     _by_source,
     _free_bimodule,
     _sub_bimodule,
-    _top_generators,
     assemble,
-    cover_images,
     minimize,
-    resolve_cover_chain,
+    resolution_steps,
+    resolve_complex,
 )
 from .exactlin import (
     IncrementalSpan,
     Matrix,
     PreparedSolver,
     SplitMix64,
-    cohomology_dim,
     combine_sparse,
     kernel_basis,
     rank,
@@ -262,165 +261,6 @@ def algebra_from_endomorphisms(module, seed=0):
     return alg, chosen, idems
 
 
-class CoordComplex:
-    """Bounded complex of (A, B)-bimodules in coordinates."""
-
-    def __init__(self, left_alg, right_alg, modules, diffs):
-        self.left_alg = left_alg
-        self.right_alg = right_alg
-        self.modules = dict(modules)  # degree -> BimoduleData
-        self.diffs = dict(diffs)  # degree p -> sparse columns of X^p -> X^{p+1}
-
-    def degrees(self):
-        return sorted(self.modules)
-
-    def diff(self, p):
-        return self.diffs.get(p)
-
-    def cohomology_dims(self):
-        out = {}
-        for p in self.degrees():
-            d = cohomology_dim(self.modules[p].dim, self.diffs.get(p), self.diffs.get(p - 1),
-                               self.left_alg.field)
-            if d:
-                out[p] = d
-        return out
-
-
-def resolve_complex(x: CoordComplex, len_bound=16):
-    """Surjective quasi-isomorphism from a complex of free bimodules.
-
-    Built from the top degree down: each stage covers the pullback of the
-    previous stage's cycles against the incoming differential.  Returns
-    (ProjBimodComplex, cover steps, q) when both algebras coincide, where
-    q[k] holds the images in X^k of the coordinates of P_k as sparse
-    vectors.
-    """
-    A, B = x.left_alg, x.right_alg
-    f = A.field
-    degs = x.degrees()
-    if not degs:
-        return ProjBimodComplex(A, {}, {})
-    top = max(degs)
-    steps = {}
-    q_maps = {}
-    d_maps = {}  # d_maps[k]: the images in P_{k+1} of the coordinates of P_k
-    prev_free = None
-    k = top
-    while True:
-        xk = x.modules.get(k)
-        if xk is None:
-            xk = _zero_bimodule(A, B)
-        if prev_free is None:
-            target = xk
-            incl = None
-        else:
-            # V = {(xv, pv) : d_X xv = q(pv), d_P pv = 0}
-            target, incl = _pullback_module(
-                x, k, prev_free, q_maps[k + 1], d_maps.get(k + 1), f
-            )
-        if target.dim == 0:
-            if k < min(degs):
-                break
-            steps[k] = CoverStep([], [])
-            q_maps[k] = []
-            d_maps[k] = []
-            prev_free = _zero_bimodule(A, B)
-            k -= 1
-            if top - k > len_bound:
-                break
-            continue
-        gens = _top_generators(target)
-        step = CoverStep([g for g, _ in gens], [w for _, w in gens])
-        images = cover_images(target, step, step.coords(A, B))
-        if incl is None:
-            q_maps[k] = images
-        else:
-            # split each image in X^k + P_{k+1} into its two components
-            xdim = xk.dim
-            q_maps[k], d_maps[k] = [], []
-            for vec in images:
-                amb = combine_sparse(vec, incl, f)
-                q_maps[k].append({j: v for j, v in amb.items() if j < xdim})
-                d_maps[k].append({j - xdim: v for j, v in amb.items() if j >= xdim})
-        steps[k] = step
-        prev_free = _free_bimodule(A, B, step)
-        k -= 1
-        if top - k > len_bound:
-            raise BoundExceeded("complex resolution exceeded the length bound")
-    if A is not B:
-        raise ValueError("projective complexes need equal algebras both sides")
-    terms = {}
-    diff = {}
-    for deg, step in steps.items():
-        terms[deg] = [
-            ProjBimodSummand(u, v, deg, 0, trace=("res", deg, g))
-            for g, (u, v) in enumerate(step.generators)
-        ]
-    for deg, step in steps.items():
-        d_cols = d_maps.get(deg)
-        if d_cols is None or deg + 1 not in steps:
-            continue
-        upper = steps[deg + 1].coords(A, A)
-        col_of = {c: i for i, c in enumerate(step.coords(A, A))}
-        dd = {}
-        for g2, (u, v) in enumerate(step.generators):
-            # column of the generator itself: (g2, e_u, e_v)
-            gen_col = col_of[(g2, A.idempotent_index(u), A.idempotent_index(v))]
-            for ridx, c in sorted(d_cols[gen_col].items()):
-                g, a, bb = upper[ridx]
-                entry = dd.setdefault((g, g2), {})
-                entry[(a, bb)] = f.add(entry.get((a, bb), f.zero()), c)
-        diff[deg] = dd
-    cx = ProjBimodComplex(A, terms, diff)
-    return cx, steps, q_maps
-
-
-def _zero_bimodule(A, B):
-    return BimoduleData(A, B, 0, [[] for _ in range(A.dim)], [[] for _ in range(B.dim)])
-
-
-def _pullback_module(x, k, prev_free, q_upper, d_upper, f):
-    """Submodule of X^k + P_{k+1} of the pairs (xv, pv) with d_X xv = q(pv)
-    and d_P pv = 0; q_upper and d_upper hold the images of the coordinates
-    of P_{k+1} in X^{k+1} and in P_{k+2}."""
-    xk = x.modules.get(k)
-    xdim = xk.dim if xk is not None else 0
-    # one equation per coordinate of X^{k+1} and per coordinate of P_{k+2}
-    eqs = {}
-    dxk = x.diffs.get(k)
-    if dxk is not None:
-        for i, row in enumerate(sparse_transpose(dxk, x.modules[k + 1].dim)):
-            if row:
-                eqs[("x", i)] = row
-    for c, col in enumerate(q_upper):
-        for i, v in col.items():
-            eqs.setdefault(("x", i), {})[xdim + c] = f.neg(v)
-    for c, col in enumerate(d_upper or ()):
-        for i, v in col.items():
-            eqs.setdefault(("p", i), {})[xdim + c] = v
-    ncols = xdim + prev_free.dim
-    ker = kernel_basis(sparse_transpose(list(eqs.values()), ncols), len(eqs), f).basis
-    return _sub_bimodule(_direct_sum_bimodule(xk, prev_free), ker)
-
-
-def _direct_sum_bimodule(xk, p):
-    """X + P, block diagonal: the rows of X, then those of P shifted by
-    dim X."""
-    if xk is None:
-        return p
-    xdim = xk.dim
-
-    def blocks(x_rows, p_rows):
-        return x_rows + [{xdim + j: v for j, v in row.items()} for row in p_rows]
-
-    return BimoduleData(
-        p.left_alg, p.right_alg, xdim + p.dim,
-        [blocks(xa, pa) for xa, pa in zip(xk.left_action, p.left_action)],
-        [blocks(xa, pa) for xa, pa in zip(xk.right_action, p.right_action)],
-    )
-
-
 def coord_complex_of(x: ProjBimodComplex) -> CoordComplex:
     """Coordinate form of a projective-term complex (testing aid)."""
     alg = x.base
@@ -551,14 +391,13 @@ def corner_adapt_module(module):
     return RightModule(alg, n, action), tags, rows
 
 
-def hom_transport_complex(chain, tags, w):
+def hom_transport_complex(module, steps, d_maps, tags, w):
     """Hom_D(P(M), M (x) W) as a strict (E, E)-bimodule coordinate complex.
 
-    chain resolves M over E (x) D^op; M is corner-adapted, tags[i] the
-    vertex of its i-th basis vector; w is the carried bimodule complex over
-    D.
+    steps and d_maps, from resolution_steps, resolve M over E (x) D^op; M
+    is corner-adapted, tags[i] the vertex of its i-th basis vector; w is
+    the carried bimodule complex over D.
     """
-    module = chain.module
     e_alg, d_alg = module.left_alg, module.right_alg
     f = e_alg.field
     n = module.dim
@@ -586,24 +425,21 @@ def hom_transport_complex(chain, tags, w):
                     for mj, cm in mrow.items():
                         yield (t2, mj, bd), f.mul(c, f.mul(cm, cb))
 
-    # X^r coordinates: (j, g, x, ncoord) with P_j at degree -j
-    steps = chain.steps
+    # X^r coordinates: (p, g, x, ncoord) with P at degree p
     e_basis_src = {
         u: [b.index for b in e_alg.basis if b.source == u] for u in e_alg.vertices
     }
     x_coords = {}
-    for j, step in enumerate(steps):
+    for p, step in steps.items():
         for g, (u, v) in enumerate(step.generators):
             for q in w.degrees():
-                r = q + j
+                r = q - p
                 for xx in e_basis_src[u]:
                     for ncoord in n_coords[q]:
                         t_idx, mi, d = ncoord
                         if d_alg.basis[d].source != v:
                             continue
-                        x_coords.setdefault(r, []).append((j, g, xx, ncoord))
-    # P_j coordinate lists (over E x D^op frees)
-    p_coords = [step.coords(e_alg, d_alg) for step in steps]
+                        x_coords.setdefault(r, []).append((p, g, xx, ncoord))
 
     modules = {}
     diffs = {}
@@ -617,53 +453,54 @@ def hom_transport_complex(chain, tags, w):
             # left: act on the N part through the module's E action, which
             # stays inside the vertex tag
             rows = [{} for _ in range(dim)]
-            for i, (j, g, xx, (t_idx, mi, d)) in enumerate(items):
+            for i, (p, g, xx, (t_idx, mi, d)) in enumerate(items):
                 for mj, c in e_rows[mi].items():
-                    jj = pos.get((j, g, xx, (t_idx, mj, d)))
+                    jj = pos.get((p, g, xx, (t_idx, mj, d)))
                     if jj is not None and tags[mj] == tags[mi]:
                         rows[i][jj] = c
             left.append(rows)
         right = []
         for k in range(e_alg.dim):
             rows = [{} for _ in range(dim)]
-            for jcol, (j, g, x2, ncoord) in enumerate(items):
+            for jcol, (p, g, x2, ncoord) in enumerate(items):
                 # (phi . eps)[x2-coordinate] reads phi at the expansion of
                 # eps . x2, so rows are the expansion coordinates
                 for x1, c in e_alg.mult(k, x2).items():
-                    ii = pos.get((j, g, x1, ncoord))
+                    ii = pos.get((p, g, x1, ncoord))
                     if ii is not None:
                         rows[ii][jcol] = c
             right.append(rows)
         modules[r] = BimoduleData(e_alg, e_alg, dim, left, right)
-    # d_P: P_{j+1} -> P_j by the P_j generator it lies over:
-    # d_over[j][g] = [(g2, aa, dd, coefficient)]
-    d_over = [{} for _ in steps]
-    for j in range(len(steps) - 1):
-        for g2, vec in enumerate(chain.maps[j + 1]):
+    # d_P: P_{p-1} -> P_p by the P_p generator it lies over:
+    # d_over[p][g] = [(g2, aa, dd, coefficient)]
+    d_over = {p: {} for p in steps}
+    for p, cols in d_maps.items():
+        upper = steps[p + 1].coords(e_alg, d_alg)
+        for g2, vec in enumerate(steps[p].generator_columns(cols, e_alg, d_alg)):
             for ci, cval in sorted(vec.items()):
-                g, aa, dd = p_coords[j][ci]
-                d_over[j].setdefault(g, []).append((g2, aa, dd, cval))
+                g, aa, dd = upper[ci]
+                d_over[p + 1].setdefault(g, []).append((g2, aa, dd, cval))
     for r in sorted(x_coords):
         if r + 1 not in x_coords:
             continue
         sgn = f(1) if r % 2 == 0 else f(-1)
 
         def image(coord):
-            j, g, xx, ncoord = coord
-            q = r - j
+            p, g, xx, ncoord = coord
+            q = r + p
             # d_N o phi
             for key2, c in n_diff(q, ncoord):
-                yield (j, g, xx, key2), c
-            # -(-1)^r phi o d_P : lands in Hom(P_{j+1}, N^q); phi((g, x2 in
-            # x'.aa, dd)) = +- n . dd, collected against (j+1, g2, x', -)
+                yield (p, g, xx, key2), c
+            # -(-1)^r phi o d_P : lands in Hom(P_{p-1}, N^q); phi((g, x2 in
+            # x'.aa, dd)) = +- n . dd, collected against (p-1, g2, x', -)
             t_idx, mi, d = ncoord
-            for g2, aa, dd, cval in d_over[j].get(g, ()):
-                for x2 in e_basis_src[steps[j + 1].generators[g2][0]]:
+            for g2, aa, dd, cval in d_over[p].get(g, ()):
+                for x2 in e_basis_src[steps[p - 1].generators[g2][0]]:
                     c2 = e_alg.mult(x2, aa).get(xx)
                     if not c2:
                         continue
                     for d2, c3 in d_alg.mult(d, dd).items():
-                        yield ((j + 1, g2, x2, (t_idx, mi, d2)),
+                        yield ((p - 1, g2, x2, (t_idx, mi, d2)),
                                f.neg(f.mul(sgn, f.mul(cval, f.mul(c2, c3)))))
 
         diffs[r] = assemble(x_coords[r], x_coords[r + 1], image, f)
@@ -690,8 +527,8 @@ def transported_pair(a_alg, u_a, b_alg, u_b, e_vertices_a, len_bound=10, seed=0)
     m_data = BimoduleData(e_alg, d_alg, module.dim, e_action, module.action)
     if not m_data.check_bimodule():
         raise ValueError("E- and D-actions do not commute")
-    chain = resolve_cover_chain(m_data, len_bound)
-    x = hom_transport_complex(chain, tags, w)
+    steps, _, d_maps = resolution_steps(CoordComplex(e_alg, d_alg, {0: m_data}, {}), len_bound)
+    x = hom_transport_complex(m_data, steps, d_maps, tags, w)
     dims = x.cohomology_dims()
     lo, hi = min(dims), max(dims)
     if lo != hi:

@@ -10,6 +10,7 @@ from cyfold.bimodcx import (
     ProjBimodSummand,
     bimodule_dual,
     chain_maps,
+    dual_regular_bimodule,
     cone,
     direct_sum,
     find_quasi_iso,
@@ -18,18 +19,21 @@ from cyfold.bimodcx import (
     map_from_vector,
     minimize,
     projective_right,
+    regular_bimodule,
     resolution_of_algebra,
+    resolve_bimodule,
     shift,
     standard_hereditary_resolution,
     tensor_over_A,
     tensor_power,
     tensor_right,
 )
-from cyfold.exactlin import SplitMix64, random_vector
+from cyfold.exactlin import QQ, Field, SplitMix64, random_vector
 from cyfold.presets import (
     a2n_algebra,
     a2n_root,
     a4_mod_longest_algebra,
+    beilinson_algebra,
     kronecker_algebra,
     kronecker_root,
     linear_an_algebra,
@@ -298,13 +302,13 @@ def _map_to_vector(x, y, r, coords, fmap):
     return vec
 
 
-def _canonical_dump(cx):
-    """Summands in order with every slot (trace included), then every entry
-    in order with the type of each coefficient."""
+def _canonical_dump(cx, skip=()):
+    """Summands in order with every slot (trace included unless skipped),
+    then every entry in order with the type of each coefficient."""
     lines = []
     for p, ss in cx.terms.items():
         for i, s in enumerate(ss):
-            slots = tuple(getattr(s, k) for k in type(s).__slots__)
+            slots = tuple(getattr(s, k) for k in type(s).__slots__ if k not in skip)
             lines.append(f"S {p} {i} {type(s).__name__} {slots!r}")
     for p, dd in cx.diff.items():
         for (t, s), entry in dd.items():
@@ -348,3 +352,64 @@ def test_minimize_twist_chain_golden(kron, root):
         y = minimize(tensor_right(y, u))
         h.update(_canonical_dump(y))
     assert h.hexdigest() == TWIST_CHAIN_DIGESTS[root]
+
+
+# sha256 of the dumps (trace slot left out) of the minimal resolutions of
+# the regular and dual-regular bimodules, per algebra and field
+# characteristic, and of resolution_of_algebra followed by its augmentation
+# with the type of each coefficient.  They pin the resolver value for value.
+RESOLUTION_ALGEBRAS = {
+    "kronecker": kronecker_algebra,
+    "a4_mod_longest": a4_mod_longest_algebra,
+    "beilinson2": lambda field: beilinson_algebra(2, field),
+}
+RESOLUTION_DIGESTS = {
+    ("kronecker", "regular", 0):
+        "70b275971a004c080222b872ec9971365e3d94c5d024550e797b1a7abc7d32fc",
+    ("kronecker", "dual_regular", 0):
+        "9a4de75c8bcfc17475a24520cf35e1c59a6b3421875a31e96a29c58ef4639d64",
+    ("a4_mod_longest", "regular", 0):
+        "bab07dd6d1af67e8caf5e1272900ffc309252210ea652ef4db903f82e066de82",
+    ("a4_mod_longest", "dual_regular", 0):
+        "ab7a779755593e8560232dc1eb9e71bc43fee8e0bdce6e15461b8af36387d72b",
+    ("beilinson2", "regular", 0):
+        "a17736777584b444a1bd8391a493fbd9311876299066a29cc95e5366404e1c9a",
+    ("beilinson2", "dual_regular", 0):
+        "d2d4272a0a66bd6987957c07c112e7a5f63e745ee07aef1c43dadea6a4987835",
+    ("kronecker", "regular", 2**31 - 1):
+        "0d43a7b6cdc225c7af9004990aadf8d4a36a8480e69647d3070a05ec65690ece",
+    ("kronecker", "dual_regular", 2**31 - 1):
+        "1924d7a29f898ca3e921e2d9f14012cb52a2d70b891c39dfbc84cf3b04bcd485",
+    ("a4_mod_longest", "regular", 2**31 - 1):
+        "e81de3430ecd7750bdebeb848ad503671333f055a09d61f7ab918f348ada1873",
+    ("a4_mod_longest", "dual_regular", 2**31 - 1):
+        "0ceb1e3e9f5df3ebdce2ee2c14ef6add23db827355c1c37f633c4b21f270cce2",
+    ("beilinson2", "regular", 2**31 - 1):
+        "97f6394ff3150afda7d629717364d487a72d6d9196a33eaba2ea9405a3011ecc",
+    ("beilinson2", "dual_regular", 2**31 - 1):
+        "dd12ace899391560085e5be270747d71c0088703dcfa27f56439f9d807846a56",
+    ("a4_mod_longest", "algebra", 0):
+        "a3842d053f2a086a230e831b2dd13deac0bddd625f65f5796d9ca7baffa61ba4",
+    ("a4_mod_longest", "algebra", 2**31 - 1):
+        "a6dfd380ddfa2d8c448d891246879648e302fdb91e717c2da3faae365039ab66",
+}
+
+
+def _resolution_digest(name, kind, char):
+    alg = RESOLUTION_ALGEBRAS[name](Field(char) if char else QQ)
+    if kind == "algebra":
+        res = resolution_of_algebra(alg)
+    else:
+        producer = regular_bimodule if kind == "regular" else dual_regular_bimodule
+        res = resolve_bimodule(producer(alg))
+    h = hashlib.sha256(_canonical_dump(res, skip=("trace",)))
+    if kind == "algebra":
+        aug = [(g, [(k, type(c).__name__, c) for k, c in elem.items()])
+               for g, elem in res.augmentation.items()]
+        h.update(repr(aug).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,kind,char", list(RESOLUTION_DIGESTS))
+def test_resolution_golden(name, kind, char):
+    assert _resolution_digest(name, kind, char) == RESOLUTION_DIGESTS[(name, kind, char)]

@@ -23,6 +23,7 @@ from cyfold.presets import (
     kronecker_root,
     linear_an_algebra,
 )
+from cyfold.rootpair import is_cyclically_invariant
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,25 @@ def test_bound_exceeded():
     c = a4_mod_longest_algebra()
     with pytest.raises(BoundExceeded):
         resolve_bimodule(regular_bimodule(c), len_bound=0)
+
+
+def test_length_bound_admits_a_resolution_of_that_length():
+    c = a4_mod_longest_algebra()
+    res = resolve_bimodule(regular_bimodule(c), len_bound=2)
+    assert sorted(res.terms) == [-2, -1, 0]
+    with pytest.raises(BoundExceeded):
+        resolve_bimodule(regular_bimodule(c), len_bound=1)
+
+
+def test_resolve_bimodule_has_no_augmentation(kron):
+    # only a resolution of A itself is augmented; an empty augmentation
+    # would let hh_class return a zero class and cyclic invariance pass
+    res = resolve_bimodule(regular_bimodule(kron))
+    assert res.augmentation is None
+    u = kronecker_root(kron, 0, -1)
+    with pytest.raises(ValueError, match="augmentation"):
+        is_cyclically_invariant(kron, u, 2, 1, resolution=res)
+    assert is_cyclically_invariant(kron, u, 2, 1)[0] is False
 
 
 def test_inverse_dualizing_kronecker(kron):

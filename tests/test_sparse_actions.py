@@ -4,15 +4,18 @@ BimoduleData producer, over Q and over GF(2^31 - 1)."""
 import pytest
 
 from cyfold.bimodcx import (
+    CoordComplex,
     CoverStep,
-    _cover,
+    _direct_sum_bimodule,
     _free_bimodule,
+    _pullback_module,
     dual_regular_bimodule,
     regular_bimodule,
+    resolution_steps,
 )
 from cyfold.exactlin import QQ, Field, SplitMix64
 from cyfold.presets import a4_mod_longest_algebra, kronecker_algebra
-from cyfold.transport import _direct_sum_bimodule, _quotient_bimodule
+from cyfold.transport import _quotient_bimodule
 
 FIELDS = [QQ, Field(2**31 - 1)]
 
@@ -23,7 +26,10 @@ def _producers(alg):
     reg = regular_bimodule(alg)
     corners = [(u, v) for u in alg.vertices for v in alg.vertices]
     free = _free_bimodule(alg, alg, CoverStep(corners, []))
-    _, sub, _ = _cover(reg)  # the first syzygy of A, inside a free bimodule
+    # the first syzygy of A, inside the free bimodule that covers it
+    x = CoordComplex(alg, alg, {0: reg}, {})
+    steps, q, _ = resolution_steps(x, 4)
+    sub, _ = _pullback_module(x, -1, _free_bimodule(alg, alg, steps[0]), q[0], None, f)
     rad = [{i: f.one()} for i in alg.radical_indices()]
     _, top = _quotient_bimodule(reg, rad, f)  # A / rad A
     return [

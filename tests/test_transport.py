@@ -4,6 +4,7 @@ import pytest
 from test_bimodcx import _canonical_dump
 
 from cyfold.bimodcx import (
+    BoundExceeded,
     bimodule_dual,
     dual_regular_bimodule,
     find_quasi_iso,
@@ -40,6 +41,16 @@ def test_resolve_complex_roundtrip():
     res, _, _ = resolve_complex(x)
     assert res.validate() == []
     assert res.cohomology_dims() == pa.cohomology_dims()
+
+
+def test_resolve_complex_length_bound():
+    # the Kronecker two-term resolution is resolved by itself, in degrees
+    # 0 and -1: length 1
+    x = coord_complex_of(standard_hereditary_resolution(kronecker_algebra()))
+    res, _, _ = resolve_complex(x, len_bound=1)
+    assert {p: len(ss) for p, ss in res.terms.items()} == {0: 2, -1: 2}
+    with pytest.raises(BoundExceeded):
+        resolve_complex(x, len_bound=0)
 
 
 def test_resolve_complex_two_cohomologies():
