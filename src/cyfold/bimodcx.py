@@ -1204,10 +1204,6 @@ class HomComplex:
                               self.diff_matrix(r - 1)[0], self.alg.field)
 
 
-def rhom_right(x: RightComplex, y: RightComplex) -> HomComplex:
-    return HomComplex(x, y)
-
-
 class BoundExceeded(Exception):
     pass
 

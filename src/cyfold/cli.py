@@ -12,8 +12,9 @@ where diff["<p>"][t][s] is the entry from source summand s at degree p to
 target summand t at degree p+1, a list of
   {"coef": "p/q", "left_path": [names...], "right_path": [names...]}
 with paths written in composition order (empty list = idempotent).
-Exit codes: 0 all checks pass, 1 a check failed, 2 inconclusive, 3 input
-error, 4 internal error (the traceback goes to stderr).
+Exit codes: 0 all checks pass, 1 a check failed, 2 inconclusive (also when
+a resolution or tensor power outgrows its bound), 3 input error, 4 internal
+error (the traceback goes to stderr).
 """
 
 import argparse
@@ -28,6 +29,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bimodcx import (
+    BoundExceeded,
     ProjBimodComplex,
     ProjBimodSummand,
     resolution_of_algebra,
@@ -41,7 +43,7 @@ from .cluster import (
     orbit_quiver,
 )
 
-from .completion import completion
+from .completion import ResourceLimit, completion
 from .exactlin import QQ, Field
 from .quiveralg import Arrow, NotFiniteDimensional, Quiver, Relation, build_algebra
 from .rootpair import (
@@ -638,6 +640,9 @@ def main(argv=None):
     except ParseError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    except (BoundExceeded, ResourceLimit) as exc:
+        print(json.dumps({"inconclusive": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL

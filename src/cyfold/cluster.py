@@ -3,9 +3,9 @@ combinatorial roots of the translation, orbit quotients with DOT export,
 and orbit Hom dimensions through the tensor formula."""
 
 from .bimodcx import (
+    HomComplex,
     RightComplex,
     minimize,
-    rhom_right,
     shift_right,
     tensor_right,
 )
@@ -336,14 +336,14 @@ def orbit_hom(alg, u, x: RightComplex, y: RightComplex, window):
     tail = []
     y_tw = y
     for i in range(window + 1):
-        d = rhom_right(x, y_tw).cohomology_dim(0)
+        d = HomComplex(x, y_tw).cohomology_dim(0)
         total += d
         if i >= window - 1:
             tail.append(d)
         y_tw = minimize(tensor_right(y_tw, u))
     x_tw = minimize(tensor_right(x, u))
     for i in range(1, window + 1):
-        d = rhom_right(x_tw, y).cohomology_dim(0)
+        d = HomComplex(x_tw, y).cohomology_dim(0)
         total += d
         if i >= window - 1:
             tail.append(d)

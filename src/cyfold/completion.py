@@ -113,10 +113,6 @@ class TruncatedTensorAlgebra:
         return dict(self.cohomology_table)
 
 
-def tensor_algebra(algebra, u, cutoff, resolution=None, summand_limit=40000) -> TruncatedTensorAlgebra:
-    return TruncatedTensorAlgebra(algebra, u, cutoff, resolution, summand_limit)
-
-
 class CompletionData:
     """Bidegree dims of H^p(e U^l e) for l <= cutoff, plus the window."""
 
@@ -135,11 +131,6 @@ def completion(algebra, u, e_vertices, cutoff, resolution=None) -> CompletionDat
     read off the minimal powers of U."""
     ta = TruncatedTensorAlgebra(algebra, u, cutoff, resolution, e_vertices=e_vertices)
     return CompletionData(algebra, e_vertices, cutoff, ta.table())
-
-
-def rep_infinite_check(data: CompletionData) -> bool:
-    """True when the completion window is concentrated in degree 0."""
-    return data.concentrated_in_degree_zero()
 
 
 class DgPathAlgebra:

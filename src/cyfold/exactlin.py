@@ -7,8 +7,8 @@ sparse, a dict {index: value} of its nonzero entries, and a matrix is the
 list of its columns as such vectors together with its row count n: the
 matrices met here are a few per cent nonzero, and the elimination behind
 every entry point is sparse too (``_kernels``).  The dense ``Matrix``
-serves only ``rref``, whose reduced rows some callers read, and small
-ring arithmetic through ``matmul``.  ``PreparedSolver`` factors a matrix
+serves only ``rref``, whose reduced rows ``quiveralg.build_algebra``
+reads.  ``PreparedSolver`` factors a matrix
 once for many right-hand sides and ``IncrementalSpan`` grows a span one
 vector at a time; use them instead of calling ``solve_linear`` or ``rank``
 in a loop over one matrix.  The seeded PRNG is splitmix64

@@ -10,6 +10,7 @@ removed against the dual) are computed here.
 
 from .bimodcx import (
     ChainMap,
+    HomComplex,
     ProjBimodComplex,
     RightComplex,
     RightSummand,
@@ -24,7 +25,6 @@ from .bimodcx import (
     is_quasi_iso,
     map_from_vector,
     resolution_of_algebra,
-    rhom_right,
     shift,
     tensor_power,
     tensor_right,
@@ -126,10 +126,9 @@ class ContractWithA:
         return assemble(self.coords(r), self.coords(r + 1), image, f)
 
     def boundary_decompose(self, r, vec):
-        """Write a dense vec at degree r as d(w), w sparse, if possible,
+        """Write a sparse vec at degree r as d(w), w sparse, if possible,
         else return None."""
-        b = {i: v for i, v in enumerate(vec) if v}
-        return solve_linear(self.diff_matrix(r - 1), len(self.coords(r)), b, self.alg.field)
+        return solve_linear(self.diff_matrix(r - 1), len(self.coords(r)), vec, self.alg.field)
 
 
 def evaluation_matrix(x: ProjBimodComplex, dual, contracted: ContractedComplex, r):
@@ -226,7 +225,8 @@ def casimir_identity_defect(cas: CasimirElement):
 
 
 class HHClass:
-    """Cycle in M^(x)n (x)_{A^e} A, stored over ContractWithA coordinates."""
+    """Cycle in M^(x)n (x)_{A^e} A: vector is sparse, {index: value} over
+    the ContractWithA coordinates of its degree."""
 
     def __init__(self, power, ambient: ContractWithA, degree, vector):
         self.power = power
@@ -235,8 +235,8 @@ class HHClass:
         self.vector = vector
 
     def is_cycle(self):
-        vec = {i: v for i, v in enumerate(self.vector) if v}
-        return not combine_sparse(vec, self.ambient.diff_matrix(self.degree), self.power.base.field)
+        return not combine_sparse(self.vector, self.ambient.diff_matrix(self.degree),
+                                  self.power.base.field)
 
 
 def hh_class(phi: ChainMap, cas: CasimirElement, power: ProjBimodComplex) -> HHClass:
@@ -254,7 +254,7 @@ def hh_class(phi: ChainMap, cas: CasimirElement, power: ProjBimodComplex) -> HHC
     degree = phi.degree
     coords = ambient.coords(degree)
     pos = {c: i for i, c in enumerate(coords)}
-    out = [f.zero()] * len(coords)
+    out = {}
     for ((p, s_idx), (q, t_idx), (u, v)), c_cas in cas.items():
         if p != 0 or q != 0:
             continue
@@ -281,8 +281,8 @@ def hh_class(phi: ChainMap, cas: CasimirElement, power: ProjBimodComplex) -> HHC
                             if i is None:
                                 continue
                             val = f.mul(f.mul(c_cas, c), f.mul(ca, f.mul(c1, c2)))
-                            out[i] = f.add(out[i], val)
-    return HHClass(power, ambient, degree, out)
+                            out[i] = f.add(out.get(i, f.zero()), val)
+    return HHClass(power, ambient, degree, {i: v for i, v in out.items() if v})
 
 
 def rotate(cls: HHClass, n: int) -> HHClass:
@@ -292,13 +292,11 @@ def rotate(cls: HHClass, n: int) -> HHClass:
     alg = power.base
     f = alg.field
     if n == 1:
-        return HHClass(power, cls.ambient, cls.degree, list(cls.vector))
+        return HHClass(power, cls.ambient, cls.degree, dict(cls.vector))
     coords = cls.ambient.coords(cls.degree)
     pos = {c: i for i, c in enumerate(coords)}
-    out = [f.zero()] * len(coords)
-    for i, c in enumerate(cls.vector):
-        if c == 0:
-            continue
+    out = {}
+    for i, c in cls.vector.items():
         t_idx, a = coords[i]
         summand = power.summands(cls.degree)[t_idx]
         ss, ms = summand.trace
@@ -313,8 +311,8 @@ def rotate(cls: HHClass, n: int) -> HHClass:
             raise ValueError("rotated summand missing; use tensor_power labels")
         target = hit[1]
         j = pos[(target, new_coord_val)]
-        out[j] = f.add(out[j], f.mul(sgn, c))
-    return HHClass(power, cls.ambient, cls.degree, out)
+        out[j] = f.add(out.get(j, f.zero()), f.mul(sgn, c))
+    return HHClass(power, cls.ambient, cls.degree, {j: v for j, v in out.items() if v})
 
 
 def is_cyclically_invariant(
@@ -353,9 +351,8 @@ def is_cyclically_invariant(
     eq_cols = []
     for z in closed.basis:
         cls = hh_class(map_from_vector(dual, power, r, coords, z), cas, power)
-        rot = rotate(cls, a).vector
-        diff = (f.add(c, f.neg(rc)) for c, rc in zip(cls.vector, rot))
-        eq_cols.append({i: v for i, v in enumerate(diff) if v})
+        eq_cols.append(combine_sparse({0: f.one(), 1: f.neg(f.one())},
+                                      [cls.vector, rotate(cls, a).vector], f))
     eq_cols += [{i: f.neg(v) for i, v in col.items()} for col in ambient.diff_matrix(r - 1)]
     sol_space = kernel_basis(eq_cols, m, f)
     if sol_space.dim == 0:
@@ -385,57 +382,58 @@ def peel_map(phi: ChainMap, u: ProjBimodComplex, a: int, d: int, resolution=None
     if resolution is None:
         resolution = resolution_of_algebra(alg)
     dual_u = bimodule_dual(u)
-    power_a = phi.target
-    cas_pa = casimir(resolution)
-    tau = hh_class(phi, cas_pa, power_a)
-    cas_u = casimir(u, dual_u)
-    if a >= 2:
-        target = tensor_power(u, a - 1)
-    else:
-        target = resolution
+    tau = hh_class(phi, casimir(resolution), phi.target)
+    target = tensor_power(u, a - 1) if a >= 2 else resolution
     r = -d
     closed, _, psi_coords = chain_maps(dual_u, target, r)
+    pair_cols = _pairing_columns(casimir(u, dual_u), psi_coords, target, tau, resolution, a, d)
+    # unknowns: t (over the closed basis) and w, with pair(sum_k t_k z_k) - d w = tau
     amb = tau.ambient
-    amb_coords = amb.coords(r)
-    amb_pos = {c: i for i, c in enumerate(amb_coords)}
-    m = len(amb_coords)
-    # pairing columns for each psi coordinate, mapped into ambient coords
+    cols = [combine_sparse(z, pair_cols, f) for z in closed.basis]
+    cols += [{i: f.neg(v) for i, v in col.items()} for col in amb.diff_matrix(r - 1)]
+    sol = solve_linear(cols, len(amb.coords(r)), tau.vector, f)
+    if sol is None:
+        raise LiftFailed("pairing identity has no solution")
+    zdim = closed.dim
+    vec = combine_sparse({k: c for k, c in sol.items() if k < zdim}, closed.basis, f)
+    return map_from_vector(dual_u, target, r, psi_coords, vec)
+
+
+def _pairing_columns(cas_u, psi_coords, target, tau, resolution, a, d):
+    """Column k: the class, over tau's ambient coordinates, that the
+    Casimir element cas_u of U pairs with the degree -d map U^dual -> target
+    whose coordinate k (of psi_coords) is 1 and the others 0."""
+    alg = target.base
+    f = alg.field
+    power_a = tau.power
+    r = -d
+    amb_pos = {c: i for i, c in enumerate(tau.ambient.coords(r))}
+    by_source = {}
+    for k, (pp, psrc, ptgt, alpha, beta) in enumerate(psi_coords):
+        by_source.setdefault((pp, psrc), []).append((k, ptgt, alpha, beta))
     pair_cols = [{} for _ in psi_coords]
     for ((p, s_idx), (q, t_idx), (u1, v1)), c_cas in cas_u.items():
         sgn = f(1) if (d * p) % 2 == 0 else f(-1)
-        for k, (pp, psrc, ptgt, alpha, beta) in enumerate(psi_coords):
-            if pp != q or psrc != t_idx:
-                continue
+        for k, ptgt, alpha, beta in by_source.get((q, t_idx), ()):
+            col = pair_cols[k]
             for a2, c1 in alg.mult(u1, alpha).items():
                 for b2, c2 in alg.mult(beta, v1).items():
                     val = f.mul(sgn, f.mul(c_cas, f.mul(c1, c2)))
                     if a >= 2:
-                        tsummand = target.summands(q + r)[ptgt]
-                        ss2, ms2 = tsummand.trace
+                        ss2, ms2 = target.summands(q + r)[ptgt].trace
                         amb_i = _find_power_coord(
                             power_a, amb_pos, p + q + r,
                             ((p, s_idx),) + ss2, (a2,) + ms2, b2,
                         )
                         if amb_i is not None:
-                            col = pair_cols[k]
                             col[amb_i] = f.add(col.get(amb_i, f.zero()), val)
                     else:
                         for amb_j, cval in _find_a1_coord(
                             power_a, resolution, amb_pos, alg, f,
                             p, s_idx, q + r, ptgt, a2, b2,
                         ):
-                            col = pair_cols[k]
                             col[amb_j] = f.add(col.get(amb_j, f.zero()), f.mul(val, cval))
-    # unknowns: t (over the closed basis) and w, with pair(sum_k t_k z_k) - d w = tau
-    cols = [combine_sparse(z, pair_cols, f) for z in closed.basis]
-    cols += [{i: f.neg(v) for i, v in col.items()} for col in amb.diff_matrix(r - 1)]
-    rhs = {i: v for i, v in enumerate(tau.vector) if v}
-    sol = solve_linear(cols, m, rhs, f)
-    if sol is None:
-        raise LiftFailed("pairing identity has no solution")
-    zdim = closed.dim
-    vec = combine_sparse({k: c for k, c in sol.items() if k < zdim}, closed.basis, f)
-    return map_from_vector(dual_u, target, r, psi_coords, vec)
+    return pair_cols
 
 
 def _find_power_coord(power_a, amb_pos, deg, full_ss, full_ms, coord_val):
@@ -481,46 +479,21 @@ def check_peel_identity(phi, u, a, d, resolution=None, seed=7):
         return False
     if not psi.is_closed():
         return False
-    # re-verify with a different Casimir representative of U
+    # re-verify with different Casimir representatives of U and of pA
     f = alg.field
-    dual_u = bimodule_dual(u)
-    cas2 = casimir(u, dual_u, perturb_seed=seed)
-    power_a = phi.target
-    cas_pa = casimir(resolution, perturb_seed=seed + 1)
-    tau = hh_class(phi, cas_pa, power_a)
-    amb = tau.ambient
     r = -d
-    amb_coords = amb.coords(r)
-    amb_pos = {c: i for i, c in enumerate(amb_coords)}
-    m = len(amb_coords)
-    lhs = [f.zero()] * m
-    target = psi.target
-    for ((p, s_idx), (q, t_idx), (u1, v1)), c_cas in cas2.items():
-        sgn = f(1) if (d * p) % 2 == 0 else f(-1)
-        for (ptgt, psrc), entry in psi.components.get(q, {}).items():
-            if psrc != t_idx:
-                continue
-            for (alpha, beta), c in entry.items():
-                for a2, c1 in alg.mult(u1, alpha).items():
-                    for b2, c2 in alg.mult(beta, v1).items():
-                        val = f.mul(sgn, f.mul(c_cas, f.mul(c, f.mul(c1, c2))))
-                        if a >= 2:
-                            tsummand = target.summands(q + r)[ptgt]
-                            ss2, ms2 = tsummand.trace
-                            amb_i = _find_power_coord(
-                                power_a, amb_pos, p + q + r,
-                                ((p, s_idx),) + ss2, (a2,) + ms2, b2,
-                            )
-                            if amb_i is not None:
-                                lhs[amb_i] = f.add(lhs[amb_i], val)
-                        else:
-                            for amb_j, cval in _find_a1_coord(
-                                power_a, resolution, amb_pos, alg, f,
-                                p, s_idx, q + r, ptgt, a2, b2,
-                            ):
-                                lhs[amb_j] = f.add(lhs[amb_j], f.mul(val, cval))
-    resid = [f.add(lhs[i], f.neg(tau.vector[i])) for i in range(m)]
-    return amb.boundary_decompose(r, resid) is not None
+    cas2 = casimir(u, psi.source, perturb_seed=seed)
+    tau = hh_class(phi, casimir(resolution, perturb_seed=seed + 1), phi.target)
+    psi_coords = _map_coords(psi.source, psi.target, r)
+    psi_vec = {}
+    for k, (p, s_idx, t_idx, alpha, beta) in enumerate(psi_coords):
+        c = psi.entry(p, t_idx, s_idx).get((alpha, beta))
+        if c:
+            psi_vec[k] = c
+    pair_cols = _pairing_columns(cas2, psi_coords, psi.target, tau, resolution, a, d)
+    lhs = combine_sparse(psi_vec, pair_cols, f)
+    resid = combine_sparse({0: f.one(), 1: f.neg(f.one())}, [lhs, tau.vector], f)
+    return tau.ambient.boundary_decompose(r, resid) is not None
 
 
 class RootPairSpec:
@@ -657,7 +630,7 @@ def check_strict_pair(spec: RootPairSpec, resolution=None) -> CheckReport:
     orth_detail = {}
     x0 = xs[0]
     for i in range(1, spec.a):
-        hom = rhom_right(xs[i], x0)
+        hom = HomComplex(xs[i], x0)
         degs = _hom_degree_range(xs[i], x0)
         dims = {r: hom.cohomology_dim(r) for r in degs}
         dims = {r: dv for r, dv in dims.items() if dv}

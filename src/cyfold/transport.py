@@ -7,7 +7,9 @@ bimodule W over to U_E = RHom_D(P(M), M (x) W) where P(M) is a projective
 resolution of M over E (x) D^op, so both E-actions are strict on the nose.
 The result is resolved to a complex of projective E-bimodules.  Both
 resolutions are bimodcx's one resolver: resolution_steps for P(M), whose
-algebras differ, and resolve_complex for the Hom complex.
+algebras differ, and resolve_complex for the Hom complex.  An element of
+E is an n x n matrix held sparse over its entries, {i * n + j: value},
+so it meets IncrementalSpan and PreparedSolver as it is.
 """
 
 from .bimodcx import (
@@ -25,7 +27,6 @@ from .bimodcx import (
 )
 from .exactlin import (
     IncrementalSpan,
-    Matrix,
     PreparedSolver,
     SplitMix64,
     combine_sparse,
@@ -37,14 +38,15 @@ from .quiveralg import PathBasisAlgebra
 
 
 def endomorphism_matrices(module):
-    """Basis of End_D(M) as matrices commuting with the right action."""
+    """Basis of End_D(M): the n x n matrices phi commuting with the right
+    action, each sparse over its n * n entries {i * n + j: phi_ij}."""
     alg = module.algebra
     f = alg.field
     n = module.dim
     if n == 0:
         return []
-    # phi n x n with phi . act_k = act_k . phi for all k; the unknown
-    # phi_{im} is column i * n + m
+    # phi . act_k = act_k . phi for all k; the unknown phi_{im} is column
+    # i * n + m
     zero = f.zero()
     rows = []
     for ak in module.action:
@@ -60,111 +62,99 @@ def endomorphism_matrices(module):
                     row[m * n + j] = f.add(row.get(m * n + j, zero), f.neg(v))
                 if row:
                     rows.append(row)
-    mats = []
-    for vec in kernel_basis(sparse_transpose(rows, n * n), len(rows), f).basis:
-        m = Matrix.zero(n, n, f)
-        for c, v in vec.items():
-            m.data[c // n][c % n] = v
-        mats.append(m)
-    return mats
+    return kernel_basis(sparse_transpose(rows, n * n), len(rows), f).basis
 
 
-def _flat(m):
-    """A dense n x n End(M) matrix as a sparse vector over n * n entries."""
-    return {i * m.cols + j: v for i, row in enumerate(m.data) for j, v in enumerate(row) if v}
+def _product(x, y, n, f):
+    """The matrix product x y of two End(M) elements, sparse over their
+    n * n entries."""
+    y_rows = {}
+    for key, v in y.items():
+        y_rows.setdefault(key // n, {})[key % n] = v
+    out = {}
+    for key, v in x.items():
+        i, k = divmod(key, n)
+        for j, w in y_rows.get(k, {}).items():
+            out[i * n + j] = out.get(i * n + j, 0) + v * w
+    if f.char:
+        return {j: v % f.char for j, v in out.items() if v % f.char}
+    return {j: v for j, v in out.items() if v}
 
 
-def _trace_radical(mats, f):
+def _identity(n, f):
+    return {i * n + i: f.one() for i in range(n)}
+
+
+def _trace_radical(elts, n, f):
     """Radical of the span via the trace form (char 0)."""
-    k = len(mats)
+    k = len(elts)
     gram = [{} for _ in range(k)]  # columns of the symmetric Gram matrix
-    for i in range(k):
-        for j in range(k):
-            prod = mats[i].matmul(mats[j])
+    for i, x in enumerate(elts):
+        for j, y in enumerate(elts):
+            # tr(x y) = sum x_{ab} y_{ba}
             tr = f.zero()
-            for t in range(prod.rows):
-                tr = f.add(tr, prod.data[t][t])
+            for key, v in x.items():
+                a, b = divmod(key, n)
+                w = y.get(b * n + a)
+                if w:
+                    tr = f.add(tr, f.mul(v, w))
             if tr:
                 gram[j][i] = tr
     return kernel_basis(gram, k, f)
 
 
-def primitive_idempotents(mats, f, seed=0):
+def primitive_idempotents(elts, n, f, seed=0):
     """Complete orthogonal primitive idempotents of a basic endomorphism
-    algebra: trace-form radical, eigen-split of the (commutative) quotient,
-    Newton lifting, then sequential orthogonalization."""
-    k = len(mats)
-    n = mats[0].rows
-    rad = _trace_radical(mats, f)
-    rad_mats = []
-    for vec in rad.basis:
-        m = Matrix.zero(n, n, f)
-        for i, c in sorted(vec.items()):
-            for r in range(n):
-                for s in range(n):
-                    if mats[i].data[r][s] != 0:
-                        m.data[r][s] = f.add(m.data[r][s], f.mul(c, mats[i].data[r][s]))
-        rad_mats.append(m)
-    semis = k - rad.dim
+    algebra, spanned by the End(M) elements elts of an n-dimensional M:
+    trace-form radical, eigen-split of the (commutative) quotient, Newton
+    lifting, then sequential orthogonalization."""
+    rad = _trace_radical(elts, n, f)
+    rad_elts = [combine_sparse(vec, elts, f) for vec in rad.basis]
+    semis = len(elts) - rad.dim
     # representatives of a basis of E/rad
-    quot = []
     span = IncrementalSpan(f)
-    for m in rad_mats:
-        span.add(_flat(m))
-    for m in mats:
-        if span.add(_flat(m)):
-            quot.append(m)
+    for x in rad_elts:
+        span.add(x)
+    quot = [x for x in elts if span.add(x)]
     assert len(quot) == semis
-    # expresses z.m over quot + rad, for every trial z below
-    solver = PreparedSolver([_flat(m) for m in quot + rad_mats], n * n, f)
+    # expresses z.x over quot + rad, for every trial z below
+    solver = PreparedSolver(quot + rad_elts, n * n, f)
     rng = SplitMix64(seed)
     for _ in range(40):
-        coeffs = [f(rng.int_in(-9, 9)) for _ in range(semis)]
-        z = Matrix.zero(n, n, f)
-        for c, m in zip(coeffs, quot):
-            if c != 0:
-                for r in range(n):
-                    for s in range(n):
-                        if m.data[r][s] != 0:
-                            z.data[r][s] = f.add(z.data[r][s], f.mul(c, m.data[r][s]))
+        z = combine_sparse({i: f(rng.int_in(-9, 9)) for i in range(semis)}, quot, f)
         # eigenvalues of z on E/rad: find rational lambda with
         # (z - lambda) not invertible mod rad; use the action on the
         # quotient: solve the characteristic polynomial by rational roots
-        lams = _eigenvalues_mod_rad(z, quot, solver, f)
+        lams = _eigenvalues_mod_rad([_product(z, x, n, f) for x in quot], solver, f)
         if lams is not None and len(lams) == semis:
-            idems = []
-            for lam in lams:
-                e = _lagrange_idempotent(z, lam, lams, f)
-                idems.append(e)
+            idems = [_lagrange_idempotent(z, lam, lams, n, f) for lam in lams]
             # Newton-lift each inside rest = 1 - (the ones lifted so far),
             # which keeps them orthogonal; they are complete when rest is 0
             out = []
-            rest = Matrix.identity(n, f)
+            rest = _identity(n, f)
             for e in idems:
-                lifted = _newton_idempotent(rest.matmul(e).matmul(rest), f)
+                lifted = _newton_idempotent(_product(_product(rest, e, n, f), rest, n, f), n, f)
                 if lifted is None:
                     break
                 out.append(lifted)
-                for rrow, lrow in zip(rest.data, lifted.data):
-                    for j, v in enumerate(lrow):
-                        if v:
-                            rrow[j] = f.add(rrow[j], f.neg(v))
+                rest = combine_sparse({0: f.one(), 1: f.neg(f.one())}, [rest, lifted], f)
             else:
-                if not any(v for row in rest.data for v in row):
+                if not rest:
                     return out
     raise ValueError("could not split idempotents; algebra may not be basic")
 
 
-def _eigenvalues_mod_rad(z, quot, solver, f):
+def _eigenvalues_mod_rad(products, solver, f):
     """Rational eigenvalues of multiplication by z on the semisimple
-    quotient, via iterated minimal-polynomial factor stripping.  ``solver``
-    expresses flattened matrices over the quotient representatives
-    followed by a basis of the radical."""
+    quotient, via iterated minimal-polynomial factor stripping.  products
+    are z times each quotient representative, and ``solver`` expresses
+    End(M) elements over the quotient representatives followed by a
+    basis of the radical."""
     # columns of left multiplication by z on span(quot) mod rad
-    k = len(quot)
+    k = len(products)
     lmul = []
-    for m in quot:
-        sol = solver.solve(_flat(z.matmul(m)))
+    for zx in products:
+        sol = solver.solve(zx)
         if sol is None:
             return None
         lmul.append({i: v for i, v in sol.items() if i < k})
@@ -185,72 +175,59 @@ def _eigenvalues_mod_rad(z, quot, solver, f):
     return lams
 
 
-def _lagrange_idempotent(z, lam, lams, f):
-    n = z.rows
-    out = Matrix.identity(n, f)
+def _lagrange_idempotent(z, lam, lams, n, f):
+    one = _identity(n, f)
+    out = one
     for mu in lams:
         if mu == lam:
             continue
-        shifted = Matrix.zero(n, n, f)
-        for i in range(n):
-            for j in range(n):
-                shifted.data[i][j] = z.data[i][j]
-            shifted.data[i][i] = f.add(shifted.data[i][i], f.neg(mu))
-        out = out.matmul(shifted)
-        denom = f.add(lam, f.neg(mu))
-        inv = f.inv(denom)
-        for i in range(n):
-            for j in range(n):
-                out.data[i][j] = f.mul(out.data[i][j], inv)
+        # (z - mu) / (lam - mu)
+        inv = f.inv(f.add(lam, f.neg(mu)))
+        out = _product(out, combine_sparse({0: inv, 1: f.neg(f.mul(mu, inv))}, [z, one], f), n, f)
     return out
 
 
-def _newton_idempotent(e, f, max_iter=60):
+def _newton_idempotent(e, n, f, max_iter=60):
     for _ in range(max_iter):
-        e2 = e.matmul(e)
-        if e2.data == e.data:
+        e2 = _product(e, e, n, f)
+        if e2 == e:
             return e
-        e3 = e2.matmul(e)
-        nxt = Matrix.zero(e.rows, e.cols, f)
-        for i in range(e.rows):
-            for j in range(e.cols):
-                nxt.data[i][j] = f.add(
-                    f.mul(f(3), e2.data[i][j]), f.neg(f.mul(f(2), e3.data[i][j]))
-                )
-        e = nxt
+        e = combine_sparse({0: f(3), 1: f(-2)}, [e2, _product(e2, e, n, f)], f)
     return None
 
 
 def algebra_from_endomorphisms(module, seed=0):
     """End_D(M) as a PathBasisAlgebra tagged by primitive idempotents.
 
-    Returns (algebra, matrices) with matrices[i] the endomorphism realizing
-    basis element i.  Vertices are integers 0..r-1 in idempotent order.
+    Returns (algebra, chosen, idempotents): chosen[i] is the endomorphism
+    realizing basis element i, and every End(M) element is sparse over its
+    n * n matrix entries {i * n + j: value}.  Vertices are integers
+    0..r-1 in idempotent order.
     """
     f = module.algebra.field
-    mats = endomorphism_matrices(module)
-    idems = primitive_idempotents(mats, f, seed)
+    n = module.dim
+    elts = endomorphism_matrices(module)
+    idems = primitive_idempotents(elts, n, f, seed)
     r = len(idems)
     tagged = []
     chosen = []
-    n = module.dim
     span = IncrementalSpan(f)
     # corner-split the endomorphism space: e_i E e_j
     for i, ei in enumerate(idems):
         for j, ej in enumerate(idems):
-            for m in mats:
-                c = ei.matmul(m).matmul(ej)
-                if span.add(_flat(c)):
+            for x in elts:
+                c = _product(_product(ei, x, n, f), ej, n, f)
+                if span.add(c):
                     tagged.append((f"f{len(chosen)}", i, j))
                     chosen.append(c)
     # put idempotents first per vertex: ensure e_i themselves are present
     mult = {}
-    solver = PreparedSolver([_flat(c) for c in chosen], n * n, f)
+    solver = PreparedSolver(chosen, n * n, f)
     for i, ci in enumerate(chosen):
         for j, cj in enumerate(chosen):
             # x . y composes y first (path convention); matrices act in row
             # convention, so the composite matrix is cj then ci
-            vec = _flat(cj.matmul(ci))
+            vec = _product(cj, ci, n, f)
             if not vec:
                 continue
             sol = solver.solve(vec)
@@ -523,7 +500,9 @@ def transported_pair(a_alg, u_a, b_alg, u_b, e_vertices_a, len_bound=10, seed=0)
     m_raw, _, _ = h0_right_module(direct_sum_right(t0, t1))
     module, tags, _ = corner_adapt_module(m_raw)
     e_alg, chosen, idems = algebra_from_endomorphisms(module, seed)
-    e_action = [[{j: v for j, v in enumerate(row) if v} for row in c.data] for c in chosen]
+    # the action rows of each chosen End(M) element
+    n = module.dim
+    e_action = [[{k % n: c[k] for k in sorted(c) if k // n == i} for i in range(n)] for c in chosen]
     m_data = BimoduleData(e_alg, d_alg, module.dim, e_action, module.action)
     if not m_data.check_bimodule():
         raise ValueError("E- and D-actions do not commute")

@@ -327,3 +327,31 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     code = run(["classify-roots", "--type", "A", "--rank", "2", "--a", "2"])
     assert code == cli.EXIT_INTERNAL
     assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+# k[x]/(x^2) has infinite global dimension, so its bimodule resolution never
+# terminates within the length bound
+DUAL_NUMBERS_DOCS = {
+    "algebra": {"meta": {"max_len": 2}, "quiver": {
+        "vertices": [0],
+        "arrows": [{"name": "x", "from": 0, "to": 0, "cdeg": 0, "adeg": 0}],
+        "relations": [[{"coef": "1", "path": ["x", "x"]}]]}},
+    "bimodule": {"terms": {"0": [{"left": 0, "right": 0, "adeg": 1}]}, "diff": {}},
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["check-root-pair", "--a", "2", "--d", "1", "--e", "0"],
+    ["complete", "--adams-max", "3", "--e", "0"],
+], ids=["check-root-pair", "complete"])
+def test_infinite_global_dimension_is_inconclusive(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    for name, tree in DUAL_NUMBERS_DOCS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(tree))
+    code = run(["--out-dir", str(tmp_path / "out"), command[0],
+                "--algebra", str(tmp_path / "algebra.json"),
+                "--bimodule", str(tmp_path / "bimodule.json")] + command[1:])
+    assert code == cli.EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "BoundExceeded" in json.loads(err[0])["inconclusive"]

@@ -9,6 +9,7 @@ from cyfold.bimodcx import (
     standard_hereditary_resolution,
 )
 from cyfold.completion import (
+    TruncatedTensorAlgebra,
     DgPathAlgebra,
     InsufficientTruncation,
     NotLocallyFinite,
@@ -23,9 +24,7 @@ from cyfold.completion import (
     matrix_root_pair,
     polynomial_algebra,
     quasi_veronese,
-    rep_infinite_check,
     segre,
-    tensor_algebra,
     veronese,
 )
 from cyfold.presets import (
@@ -58,7 +57,7 @@ def u01(kron):
 def test_tensor_algebra_dims(kron, pA, u01):
     """Total dims match the path-count oracle of the tensor-algebra quiver
     (back arrow t, relation utv = vtu): 4, 8, 12, 16."""
-    ta = tensor_algebra(kron, u01, 3, resolution=pA)
+    ta = TruncatedTensorAlgebra(kron, u01, 3, resolution=pA)
     totals = {}
     for (p, l), d in ta.table().items():
         totals[l] = totals.get(l, 0) + d
@@ -70,7 +69,7 @@ def test_tensor_algebra_dims(kron, pA, u01):
 
 
 def test_tensor_algebra_trivial_cutoff(kron, pA, u01):
-    ta = tensor_algebra(kron, u01, 0, resolution=pA)
+    ta = TruncatedTensorAlgebra(kron, u01, 0, resolution=pA)
     assert set(l for (_, l) in ta.table()) == {0}
 
 
@@ -78,7 +77,7 @@ def test_completion_hilbert_series(kron, pA, u01):
     """e = {0} completion of the Kronecker root is k[x, y]: dim l+1."""
     data = completion(kron, u01, [0], 6, resolution=pA)
     assert data.table == {(0, l): l + 1 for l in range(7)}
-    assert rep_infinite_check(data)
+    assert data.concentrated_in_degree_zero()
 
 
 def test_completion_adams_zero_is_corner(kron, pA, u01):
@@ -92,12 +91,12 @@ def test_dynkin_completion_not_rep_infinite():
 
     u = resolve_bimodule(dual_regular_bimodule(a2), len_bound=4)
     data = completion(a2, u, [1, 2], 3)
-    assert not rep_infinite_check(data)
+    assert not data.concentrated_in_degree_zero()
 
 
 def test_rep_infinite_vacuous_window(kron, pA, u01):
     data = completion(kron, u01, [0], 0, resolution=pA)
-    assert rep_infinite_check(data)
+    assert data.concentrated_in_degree_zero()
 
 
 def test_dg_path_cohomology_free_loop():
@@ -324,7 +323,7 @@ def test_tensor_algebra_resource_limit(kron, pA, u01):
     from cyfold.completion import ResourceLimit
 
     with pytest.raises(ResourceLimit) as err:
-        tensor_algebra(kron, u01, 8, resolution=pA, summand_limit=10)
+        TruncatedTensorAlgebra(kron, u01, 8, resolution=pA, summand_limit=10)
     assert (0, 0) in err.value.partial
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from cyfold import transport
 from cyfold.bimodcx import (
+    HomComplex,
     assemble,
     bimodule_dual,
     hom_diff_matrix,
     resolution_of_algebra,
-    rhom_right,
     tensor_power,
     tensor_right,
 )
@@ -57,7 +57,7 @@ def _differentials(kind, s, eps, monkeypatch):
         x3 = tensor_right(x3, u)
     contracted = ContractedComplex(power, bimodule_dual(u))
     with_a = ContractWithA(tensor_power(u, 4))
-    hom = rhom_right(x3, x3)
+    hom = HomComplex(x3, x3)
     coord = transport.coord_complex_of(power)
     degs = range(-10, 8)
     out = [

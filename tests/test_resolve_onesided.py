@@ -12,7 +12,6 @@ from cyfold.bimodcx import (
     regular_bimodule,
     resolution_of_algebra,
     resolve_bimodule,
-    rhom_right,
     shift_right,
     standard_hereditary_resolution,
     tensor_right,
@@ -145,14 +144,14 @@ def test_rhom_projectives(kron):
     # Hom(e_iA, e_jA) = e_jAe_i
     for i in (0, 1):
         for j in (0, 1):
-            h = rhom_right(projective_right(kron, i), projective_right(kron, j))
+            h = HomComplex(projective_right(kron, i), projective_right(kron, j))
             assert h.cohomology_dim(0) == len(kron.corner_indices(j, i))
 
 
 def test_rhom_shift(kron):
     p0 = projective_right(kron, 0)
     sh = shift_right(p0, 1)
-    h = rhom_right(p0, sh)
+    h = HomComplex(p0, sh)
     assert h.cohomology_dim(0) == 0
     assert h.cohomology_dim(-1) == 1
 

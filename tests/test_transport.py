@@ -15,10 +15,12 @@ from cyfold.bimodcx import (
     standard_hereditary_resolution,
     tensor_power,
 )
-from cyfold.exactlin import QQ, Field
+from cyfold.exactlin import QQ, Field, Matrix, combine_sparse
 from cyfold.presets import a4_mod_longest_algebra, kronecker_algebra, linear_an_algebra
 from cyfold.rootpair import RootPairSpec, check_strict_pair, k0_spanning_check
 from cyfold.transport import (
+    _product,
+    algebra_from_endomorphisms,
     coord_complex_of,
     match_basic_algebras,
     resolve_complex,
@@ -131,3 +133,31 @@ def test_transported_pair_golden(char, seed):
     h = hashlib.sha256(_canonical_dump(pair["u"]))
     h.update(repr(sorted(pair["hom_dims"].items())).encode())
     assert h.hexdigest() == TRANSPORTED_PAIR_DIGESTS[(char, seed)]
+
+
+@pytest.mark.parametrize("char", [0, 2**31 - 1])
+def test_sparse_end_arithmetic_matches_dense(char):
+    """End(M) elements are sparse over the n * n matrix entries: their
+    products agree with the dense Matrix product, and the primitive
+    idempotents are complete and orthogonal."""
+    f = Field(char) if char else QQ
+    a2 = linear_an_algebra(2, f)
+    u = resolve_bimodule(dual_regular_bimodule(a2), len_bound=4)
+    module = transported_pair(a2, u, a2, u, [1], seed=1)["module"]
+    n = module.dim
+    _, chosen, idems = algebra_from_endomorphisms(module, seed=1)
+
+    def dense(x):
+        m = Matrix.zero(n, n, f)
+        for key, v in x.items():
+            m.data[key // n][key % n] = v
+        return m
+
+    for x in chosen:
+        for y in chosen:
+            assert dense(_product(x, y, n, f)) == dense(x).matmul(dense(y))
+    one = {i * n + i: f.one() for i in range(n)}
+    assert combine_sparse({i: f.one() for i in range(len(idems))}, idems, f) == one
+    for i, ei in enumerate(idems):
+        for j, ej in enumerate(idems):
+            assert _product(ei, ej, n, f) == (ei if i == j else {})
