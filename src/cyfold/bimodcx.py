@@ -50,10 +50,17 @@ def entry_scale(entry, c, field):
 
 
 def entry_add(dst, src, field):
+    """dst += src, dropping sums that cancel; values are field elements
+    (reduced residues over GF(p)), so a new key takes its value as is."""
     for k, v in src.items():
-        val = field.add(dst.get(k, field.zero()), v)
+        old = dst.get(k)
+        if old is None:
+            if v:
+                dst[k] = v
+            continue
+        val = field.add(old, v)
         if val == 0:
-            dst.pop(k, None)
+            del dst[k]
         else:
             dst[k] = val
     return dst
@@ -62,22 +69,30 @@ def entry_add(dst, src, field):
 def compose_entries(alg, g_entry, f_entry):
     """Entry of g o f where f: S1->S2 and g: S2->S3."""
     f = alg.field
+    mult = alg._mult
     out = {}
     for (a1, b1), c1 in f_entry.items():
         for (a2, b2), c2 in g_entry.items():
-            aa = alg.mult(a1, a2)
+            aa = mult.get((a1, a2))
             if not aa:
                 continue
-            bb = alg.mult(b2, b1)
+            bb = mult.get((b2, b1))
             if not bb:
                 continue
-            c = f.mul(c1, c2)
+            c = c1 if c2 == 1 else c2 if c1 == 1 else f.mul(c1, c2)
             for ai, ca in aa.items():
+                cc = c if ca == 1 else f.mul(c, ca)
                 for bi, cb in bb.items():
+                    v = cc if cb == 1 else f.mul(cc, cb)
                     k = (ai, bi)
-                    val = f.add(out.get(k, f.zero()), f.mul(c, f.mul(ca, cb)))
+                    old = out.get(k)
+                    if old is None:
+                        if v:
+                            out[k] = v
+                        continue
+                    val = f.add(old, v)
                     if val == 0:
-                        out.pop(k, None)
+                        del out[k]
                     else:
                         out[k] = val
     return out
@@ -508,17 +523,14 @@ def tensor_over_A(x: ProjBimodComplex, y: ProjBimodComplex) -> ProjBimodComplex:
                         {(alpha, e_l): f.mul(c, cm)},
                     )
         # (-1)^p 1 (x) d_Y
-        sgn = f(1) if p % 2 == 0 else f(-1)
         for t2, entry in y_out.get(q, {}).get(ti, ()):
             for (alpha, beta), c in entry.items():
                 for m2, cm in alg.mult(m, alpha).items():
                     new_key = ((p, si), m2, (q + 1, t2))
                     e_i = alg.idempotent_index(s.left)
+                    c1 = f.mul(c, cm)
                     add_entry(
-                        deg,
-                        new_key,
-                        key,
-                        {(e_i, beta): f.mul(f.mul(sgn, c), f.mul(cm, f.one()))},
+                        deg, new_key, key, {(e_i, beta): f.neg(c1) if p % 2 else c1}
                     )
     return ProjBimodComplex(alg, terms, diff)
 
@@ -529,82 +541,117 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
     Summand traces are (summand_keys, middle_keys): summand_keys a tuple of
     (cdeg, idx) into u, middle_keys a tuple of algebra basis indices with
     middles[t] in e_{right(S_t)} A e_{left(S_{t+1})}.
+
+    The image of d at position t of a chain depends only on the factor
+    S_t, the middles on either side of it (none at an end) and the parity
+    of the degrees before it, so each such local pattern is worked out
+    once per call.
     """
     alg = u.base
     f = alg.field
     if n == 0:
         raise ValueError("use the resolution of A for the 0-th power")
-    chains = [(((p, i),), ()) for p in u.terms for i in range(len(u.terms[p]))]
+    # a chain is the flat tuple (S_0, m_0, S_1, ..., m_{n-2}, S_{n-1}) of
+    # factor ids (positions in keys) and middles
+    keys = [(p, i) for p, ss in u.terms.items() for i in range(len(ss))]
+    fid = {key: k for k, key in enumerate(keys)}
+    factor = [u.terms[p][i] for p, i in keys]
+    # the (middle, factor, added degree, added Adams degree) after each factor
+    succ = [
+        [
+            (m, k2, keys[k2][0], alg.basis[m].adeg + s2.adeg)
+            for k2, s2 in enumerate(factor)
+            for m in alg.corner_indices(s.right, s2.left)
+        ]
+        for s in factor
+    ]
+    chains = [((k,), keys[k][0], s.adeg) for k, s in enumerate(factor)]
     for _ in range(n - 1):
-        nxt = []
-        for ss, ms in chains:
-            lp, li = ss[-1]
-            last = u.terms[lp][li]
-            for q in u.terms:
-                for ti, t in enumerate(u.terms[q]):
-                    for m in alg.corner_indices(last.right, t.left):
-                        nxt.append((ss + ((q, ti),), ms + (m,)))
-        chains = nxt
+        chains = [
+            (flat + (m, k2), deg + dp, adeg + da)
+            for flat, deg, adeg in chains
+            for m, k2, dp, da in succ[flat[-1]]
+        ]
     terms = {}
-    index = {}
-    for ss, ms in chains:
-        first = u.terms[ss[0][0]][ss[0][1]]
-        last = u.terms[ss[-1][0]][ss[-1][1]]
-        deg = sum(p for p, _ in ss)
-        adeg = sum(u.terms[p][i].adeg for p, i in ss) + sum(
-            alg.basis[m].adeg for m in ms
-        )
-        idx = len(terms.setdefault(deg, []))
-        terms.setdefault(deg, []).append(
-            ProjBimodSummand(first.left, last.right, deg, adeg, trace=(ss, ms))
-        )
-        index[(ss, ms)] = (deg, idx)
-    diff = {}
+    index = {}  # flat chain -> its index in its degree
+    for flat, deg, adeg in chains:
+        ts = terms.setdefault(deg, [])
+        index[flat] = len(ts)
+        ts.append(ProjBimodSummand(
+            factor[flat[0]].left, factor[flat[-1]].right, deg, adeg,
+            trace=(tuple(map(keys.__getitem__, flat[::2])), flat[1::2]),
+        ))
     out = {p: _by_source(dd) for p, dd in u.diff.items()}
-    one, minus = f(1), f(-1)
-    for (ss, ms), (deg, s_idx) in index.items():
-        first = u.terms[ss[0][0]][ss[0][1]]
-        last = u.terms[ss[-1][0]][ss[-1][1]]
-        e_first = alg.idempotent_index(first.left)
-        e_last = alg.idempotent_index(last.right)
-        prefix = 0  # cohomological degree of the factors before t
-        for t in range(n):
-            p, si = ss[t]
-            sgn = one if prefix % 2 == 0 else minus
-            prefix += p
-            for t2, entry in out.get(p, {}).get(si, ()):
-                for (alpha, beta), c in entry.items():
-                    coeff = f.mul(sgn, c)
-                    # absorb alpha to the left, beta to the right
-                    left_opts = [(None, alpha, coeff)] if t == 0 else [
-                        (m2, None, f.mul(coeff, cm))
-                        for m2, cm in alg.mult(ms[t - 1], alpha).items()
+    patterns = {}
+
+    def pattern(k, lm, rm):
+        """d on factor k between the middles lm and rm (None at an end):
+        (the factor and middles it puts in place of k and its neighbouring
+        middles, a component, b component, (coefficient, its negation) or
+        None when the coefficient is 0), a component None for the chain's
+        left idempotent and b component None for its right one."""
+        p, si = keys[k]
+        pats = []
+        for t2, entry in out.get(p, {}).get(si, ()):
+            k2 = fid.get((p + 1, t2))
+            if k2 is None:
+                continue
+            for (alpha, beta), c in entry.items():
+                # absorb alpha to the left, beta to the right
+                left_opts = [((k2,), alpha, c)] if lm is None else [
+                    ((m2, k2), None, f.mul(c, cm))
+                    for m2, cm in alg.mult(lm, alpha).items()
+                ]
+                for mid, a, c1 in left_opts:
+                    right_opts = [(mid, beta, c1)] if rm is None else [
+                        (mid + (m2,), None, f.mul(c1, cm))
+                        for m2, cm in alg.mult(beta, rm).items()
                     ]
-                    for lmid, lcomp, c1 in left_opts:
-                        right_opts = [(None, beta, c1)] if t == n - 1 else [
-                            (m2, None, f.mul(c1, cm))
-                            for m2, cm in alg.mult(beta, ms[t]).items()
-                        ]
-                        for rmid, rcomp, c2 in right_opts:
-                            new_ss = ss[:t] + ((p + 1, t2),) + ss[t + 1:]
-                            new_ms = list(ms)
-                            if lmid is not None:
-                                new_ms[t - 1] = lmid
-                            if rmid is not None:
-                                new_ms[t] = rmid
-                            new_key = (new_ss, tuple(new_ms))
-                            if new_key not in index:
-                                continue
-                            dtgt, t_idx = index[new_key]
-                            a_comp = lcomp if lcomp is not None else e_first
-                            b_comp = rcomp if rcomp is not None else e_last
-                            entry_add(
-                                diff.setdefault(deg, {}).setdefault(
-                                    (t_idx, s_idx), {}
-                                ),
-                                {(a_comp, b_comp): c2},
-                                f,
-                            )
+                    for repl, b, c2 in right_opts:
+                        pats.append((repl, a, b, (c2, f.neg(c2)) if c2 else None))
+        return pats
+
+    e_left = [alg.idempotent_index(s.left) for s in factor]
+    e_right = [alg.idempotent_index(s.right) for s in factor]
+    odd_deg = [p & 1 for p, _ in keys]
+    last = 2 * n - 2
+    diff = {}
+    for flat, deg, _ in chains:
+        s_idx = index[flat]
+        e_first, e_last = e_left[flat[0]], e_right[flat[-1]]
+        dd = diff.get(deg)
+        odd = 0  # parity of the cohomological degree of the factors before k
+        for pos in range(0, last + 1, 2):
+            k = flat[pos]
+            lo = pos - 1 if pos else pos
+            hi = pos + 2 if pos < last else pos + 1
+            pk = (k, flat[lo] if pos else None, flat[pos + 1] if pos < last else None)
+            pats = patterns.get(pk)
+            if pats is None:
+                pats = patterns[pk] = pattern(*pk)
+            head, tail = flat[:lo], flat[hi:]
+            for repl, a, b, cs in pats:
+                t_idx = index.get(head + repl + tail)
+                if t_idx is None:
+                    continue
+                if dd is None:
+                    dd = diff[deg] = {}
+                e = dd.get((t_idx, s_idx))
+                if e is None:
+                    e = dd[(t_idx, s_idx)] = {}
+                if cs is None:
+                    continue
+                key = (e_first if a is None else a, e_last if b is None else b)
+                old = e.get(key)
+                if old is None:
+                    e[key] = cs[odd]
+                    continue
+                val = f.add(old, cs[odd])
+                if val == 0:
+                    del e[key]
+                else:
+                    e[key] = val
+            odd ^= odd_deg[k]
     return ProjBimodComplex(alg, terms, diff)
 
 
@@ -687,7 +734,6 @@ def hom_diff_matrix(x, y, r):
     coordinates: (columns, src, tgt)."""
     alg = x.base
     f = alg.field
-    sgn = f(1) if r % 2 == 0 else f(-1)
     y_out = {q: _by_source(dd) for q, dd in y.diff.items()}
     x_in = {p: _by_target(dd) for p, dd in x.diff.items()}
 
@@ -704,8 +750,8 @@ def hom_diff_matrix(x, y, r):
             for (a1, b1), c in entry.items():
                 for ai, ca in alg.mult(a1, alpha).items():
                     for bi, cb in alg.mult(beta, b1).items():
-                        yield ((p - 1, s2, t_idx, ai, bi),
-                               f.neg(f.mul(sgn, f.mul(c, f.mul(ca, cb)))))
+                        v = f.mul(c, f.mul(ca, cb))
+                        yield (p - 1, s2, t_idx, ai, bi), v if r % 2 else f.neg(v)
 
     src = _map_coords(x, y, r)
     tgt = _map_coords(x, y, r + 1)
@@ -796,7 +842,6 @@ def minimize(x, transfer=False):
     (degree, summand id).
     """
     f = x.base.field
-    minus = f(-1)
     diff = {p: {k: dict(e) for k, e in dd.items() if e} for p, dd in x.diff.items()}
     dead = set()  # (degree, summand id) of cancelled summands
     iota, pi = {}, {}  # only with transfer: columns of iota, rows of pi
@@ -855,7 +900,7 @@ def minimize(x, transfer=False):
                     if e is None:
                         e = dd[k2] = {}
                         index(k2, e)
-                    entry_add(e, entry_scale(corr, minus, f), f)
+                    entry_add(e, {k: f.neg(v) for k, v in corr.items()}, f)
                     if e:
                         offer(k2, e)
                     else:

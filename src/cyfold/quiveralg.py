@@ -161,6 +161,7 @@ class PathBasisAlgebra:
     def check_associativity(self):
         """Exhaustive check of (xy)z = x(yz) over basis triples."""
         n = self.dim
+        f = self.field
         for i in range(n):
             for j in range(n):
                 ij = self._mult.get((i, j), {})
@@ -168,11 +169,11 @@ class PathBasisAlgebra:
                     left = {}
                     for m, c in ij.items():
                         for t, c2 in self._mult.get((m, k), {}).items():
-                            left[t] = left.get(t, self.field.zero()) + c * c2
+                            left[t] = f.add(left.get(t, f.zero()), f.mul(c, c2))
                     right = {}
                     for m, c in self._mult.get((j, k), {}).items():
                         for t, c2 in self._mult.get((i, m), {}).items():
-                            right[t] = right.get(t, self.field.zero()) + c * c2
+                            right[t] = f.add(right.get(t, f.zero()), f.mul(c, c2))
                     left = {t: c for t, c in left.items() if c != 0}
                     right = {t: c for t, c in right.items() if c != 0}
                     if left != right:
@@ -187,7 +188,7 @@ class PathBasisAlgebra:
                 for e in unit:
                     part = self._mult.get((e, b.index) if through else (b.index, e), {})
                     for t, c in part.items():
-                        acc[t] = acc.get(t, self.field.zero()) + c
+                        acc[t] = self.field.add(acc.get(t, self.field.zero()), c)
                 acc = {t: c for t, c in acc.items() if c != 0}
                 if acc != {b.index: self.field.one()}:
                     return False

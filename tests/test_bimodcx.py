@@ -10,6 +10,7 @@ from cyfold.bimodcx import (
     ProjBimodSummand,
     bimodule_dual,
     chain_maps,
+    compose_entries,
     dual_regular_bimodule,
     cone,
     direct_sum,
@@ -28,7 +29,7 @@ from cyfold.bimodcx import (
     tensor_power,
     tensor_right,
 )
-from cyfold.exactlin import QQ, Field, SplitMix64, random_vector
+from cyfold.exactlin import QQ, Field, SplitMix64, random_vector, solve_linear
 from cyfold.presets import (
     a2n_algebra,
     a2n_root,
@@ -40,6 +41,7 @@ from cyfold.presets import (
 )
 from cyfold.quiveralg import PathBasisAlgebra
 from cyfold.rootpair import projective_sum
+from cyfold.transport import transported_pair
 
 
 @pytest.fixture(scope="module")
@@ -413,3 +415,141 @@ def _resolution_digest(name, kind, char):
 @pytest.mark.parametrize("name,kind,char", list(RESOLUTION_DIGESTS))
 def test_resolution_golden(name, kind, char):
     assert _resolution_digest(name, kind, char) == RESOLUTION_DIGESTS[(name, kind, char)]
+
+
+# sha256 of the dumps of tensor_power(u, l), l = 1..6, per root and field
+# characteristic: the summands with their traces, then the differential
+# entries in dict order with the type of each coefficient.  They pin the
+# flattened power itself, not only what minimize makes of it.
+TENSOR_POWER_DIGESTS = {
+    (("kronecker", 0, 1), 0):
+        "86c4d7964523b773115f205b5e88cc70e80a39640bcfc9441fc858a84acef944",
+    (("kronecker", 0, -1), 0):
+        "0bb80d8879127164e56e0bc515917b2c7667dd1509ecca48cd2095047694c259",
+    (("kronecker", 1, 1), 0):
+        "f30a03f3e89141a44a68c05f63c1201247b18cad25ac9ebe299055c45651728f",
+    (("kronecker", 1, -1), 0):
+        "6fe7fb65b36a795da0786df025aa50624022542773ef0441b312e8ab1798d616",
+    (("a2n", 1), 0):
+        "ffc234eb91c2ec88c8c119180dbcfac984df21ffbec963c07cbd220d4d6c4794",
+    (("a2n", 2), 0):
+        "23d1c995ac95bdc19008a8b03e671a853c6ddceb86004a052c5f304fbd9764b5",
+    (("kronecker", 0, 1), 2**31 - 1):
+        "684b7e5884a64af90c59e343d402bd3d85dddb3206e319abaeb963b8e6bf3981",
+    (("kronecker", 0, -1), 2**31 - 1):
+        "da019f751264eb3dfe34902382658dcbdbde9bf8df3f9cf5136052f45b68c688",
+    (("kronecker", 1, 1), 2**31 - 1):
+        "b23f15c4abddcb8c1f32d232c93e8c6e0f2d5a844f2d3728cd37c5353c88085e",
+    (("kronecker", 1, -1), 2**31 - 1):
+        "b0d7fde1e168e8de733a2b6a4d2dc4fdb3208c373bf75a09bfcbc18bcc58e4dc",
+    (("a2n", 1), 2**31 - 1):
+        "bbcf565eaeea39d4c396029ee6c0d66bc536ec620b08b876a017ab8f2286ae53",
+    (("a2n", 2), 2**31 - 1):
+        "9b3c37869a747e11a7c744ce91adf4519c0b47329d0c925cf1f2231f127f5c7b",
+}
+
+
+def _root(name, char):
+    field = Field(char) if char else QQ
+    if name[0] == "kronecker":
+        return kronecker_root(kronecker_algebra(field), *name[1:])
+    n = name[1]
+    return a2n_root(a2n_algebra(n, field), n)
+
+
+@pytest.mark.parametrize("name,char", list(TENSOR_POWER_DIGESTS))
+def test_tensor_power_golden(name, char):
+    u = _root(name, char)
+    h = hashlib.sha256()
+    for l in range(1, 7):
+        h.update(_canonical_dump(tensor_power(u, l)))
+    assert h.hexdigest() == TENSOR_POWER_DIGESTS[(name, char)]
+
+
+def test_kronecker_power_11_reach(kron):
+    # one class per vertex pair and tensor position: 4 * (l + 1) in degree 0
+    m = minimize(tensor_power(kronecker_root(kron, 0, 1), 11))
+    assert m.cohomology_dims() == {0: 48}
+
+
+def _compose_entries_oracle(alg, g_entry, f_entry):
+    """compose_entries as the plain nested loop over both entries."""
+    f = alg.field
+    out = {}
+    for (a1, b1), c1 in f_entry.items():
+        for (a2, b2), c2 in g_entry.items():
+            aa = alg.mult(a1, a2)
+            if not aa:
+                continue
+            bb = alg.mult(b2, b1)
+            if not bb:
+                continue
+            c = f.mul(c1, c2)
+            for ai, ca in aa.items():
+                for bi, cb in bb.items():
+                    k = (ai, bi)
+                    val = f.add(out.get(k, f.zero()), f.mul(c, f.mul(ca, cb)))
+                    if val == 0:
+                        out.pop(k, None)
+                    else:
+                        out[k] = val
+    return out
+
+
+def _changed_basis(alg, rng):
+    """The algebra in a new basis: each radical basis element becomes a
+    random nonzero multiple of itself plus random multiples of the radical
+    elements before it, so products spread over several basis elements
+    with coefficients other than 1.  The new elements leave their corners,
+    which compose_entries does not read."""
+    f = alg.field
+    rad = alg.radical_indices()
+    cols = [{i: f.one()} for i in range(alg.dim)]  # new basis in the old one
+    for pos, i in enumerate(rad):
+        cols[i] = {i: f(rng.int_in(1, 5), rng.int_in(1, 3))}
+        for j in rad[:pos]:
+            c = rng.int_in(-2, 2)
+            if c:
+                cols[i][j] = f(c)
+    mult = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            prod = {}
+            for k, ck in cols[i].items():
+                for l, cl in cols[j].items():
+                    for m, cm in alg.mult(k, l).items():
+                        prod[m] = f.add(prod.get(m, f.zero()), f.mul(f.mul(ck, cl), cm))
+            prod = {m: c for m, c in prod.items() if c}
+            if prod:
+                mult[(i, j)] = solve_linear(cols, alg.dim, prod, f)
+    return PathBasisAlgebra(alg.quiver, alg.basis, mult, alg.idempotents, f)
+
+
+@pytest.mark.parametrize("char", [0, 2**31 - 1])
+def test_compose_entries_matches_nested_loop(char):
+    field = Field(char) if char else QQ
+    a2 = linear_an_algebra(2, field)
+    u = resolve_bimodule(dual_regular_bimodule(a2), len_bound=4)
+    e = transported_pair(a2, u, a2, u, [1], seed=1)["algebra"]
+    assert e.dim == 9
+    rng = SplitMix64(11)
+    alg = _changed_basis(e, rng)
+    assert alg.check_associativity() and alg.check_unit()
+    constants = [c for prod in alg._mult.values() for c in prod.values()]
+    assert any(c != 1 for c in constants)
+    assert any(len(prod) > 1 for prod in alg._mult.values())
+
+    def random_entry():
+        return {(rng.int_in(0, alg.dim - 1), rng.int_in(0, alg.dim - 1)):
+                field(rng.int_in(-9, 9) or 1, rng.int_in(1, 4))
+                for _ in range(rng.int_in(1, 12))}
+
+    nonzero = 0
+    for _ in range(300):
+        g, f_ = random_entry(), random_entry()
+        got = compose_entries(alg, g, f_)
+        want = _compose_entries_oracle(alg, g, f_)
+        assert [(k, type(v), v) for k, v in got.items()] == [
+            (k, type(v), v) for k, v in want.items()]
+        nonzero += bool(want)
+    assert nonzero > 100
