@@ -9,3 +9,8 @@ categories.
 """
 
 __version__ = "0.1.0"
+
+
+class Inconclusive(Exception):
+    """A computation stopped at a bound before it reached a verdict; the
+    CLI reports it with exit code 2."""

@@ -17,6 +17,7 @@ Sign conventions (pinned by golden tests):
 import heapq
 import itertools
 
+from . import Inconclusive
 from .exactlin import (
     IncrementalSpan,
     PreparedSolver,
@@ -963,6 +964,8 @@ def _invert(x, summand, entry):
     entry whose unit coefficient is invertible."""
     f = x.base.field
     basis = x._endo_basis(summand)
+    if len(basis) == 1:  # the corner is spanned by the unit: X = 1/c
+        return {basis[0]: f.inv(entry[basis[0]])}
     pos = {b: k for k, b in enumerate(basis)}
     cols = [{pos[b2]: c for b2, c in x._compose(entry, {b: f.one()}).items()}
             for b in basis]
@@ -1249,7 +1252,7 @@ class HomComplex:
                               self.diff_matrix(r - 1)[0], self.alg.field)
 
 
-class BoundExceeded(Exception):
+class BoundExceeded(Inconclusive):
     pass
 
 

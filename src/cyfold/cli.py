@@ -15,6 +15,12 @@ with paths written in composition order (empty list = idempotent).
 Exit codes: 0 all checks pass, 1 a check failed, 2 inconclusive (also when
 a resolution or tensor power outgrows its bound), 3 input error, 4 internal
 error (the traceback goes to stderr).
+
+Each subcommand imports the modules it runs when it starts, so a fresh
+process compiles only those: `fold` never loads the bimodule-complex code,
+and a `complete` served from the cache never loads `completion`.  The
+`complete` cache key holds a hash of the package's sources, so a cached
+table is never served to code that would compute it differently.
 """
 
 import argparse
@@ -27,35 +33,10 @@ import time
 import traceback
 from fractions import Fraction
 
-from . import __version__
-from .bimodcx import (
-    BoundExceeded,
-    ProjBimodComplex,
-    ProjBimodSummand,
-    resolution_of_algebra,
-)
-from .cluster import (
-    build_zq,
-    classify_dynkin_roots,
-    dynkin_quiver,
-    folded_a2n_auto,
-    orbit_hom,
-    orbit_quiver,
-)
-
-from .completion import ResourceLimit, completion
-from .exactlin import QQ, Field
-from .quiveralg import Arrow, NotFiniteDimensional, Quiver, Relation, build_algebra
-from .rootpair import (
-    RootPairSpec,
-    check_strict_pair,
-    is_cyclically_invariant,
-    k0_spanning_check,
-    projective_sum,
-)
-from . import presets
+from . import Inconclusive, __version__
 
 SCHEMA_VERSION = 1
+PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -99,7 +80,10 @@ def _typed(value, types, location):
     return value
 
 
-def doc_to_algebra(doc, max_len, field=QQ):
+def doc_to_algebra(doc, max_len, field=None):
+    from .exactlin import QQ
+    from .quiveralg import Arrow, NotFiniteDimensional, Quiver, Relation, build_algebra
+
     try:
         arrows = [
             Arrow(_typed(a["name"], (str,), f"arrows[{i}].name"), a["from"], a["to"],
@@ -120,7 +104,7 @@ def doc_to_algebra(doc, max_len, field=QQ):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError("quiver", str(exc))
     try:
-        return build_algebra(quiver, rels, max_len, field)
+        return build_algebra(quiver, rels, max_len, QQ if field is None else field)
     except ZeroDivisionError as exc:
         raise ParseError("relations", str(exc))
     except NotFiniteDimensional as exc:
@@ -181,6 +165,8 @@ def _vertex(alg, value, location):
 
 
 def doc_to_complex(doc, alg):
+    from .bimodcx import ProjBimodComplex
+
     try:
         terms, diff = _parse_complex(doc, alg)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError,
@@ -194,6 +180,8 @@ def doc_to_complex(doc, alg):
 
 
 def _parse_complex(doc, alg):
+    from .bimodcx import ProjBimodSummand
+
     f = alg.field
     terms = {}
     for key, ss in doc.get("terms", {}).items():
@@ -245,6 +233,17 @@ def _parse_complex(doc, alg):
 def content_hash(payload):
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def source_digest(directory):
+    """Hash of the *.py files in a directory, read as bytes, not imported:
+    part of the cache key, so that an entry made by other code is missed."""
+    digests = {}
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return content_hash(digests)
 
 
 def cache_dir(args):
@@ -310,10 +309,15 @@ def _load_json(path):
 
 
 def _field(args):
+    from .exactlin import QQ, Field
+
     return QQ if args.field == "Q" else Field(int(args.field))
 
 
 def cmd_gen(args):
+    from . import presets
+    from .quiveralg import Relation
+
     out = args.out_dir or "."
     os.makedirs(out, exist_ok=True)
     if args.model == "kronecker":
@@ -359,6 +363,8 @@ def cmd_gen(args):
 
 
 def _beilinson_relations(d):
+    from .quiveralg import Relation
+
     rels = []
     for k in range(d - 1):
         for i in range(d + 1):
@@ -404,6 +410,14 @@ def _vertex_arg(alg, raw):
 
 
 def cmd_check_root_pair(args):
+    from .bimodcx import resolution_of_algebra
+    from .rootpair import (
+        RootPairSpec,
+        check_strict_pair,
+        is_cyclically_invariant,
+        k0_spanning_check,
+    )
+
     t0 = time.monotonic()
     alg, u, hashes = _load_pair(args)
     e_vertices = _vertex_arg(alg, args.e)
@@ -448,6 +462,7 @@ def cmd_complete(args):
         {
             "op": "complete",
             "version": __version__,
+            "source": source_digest(PACKAGE_DIR),
             "schema": SCHEMA_VERSION,
             "inputs": hashes,
             "field": args.field,
@@ -459,6 +474,8 @@ def cmd_complete(args):
     table = cache_get(cdir, key)
     from_cache = table is not None
     if not from_cache:
+        from .completion import completion
+
         table = completion(alg, u, e_vertices, args.adams_max).table
         cache_put(cdir, key, table)
     lines = ["cdeg,adams,dim"]
@@ -486,6 +503,8 @@ def cmd_complete(args):
 
 
 def cmd_fold(args):
+    from .cluster import build_zq, dynkin_quiver, folded_a2n_auto, orbit_quiver
+
     t0 = time.monotonic()
     if args.type != "A":
         raise ParseError("--type", "folding is implemented for type A")
@@ -515,6 +534,8 @@ def cmd_fold(args):
 
 
 def cmd_classify_roots(args):
+    from .cluster import classify_dynkin_roots
+
     t0 = time.monotonic()
     exists, witness = classify_dynkin_roots(args.type, args.rank, args.a, args.window)
     payload = {
@@ -535,7 +556,8 @@ def cmd_classify_roots(args):
 
 
 def cmd_orbit_hom(args):
-    from .cluster import HomTable
+    from .cluster import HomTable, orbit_hom
+    from .rootpair import projective_sum
 
     t0 = time.monotonic()
     alg, u, hashes = _load_pair(args)
@@ -640,7 +662,7 @@ def main(argv=None):
     except ParseError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
-    except (BoundExceeded, ResourceLimit) as exc:
+    except Inconclusive as exc:
         print(json.dumps({"inconclusive": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except Exception:

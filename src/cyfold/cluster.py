@@ -2,13 +2,6 @@
 combinatorial roots of the translation, orbit quotients with DOT export,
 and orbit Hom dimensions through the tensor formula."""
 
-from .bimodcx import (
-    HomComplex,
-    RightComplex,
-    minimize,
-    shift_right,
-    tensor_right,
-)
 from .exactlin import SplitMix64
 from .quiveralg import Arrow, Quiver
 
@@ -324,14 +317,17 @@ class HomTable:
         return "\n".join(lines) + "\n"
 
 
-def orbit_hom(alg, u, x: RightComplex, y: RightComplex, window):
-    """dim Hom in the orbit category: sum over twists by tensor powers.
+def orbit_hom(alg, u, x, y, window):
+    """dim Hom in the orbit category between right complexes x and y: sum
+    over twists by tensor powers.
 
     Computes sum_{i=0..W} dim H^0 RHom(x, y (x) U^i) plus
     sum_{i=1..W} dim H^0 RHom(x (x) U^i, y); negative powers enter through
     the adjunction.  Returns (dim, converged) where converged reports that
     the last two window steps on each side contributed nothing.
     """
+    from .bimodcx import HomComplex, minimize, tensor_right
+
     total = 0
     tail = []
     y_tw = y
@@ -354,6 +350,7 @@ def orbit_hom(alg, u, x: RightComplex, y: RightComplex, window):
 
 def cluster_tilting_check(alg, u, e_vertices, d, window):
     """Hom_C(P, P[j]) = 0 for 1 <= j <= d-1 in the orbit category."""
+    from .bimodcx import shift_right
     from .rootpair import projective_sum
 
     p = projective_sum(alg, e_vertices)
@@ -371,6 +368,7 @@ def cluster_tilting_check(alg, u, e_vertices, d, window):
 
 def serre_check(alg, u, d, samples, window, seed=0):
     """dim Hom_C(X, Y) = dim Hom_C(Y, X[d]) on seeded sample pairs."""
+    from .bimodcx import shift_right
     from .rootpair import projective_sum
 
     rng = SplitMix64(seed)

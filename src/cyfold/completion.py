@@ -6,6 +6,7 @@ All graded computations are windowed by an explicit Adams cutoff N, and
 every verdict carries that window.
 """
 
+from . import Inconclusive
 from .bimodcx import (
     BimoduleData,
     ProjBimodComplex,
@@ -26,7 +27,7 @@ class NotLocallyFinite(Exception):
     pass
 
 
-class ResourceLimit(Exception):
+class ResourceLimit(Inconclusive):
     """Raised when a truncated computation explodes; carries the partial
     table computed so far."""
 

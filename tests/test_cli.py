@@ -1,5 +1,9 @@
+import functools
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -215,13 +219,20 @@ def test_bad_cache_entry_is_recomputed(tmp_path, kron_inputs, monkeypatch, entry
     assert json.loads((out / "report.json").read_text())["cache_hit"] is True
 
 
-@pytest.mark.parametrize("name", ["__version__", "SCHEMA_VERSION"])
+@pytest.mark.parametrize("name", ["__version__", "SCHEMA_VERSION", "source"])
 def test_cache_key_depends_on_versions(tmp_path, kron_inputs, monkeypatch, name):
     apath, upath = kron_inputs
     monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    if name == "source":  # hash a copy of the package that the test can edit
+        shutil.copytree(cli.PACKAGE_DIR, tmp_path / "pkg")
+        monkeypatch.setattr(cli, "PACKAGE_DIR", str(tmp_path / "pkg"))
     out = tmp_path / "v"
     assert run(_complete_argv(out, apath, upath)) == cli.EXIT_PASS
-    monkeypatch.setattr(cli, name, getattr(cli, name) + getattr(cli, name))
+    if name == "source":
+        with open(tmp_path / "pkg" / "completion.py", "a", encoding="utf-8") as fh:
+            fh.write("# edited\n")
+    else:
+        monkeypatch.setattr(cli, name, getattr(cli, name) + getattr(cli, name))
     assert run(_complete_argv(out, apath, upath)) == cli.EXIT_PASS
     assert json.loads((out / "report.json").read_text())["cache_hit"] is False
 
@@ -355,3 +366,58 @@ def test_infinite_global_dimension_is_inconclusive(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "BoundExceeded" in json.loads(err[0])["inconclusive"]
+
+
+def test_resource_limit_is_inconclusive(tmp_path, kron_inputs, monkeypatch, capsys):
+    from cyfold import completion
+
+    apath, upath = kron_inputs
+    monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(completion, "TruncatedTensorAlgebra", functools.partial(
+        completion.TruncatedTensorAlgebra, summand_limit=1))
+    assert run(_complete_argv(tmp_path / "out", apath, upath)) == cli.EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["inconclusive"].startswith("ResourceLimit: power 1 has")
+
+
+# Prints the cyfold modules loaded by `import cyfold.cli` and then by the
+# command in argv, with the command's exit code.
+LOADED_MODULES = """
+import json, sys
+import cyfold.cli
+def loaded():
+    return sorted(m[len("cyfold."):] for m in sys.modules if m.startswith("cyfold."))
+on_import = loaded()
+code = cyfold.cli.main(sys.argv[1:])
+print(json.dumps([code, on_import, loaded()]))
+"""
+DYNKIN = ["cli", "cluster", "quiveralg", "exactlin", "_kernels"]
+COMPLEX_INPUT = ["cli", "bimodcx", "quiveralg", "exactlin", "_kernels"]
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["fold", "--type", "A", "--rank", "4", "--a", "2", "--window", "12"], DYNKIN),
+    (["classify-roots", "--type", "A", "--rank", "4", "--a", "2"], DYNKIN),
+    (["gen", "kronecker"], COMPLEX_INPUT + ["presets"]),
+    (["complete", "--adams-max", "4", "--e", "0"], COMPLEX_INPUT),
+], ids=["fold", "classify-roots", "gen", "complete-cache-hit"])
+def test_command_imports_only_what_it_runs(tmp_path, kron_inputs, monkeypatch, argv, modules):
+    apath, upath = kron_inputs
+    monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    cached = argv[0] == "complete"
+    if cached:
+        argv = _complete_argv(out, apath, upath)
+        assert run(argv) == cli.EXIT_PASS  # fill the cache
+    else:
+        argv = ["--out-dir", str(out)] + argv
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(cli.PACKAGE_DIR))
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES] + argv,
+                          capture_output=True, env=env, timeout=120, check=True)
+    code, on_import, after = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert code == cli.EXIT_PASS
+    assert on_import == ["cli"]
+    assert after == sorted(modules)
+    if cached:
+        assert json.loads((out / "report.json").read_text())["cache_hit"] is True

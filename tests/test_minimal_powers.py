@@ -5,6 +5,8 @@ checked against the flattened tensor powers U^(x)l as the oracle."""
 import pytest
 
 from cyfold.bimodcx import (
+    ProjBimodComplex,
+    ProjBimodSummand,
     _by_source,
     compose_entries,
     entry_add,
@@ -36,6 +38,7 @@ from cyfold.presets import (
     kronecker_algebra,
     kronecker_root,
 )
+from cyfold.quiveralg import Arrow, Quiver, Relation, build_algebra
 
 FIELDS = [QQ, Field(2**31 - 1)]
 
@@ -116,6 +119,24 @@ def test_transfer_maps_with_relations():
     iota, pi = m.transfer
     assert m.total_summands() < x.total_summands()
     _check_transfer(x, m, iota, pi)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_transfer_maps_where_a_corner_is_not_the_unit(field):
+    """Over k[x]/(x^2) the corner of Ae_0 (x) e_0A is 4-dimensional, so the
+    pivot (1 + x) (x) 1 is inverted by solving in the corner, not as 1/c."""
+    quiver = Quiver([0], [Arrow("x", 0, 0, 0, 0)])
+    alg = build_algebra(quiver, [Relation([(1, ("x", "x"))])], 2, field)
+    e = alg.idempotent_index(0)
+    xi = next(b.index for b in alg.basis if b.path == ("x",))
+    one = field.one()
+    terms = {p: [ProjBimodSummand(0, 0, p) for _ in range(n)] for p, n in ((0, 1), (1, 2))}
+    x = ProjBimodComplex(alg, terms, {0: {(0, 0): {(e, e): one, (xi, e): one},
+                                          (1, 0): {(xi, e): one}}})
+    assert len(x._endo_basis(terms[0][0])) == 4
+    m = minimize(x, transfer=True)
+    assert m.total_summands() == 1
+    _check_transfer(x, m, *m.transfer)
 
 
 def flat_products(alg, u, e_vertices, cutoff):
