@@ -5,6 +5,7 @@ import pytest
 
 from cyfold.bimodcx import (
     ChainMap,
+    HomComplex,
     NotHereditary,
     ProjBimodComplex,
     ProjBimodSummand,
@@ -14,16 +15,20 @@ from cyfold.bimodcx import (
     dual_regular_bimodule,
     cone,
     direct_sum,
+    direct_sum_right,
     find_quasi_iso,
+    hom_diff_matrix,
     identity_map,
     is_quasi_iso,
     map_from_vector,
     minimize,
+    one_sided,
     projective_right,
     regular_bimodule,
     resolution_of_algebra,
     resolve_bimodule,
     shift,
+    shift_right,
     standard_hereditary_resolution,
     tensor_over_A,
     tensor_power,
@@ -464,6 +469,113 @@ def test_tensor_power_golden(name, char):
     for l in range(1, 7):
         h.update(_canonical_dump(tensor_power(u, l)))
     assert h.hexdigest() == TENSOR_POWER_DIGESTS[(name, char)]
+
+
+def _flat(coord):
+    """A coordinate as a flat tuple of ints, however it nests."""
+    out = []
+    for c in coord:
+        out.extend(_flat(c) if isinstance(c, tuple) else (c,))
+    return tuple(out)
+
+
+def _matrix_dump(cols, src, tgt):
+    """Source and target coordinates, flattened, then each column sorted."""
+    lines = [repr([_flat(c) for c in src]), repr([_flat(c) for c in tgt])]
+    lines += [repr(sorted(col.items())) for col in cols]
+    return "\n".join(lines).encode()
+
+
+# sha256 of the Hom differentials, degrees -8 .. 7, of (pA^dual, U^{(x)2}),
+# (U^{(x)3}, U^{(x)3}), (X, X) and (X, e_0A + e_1A) with
+# X = (e_0A + e_1A) (x) U^{(x)3}, per root and field characteristic:
+# coordinates flattened to tuples of ints, then every column as sorted
+# (row, value) pairs.
+HOM_DIFF_DIGESTS = {
+    (("kronecker", 0, 1), 0):
+        "6534dc5ca0ff93fdccb84d6e3ae76119775a3a5036e540ebc3e4043764f2db01",
+    (("kronecker", 1, -1), 0):
+        "c58c0491f60955dd0931d634e9e984cf56c7e62ef5268c15f668bfd51cabd65c",
+    (("a2n", 1), 0):
+        "50c09ff01b4c225baeddf475f2f112ee441276255458b984b5590b8c5d3841d1",
+    (("kronecker", 0, 1), 2**31 - 1):
+        "58801737cb891265d52d8a0ede25be6aa477a9559de3619efdc172a347689d97",
+}
+
+
+@pytest.mark.parametrize("name,char", list(HOM_DIFF_DIGESTS))
+def test_hom_differentials_golden(name, char):
+    u = _root(name, char)
+    alg = u.base
+    power = tensor_power(u, 3)
+    p = projective_sum(alg, alg.vertices)
+    x = p
+    for _ in range(3):
+        x = tensor_right(x, u)
+    pairs = [(bimodule_dual(resolution_of_algebra(alg)), tensor_power(u, 2)),
+             (power, power)]
+    homs = [HomComplex(x, x), HomComplex(x, p)]
+    h = hashlib.sha256()
+    for r in range(-8, 8):
+        for a, b in pairs:
+            h.update(_matrix_dump(*hom_diff_matrix(a, b, r)))
+        for hom in homs:
+            h.update(_matrix_dump(*hom.diff_matrix(r)))
+    assert h.hexdigest() == HOM_DIFF_DIGESTS[(name, char)]
+
+
+# sha256 of the dumps of shifts by -1 and 2 of the minimized twist chain
+# P_0 (x) U^{(x)3}, and of its direct sums with e_0A + e_1A on either side,
+# per Kronecker root (s, eps)
+RIGHT_SHIFT_SUM_DIGESTS = {
+    (0, 1): "8b6f5d3ae52ba844d7c81e07012b9b9ab059ec470001c301eea31af4041a908d",
+    (1, -1): "c494c94e13dd2ceefabcbf3deb89864278b506fe2e819916631a60814f57530a",
+}
+
+
+@pytest.mark.parametrize("root", sorted(RIGHT_SHIFT_SUM_DIGESTS))
+def test_right_shift_and_sum_golden(kron, root):
+    u = kronecker_root(kron, *root)
+    y = projective_right(kron, 0)
+    for _ in range(3):
+        y = minimize(tensor_right(y, u))
+    p = shift_right(projective_sum(kron, kron.vertices), -1)
+    h = hashlib.sha256()
+    for cx in (shift_right(y, -1), shift_right(y, 2), direct_sum_right(y, p),
+               direct_sum_right(p, y)):
+        h.update(_canonical_dump(cx))
+    assert h.hexdigest() == RIGHT_SHIFT_SUM_DIGESTS[root]
+
+
+# sha256 of the summands of e_v U^{(x)l}, l = 1..4, as sorted
+# (vertex, cdeg, adeg) triples, per root and position of v among the
+# vertices
+ONE_SIDED_DIGESTS = {
+    (("kronecker", 0, 1), 0):
+        "8392c9e9c2b52225e6ea785f9e95facc696c923081d32852f6aec94c24d7fe01",
+    (("kronecker", 0, 1), 1):
+        "1296f9c051b65ce5d800958707a783110bcdfd75d78e3fd41b955a07005910af",
+    (("kronecker", 1, -1), 0):
+        "5fb8849d45f2a98fa92a95b315e22e8b5a30ae08ac2f6da766005decfb79fb34",
+    (("kronecker", 1, -1), 1):
+        "37d0a4e9979a3929b1011e2c8aa9cf9bb742249599395aa109c5b6eec1148937",
+    (("a2n", 1), 0):
+        "ce6f8b84039dbf4af9605d54d49d2e11b414085113b11b5cbbde0fff1af27d59",
+    (("a2n", 1), 1):
+        "6f3398693e841dedc79466994f6d4e73869773dfe7323cd6e1acd94b90495c06",
+}
+
+
+@pytest.mark.parametrize("name,i", list(ONE_SIDED_DIGESTS))
+def test_one_sided_summands_golden(name, i):
+    u = _root(name, 0)
+    v = u.base.vertices[i]
+    h = hashlib.sha256()
+    for l in range(1, 5):
+        e_u = one_sided(tensor_power(u, l), [v])
+        h.update(repr(sorted((t.vertex, t.cdeg, t.adeg)
+                             for ts in e_u.terms.values() for t in ts)).encode())
+    assert h.hexdigest() == ONE_SIDED_DIGESTS[(name, i)]
 
 
 def test_kronecker_power_11_reach(kron):
