@@ -1,10 +1,17 @@
-"""Bounded complexes of projective bimodules over a path-basis algebra.
+"""Bounded complexes of projective bimodules and of right projectives over
+a path-basis algebra.
 
-A summand (i, j) stands for Ae_i (x) e_jA.  A bimodule map out of (i, j)
-into (k, l) is stored by the image of the generator e_i (x) e_j, a list of
-(coeff, alpha, beta) with alpha in e_iAe_k and beta in e_lAe_j, encoded as
-{(alpha_idx, beta_idx): coeff}.  Differentials raise cohomological degree
-by one and preserve the Adams degree.
+A bimodule summand (i, j) stands for Ae_i (x) e_jA.  A bimodule map out of
+(i, j) into (k, l) is stored by the image of the generator e_i (x) e_j, a
+list of (coeff, alpha, beta) with alpha in e_iAe_k and beta in e_lAe_j,
+encoded as {(alpha_idx, beta_idx): coeff}.  A right summand j stands for
+e_jA, and a map e_jA -> e_lA is an element g of e_lAe_j acting by left
+multiplication, encoded as {g_idx: coeff}.  Differentials raise
+cohomological degree by one and preserve the Adams degree.
+
+Shifts, sums, cones, tensor products with a bimodule complex, Hom
+complexes, chain maps, validate and minimize are written once for both
+kinds; each complex class supplies the few hooks listed on _Complex.
 
 Sign conventions (pinned by golden tests):
   * shift: d_{X[n]} = (-1)^n d_X, with X[n]^p = X^{n+p};
@@ -44,6 +51,35 @@ class ProjBimodSummand:
 
     def __repr__(self):
         return f"(Ae_{self.left}(x)e_{self.right}A, c{self.cdeg}, a{self.adeg})"
+
+    def at(self, cdeg):
+        return ProjBimodSummand(self.left, self.right, cdeg, self.adeg, self.trace)
+
+    def with_right(self, right, cdeg, adeg, trace):
+        return ProjBimodSummand(self.left, right, cdeg, adeg, trace)
+
+
+class RightSummand:
+    __slots__ = ("vertex", "cdeg", "adeg", "trace")
+
+    def __init__(self, vertex, cdeg, adeg=0, trace=None):
+        self.vertex = vertex
+        self.cdeg = cdeg
+        self.adeg = adeg
+        self.trace = trace
+
+    def __repr__(self):
+        return f"(e_{self.vertex}A, c{self.cdeg})"
+
+    @property
+    def right(self):
+        return self.vertex
+
+    def at(self, cdeg):
+        return RightSummand(self.vertex, cdeg, self.adeg, self.trace)
+
+    def with_right(self, right, cdeg, adeg, trace):
+        return RightSummand(right, cdeg, adeg, trace)
 
 
 def entry_scale(entry, c, field):
@@ -134,13 +170,30 @@ def _by_target(dd):
     return out
 
 
-class ProjBimodComplex:
-    def __init__(self, base, terms, diff, augmentation=None):
+class _Complex:
+    """What both kinds of complex share.  Each subclass supplies, for its
+    summands S, T and entries (maps S -> T):
+
+      _unit_key(s, t)     the identity's entry key, None unless S = T as
+                          graded projectives;
+      _hom_basis(s, t)    the entry keys spanning the maps S -> T that the
+                          Hom complex counts;
+      _compose(g, f)      the entry of g o f;
+      _split(key)         the key as (left part, right part), the right
+                          part an element of e_{right(T)}Ae_{right(S)};
+      _join(left, right)  the inverse of _split;
+      _left_unit(s)       the left part of S's identity key;
+
+    and its summands supply at(cdeg) and with_right(right, cdeg, adeg,
+    trace).  validate, cohomology_dims and is_acyclic are bound on each
+    subclass too: perfbench's tracer wraps a method on the class whose
+    __dict__ holds it, and times each kind of complex apart.
+    """
+
+    def __init__(self, base, terms, diff):
         self.base = base
         self.terms = {p: list(ss) for p, ss in terms.items() if ss}
         self.diff = {p: dict(d) for p, d in diff.items() if d}
-        # augmentation: degree-0 summand index -> element of A ({basis: coeff})
-        self.augmentation = augmentation
 
     def degrees(self):
         return sorted(self.terms)
@@ -153,6 +206,92 @@ class ProjBimodComplex:
 
     def total_summands(self):
         return sum(len(s) for s in self.terms.values())
+
+    def trace_index(self):
+        """Cached map from summand traces to (degree, index)."""
+        if not hasattr(self, "_trace_index"):
+            self._trace_index = {
+                s.trace: (p, i)
+                for p, ss in self.terms.items()
+                for i, s in enumerate(ss)
+                if s.trace is not None
+            }
+        return self._trace_index
+
+    def validate(self):
+        """Typing + d*d = 0 report: list of violation strings (empty = ok).
+        An entry key lies in its corner when the identities of source and
+        target fix it; the test runs once per key and pair of identities."""
+        f = self.base.field
+        one = f.one()
+        compose, unit_key = self._compose, self._unit_key
+        fixed = {}  # (key, unit key of S, unit key of T) -> in the corner
+        errors = []
+        for p, dd in self.diff.items():
+            ss = self.summands(p)
+            ts = self.summands(p + 1)
+            for (t_idx, s_idx), entry in dd.items():
+                if s_idx >= len(ss) or t_idx >= len(ts):
+                    errors.append(f"dangling entry at degree {p}: ({t_idx},{s_idx})")
+                    continue
+                s, t = ss[s_idx], ts[t_idx]
+                if s.adeg != t.adeg:
+                    errors.append(f"Adams degree broken at {p}:({t_idx},{s_idx})")
+                us, ut = unit_key(s, s), unit_key(t, t)
+                for key in entry:
+                    ok = fixed.get((key, us, ut))
+                    if ok is None:
+                        g = {key: one}
+                        ok = fixed[(key, us, ut)] = compose(
+                            {ut: one}, compose(g, {us: one})) == g
+                    if not ok:
+                        errors.append(f"corner violated at {p}:({t_idx},{s_idx}) by {key!r}")
+        for p in self.degrees():
+            if p + 1 not in self.diff or p not in self.diff:
+                continue
+            d1 = _by_source(self.diff[p + 1])
+            acc = {}
+            for (m_idx, s_idx), e0 in self.diff[p].items():
+                for t_idx, e1 in d1.get(m_idx, ()):
+                    comp = compose(e1, e0)
+                    if comp:
+                        entry_add(acc.setdefault((t_idx, s_idx), {}), comp, f)
+            for key, entry in acc.items():
+                if entry:
+                    errors.append(f"d*d != 0 from degree {p} at {key}")
+        return errors
+
+    def cohomology_dims(self):
+        """{degree: dim H^p} over the nonzero cohomology, each differential
+        built once."""
+        degs = self.degrees()
+        if not degs:
+            return {}
+        f = self.base.field
+        out = {}
+        prev = self.diff_matrix(degs[0] - 1)[0]
+        for p in range(degs[0], degs[-1] + 1):
+            d, src, _ = self.diff_matrix(p)
+            if src:
+                dim = cohomology_dim(len(src), d, prev, f)
+                if dim:
+                    out[p] = dim
+            prev = d
+        return out
+
+    def is_acyclic(self):
+        return not self.cohomology_dims()
+
+
+class ProjBimodComplex(_Complex):
+    def __init__(self, base, terms, diff, augmentation=None):
+        super().__init__(base, terms, diff)
+        # augmentation: degree-0 summand index -> element of A ({basis: coeff})
+        self.augmentation = augmentation
+
+    validate = _Complex.validate
+    cohomology_dims = _Complex.cohomology_dims
+    is_acyclic = _Complex.is_acyclic
 
     def left_basis(self, i):
         return [b.index for b in self.base.basis if b.source == i]
@@ -199,56 +338,6 @@ class ProjBimodComplex:
         tgt = self.coords(p + 1, corner_filter)
         return assemble(src, tgt, image, f), src, tgt
 
-    def trace_index(self):
-        """Cached map from summand traces to (degree, index)."""
-        if not hasattr(self, "_trace_index"):
-            self._trace_index = {
-                s.trace: (p, i)
-                for p, ss in self.terms.items()
-                for i, s in enumerate(ss)
-                if s.trace is not None
-            }
-        return self._trace_index
-
-    def validate(self):
-        """Typing + d*d = 0 report: list of violation strings (empty = ok)."""
-        alg = self.base
-        errors = []
-        for p, dd in self.diff.items():
-            ss = self.summands(p)
-            ts = self.summands(p + 1)
-            for (t_idx, s_idx), entry in dd.items():
-                if s_idx >= len(ss) or t_idx >= len(ts):
-                    errors.append(f"dangling entry at degree {p}: ({t_idx},{s_idx})")
-                    continue
-                s, t = ss[s_idx], ts[t_idx]
-                if s.adeg != t.adeg:
-                    errors.append(f"Adams degree broken at {p}:({t_idx},{s_idx})")
-                for (alpha, beta) in entry:
-                    ba, bb = alg.basis[alpha], alg.basis[beta]
-                    if ba.target != s.left or ba.source != t.left:
-                        errors.append(
-                            f"left corner violated at {p}:({t_idx},{s_idx}) by {ba!r}"
-                        )
-                    if bb.target != t.right or bb.source != s.right:
-                        errors.append(
-                            f"right corner violated at {p}:({t_idx},{s_idx}) by {bb!r}"
-                        )
-        for p in self.degrees():
-            if p + 1 not in self.diff or p not in self.diff:
-                continue
-            d1 = _by_source(self.diff[p + 1])
-            acc = {}
-            for (m_idx, s_idx), e0 in self.diff[p].items():
-                for t_idx, e1 in d1.get(m_idx, ()):
-                    comp = compose_entries(alg, e1, e0)
-                    if comp:
-                        entry_add(acc.setdefault((t_idx, s_idx), {}), comp, alg.field)
-            for key, entry in acc.items():
-                if entry:
-                    errors.append(f"d*d != 0 from degree {p} at {key}")
-        return errors
-
     def cohomology(self):
         """Per-degree cohomology dims: {cdeg: {{(u,v): dim}, 'total': n}}."""
         degs = self.degrees()
@@ -285,61 +374,119 @@ class ProjBimodComplex:
             out[p] = per
         return out
 
-    def cohomology_dims(self):
-        return {p: d["total"] for p, d in self.cohomology().items() if d["total"]}
-
-    def is_acyclic(self):
-        return not self.cohomology_dims()
-
-    # what minimize needs: the unit key of a summand pair (None when the
-    # pair does not match), the endomorphism-corner basis, the product g o f
+    # entry keys are (alpha, beta); maps count only within one Adams degree
     def _unit_key(self, s, t):
         if s.left != t.left or s.right != t.right or s.adeg != t.adeg:
             return None
         return (self.base.idempotent_index(s.left), self.base.idempotent_index(s.right))
 
-    def _endo_basis(self, s):
+    def _hom_basis(self, s, t):
+        if s.adeg != t.adeg:
+            return []
         alg = self.base
-        return [(a, b) for a in alg.corner_indices(s.left, s.left)
-                for b in alg.corner_indices(s.right, s.right)]
+        return [(a, b) for a in alg.corner_indices(s.left, t.left)
+                for b in alg.corner_indices(t.right, s.right)]
 
     def _compose(self, g, f):
         return compose_entries(self.base, g, f)
 
+    def _split(self, key):
+        return key
 
-def shift(x: ProjBimodComplex, n: int) -> ProjBimodComplex:
+    def _join(self, left, right):
+        return (left, right)
+
+    def _left_unit(self, s):
+        return self.base.idempotent_index(s.left)
+
+
+class RightComplex(_Complex):
+    """Bounded complex of right projectives e_jA.
+
+    Differential entries are {basis: coeff} elements of e_{j_t}Ae_{j_s}
+    acting by left multiplication.
+    """
+
+    validate = _Complex.validate
+    cohomology_dims = _Complex.cohomology_dims
+    is_acyclic = _Complex.is_acyclic
+
+    def coords(self, p):
+        out = []
+        for s_idx, s in enumerate(self.summands(p)):
+            for b in (bb.index for bb in self.base.basis if bb.target == s.vertex):
+                out.append((s_idx, b))
+        return out
+
+    def diff_matrix(self, p):
+        alg = self.base
+        f = alg.field
+        out = _by_source(self.diff.get(p, {}))
+
+        def image(coord):
+            si, b = coord
+            for t_idx, elem in out.get(si, ()):
+                for g, c in elem.items():
+                    for b2, cb in alg.mult(g, b).items():
+                        yield (t_idx, b2), f.mul(c, cb)
+
+        src = self.coords(p)
+        tgt = self.coords(p + 1)
+        return assemble(src, tgt, image, f), src, tgt
+
+    # entry keys are elements g, acting by left multiplication; no left part
+    def _unit_key(self, s, t):
+        if s.vertex != t.vertex or s.adeg != t.adeg:
+            return None
+        return self.base.idempotent_index(s.vertex)
+
+    def _hom_basis(self, s, t):
+        return self.base.corner_indices(t.vertex, s.vertex)
+
+    def _compose(self, g, f):
+        return self.base.mult_elements(g, f)
+
+    def _split(self, key):
+        return None, key
+
+    def _join(self, left, right):
+        return right
+
+    def _left_unit(self, s):
+        return None
+
+
+def projective_sum(alg, vertices, cdeg=0) -> RightComplex:
+    """The right complex e_{v_1}A + ... + e_{v_n}A in degree cdeg."""
+    return RightComplex(alg, {cdeg: [RightSummand(v, cdeg) for v in vertices]}, {})
+
+
+def shift(x, n: int):
     """X[n] with X[n]^p = X^{p+n} and differential (-1)^n d."""
     f = x.base.field
     sgn = f(1) if n % 2 == 0 else f(-1)
-    terms = {}
-    for p, ss in x.terms.items():
-        terms[p - n] = [
-            ProjBimodSummand(s.left, s.right, p - n, s.adeg, s.trace) for s in ss
-        ]
-    diff = {}
-    for p, dd in x.diff.items():
-        diff[p - n] = {
-            key: entry_scale(entry, sgn, f) for key, entry in dd.items()
-        }
-    return ProjBimodComplex(x.base, terms, diff)
+    terms = {p - n: [s.at(p - n) for s in ss] for p, ss in x.terms.items()}
+    diff = {
+        p - n: {key: entry_scale(entry, sgn, f) for key, entry in dd.items()}
+        for p, dd in x.diff.items()
+    }
+    return type(x)(x.base, terms, diff)
 
 
-def direct_sum(x: ProjBimodComplex, y: ProjBimodComplex):
+def direct_sum(x, y):
     terms = {}
     offsets = {}
     for p in sorted(set(x.terms) | set(y.terms)):
         xs = x.summands(p)
-        terms[p] = list(xs) + list(y.summands(p))
+        terms[p] = xs + y.summands(p)
         offsets[p] = len(xs)
-    diff = {}
-    for p, dd in x.diff.items():
-        diff.setdefault(p, {}).update(dd)
+    diff = {p: {k: dict(e) for k, e in dd.items()} for p, dd in x.diff.items()}
     for p, dd in y.diff.items():
         off_s = offsets.get(p, 0)
         off_t = offsets.get(p + 1, 0)
         for (t, s), entry in dd.items():
             diff.setdefault(p, {})[(t + off_t, s + off_s)] = dict(entry)
-    return ProjBimodComplex(x.base, terms, diff)
+    return type(x)(x.base, terms, diff)
 
 
 class ChainMap:
@@ -356,32 +503,27 @@ class ChainMap:
 
     def is_closed(self):
         """d_Y f = (-1)^r f d_X on every degree."""
-        alg = self.source.base
-        f = alg.field
+        x = self.source
+        f = x.base.field
         sgn = f(1) if self.degree % 2 == 0 else f(-1)
-        for p in self.source.degrees():
+        for p in x.degrees():
             acc = {}
+            y_out = _by_source(self.target.diff.get(p + self.degree, {}))
             for (m, s), e0 in self.components.get(p, {}).items():
-                for (t, m2), e1 in self.target.diff.get(p + self.degree, {}).items():
-                    if m2 == m:
-                        comp = compose_entries(alg, e1, e0)
-                        entry_add(acc.setdefault((t, s), {}), comp, f)
-            for (m, s), e0 in self.source.diff.get(p, {}).items():
-                for (t, m2), e1 in self.components.get(p + 1, {}).items():
-                    if m2 == m:
-                        comp = compose_entries(alg, e1, e0)
-                        entry_add(
-                            acc.setdefault((t, s), {}),
-                            entry_scale(comp, f.neg(sgn), f),
-                            f,
-                        )
+                for t, e1 in y_out.get(m, ()):
+                    entry_add(acc.setdefault((t, s), {}), x._compose(e1, e0), f)
+            f_out = _by_source(self.components.get(p + 1, {}))
+            for (m, s), e0 in x.diff.get(p, {}).items():
+                for t, e1 in f_out.get(m, ()):
+                    entry_add(acc.setdefault((t, s), {}),
+                              entry_scale(x._compose(e1, e0), f.neg(sgn), f), f)
             for entry in acc.values():
                 if entry:
                     return False
         return True
 
 
-def cone(fmap: ChainMap) -> ProjBimodComplex:
+def cone(fmap: ChainMap):
     """Mapping cone of a closed degree-0 map: C^p = Y^p + X^{p+1}."""
     if fmap.degree != 0:
         raise ValueError("cone expects a degree-0 map")
@@ -390,11 +532,8 @@ def cone(fmap: ChainMap) -> ProjBimodComplex:
     terms = {}
     yoff = {}
     for p in sorted(set(y.terms) | {q - 1 for q in x.terms}):
-        ys = list(y.summands(p))
-        xs = x.summands(p + 1)
-        terms[p] = ys + [
-            ProjBimodSummand(s.left, s.right, p, s.adeg, s.trace) for s in xs
-        ]
+        ys = y.summands(p)
+        terms[p] = ys + [s.at(p) for s in x.summands(p + 1)]
         yoff[p] = len(ys)
     diff = {}
     for p, dd in y.diff.items():
@@ -413,7 +552,7 @@ def cone(fmap: ChainMap) -> ProjBimodComplex:
         off_s = yoff.get(p - 1, 0)
         for (t, s), entry in comps.items():
             diff.setdefault(p - 1, {})[(t, s + off_s)] = dict(entry)
-    return ProjBimodComplex(x.base, terms, diff)
+    return type(x)(x.base, terms, diff)
 
 
 class NotHereditary(Exception):
@@ -467,73 +606,75 @@ def standard_hereditary_resolution(alg):
     return cx
 
 
-def tensor_over_A(x: ProjBimodComplex, y: ProjBimodComplex) -> ProjBimodComplex:
-    """Tensor product over the base: (i,j) (x) (k,l) spreads over e_jAe_k."""
-    if x.base is not y.base:
+def tensor_over_A(x, u: ProjBimodComplex):
+    """x (x)_A u for a complex x of either kind and a bimodule complex u.
+
+    A summand S of x and T of u spread over e_{right(S)}Ae_{left(T)}: each
+    basis element m gives S with right vertex right(T), traced
+    ((p, s_idx), m, (q, t_idx)).
+    """
+    if x.base is not u.base:
         raise ValueError("tensor requires a common base algebra")
     alg = x.base
     f = alg.field
     terms = {}
     index = {}
     for p, xs in x.terms.items():
-        for q, ys in y.terms.items():
+        for q, us in u.terms.items():
             for si, s in enumerate(xs):
-                for ti, t in enumerate(ys):
+                for ti, t in enumerate(us):
                     for m in alg.corner_indices(s.right, t.left):
                         deg = p + q
-                        summand = ProjBimodSummand(
-                            s.left,
-                            t.right,
-                            deg,
-                            s.adeg + t.adeg + alg.basis[m].adeg,
-                            trace=((p, si), m, (q, ti)),
-                        )
-                        idx = len(terms.setdefault(deg, []))
-                        terms[deg].append(summand)
-                        index[((p, si), m, (q, ti))] = (deg, idx)
+                        key = ((p, si), m, (q, ti))
+                        ts = terms.setdefault(deg, [])
+                        index[key] = len(ts)
+                        ts.append(s.with_right(
+                            t.right, deg, s.adeg + t.adeg + alg.basis[m].adeg, key))
     diff = {}
     x_out = {p: _by_source(dd) for p, dd in x.diff.items()}
-    y_out = {q: _by_source(dd) for q, dd in y.diff.items()}
+    u_out = {q: _by_source(dd) for q, dd in u.diff.items()}
+    split, join = x._split, x._join
 
-    def add_entry(deg, t_key, s_key, entry):
-        if not entry:
+    def add(deg, t_idx, s_idx, k, v):
+        e = diff.setdefault(deg, {}).setdefault((t_idx, s_idx), {})
+        old = e.get(k)
+        if old is None:
+            if v:
+                e[k] = v
             return
-        dtgt, t_idx = index[t_key]
-        dsrc, s_idx = index[s_key]
-        assert dtgt == dsrc + 1 and dsrc == deg
-        entry_add(
-            diff.setdefault(deg, {}).setdefault((t_idx, s_idx), {}), entry, f
-        )
+        val = f.add(old, v)
+        if val == 0:
+            del e[k]
+        else:
+            e[k] = val
 
-    for key, (deg, _) in index.items():
+    for key, s_idx in index.items():
         (p, si), m, (q, ti) = key
-        s = x.terms[p][si]
-        t = y.terms[q][ti]
-        # d_X (x) 1
+        deg = p + q
+        # d_x (x) 1: the right part of an entry joins the middle
+        e_l = alg.idempotent_index(u.terms[q][ti].right)
         for t2, entry in x_out.get(p, {}).get(si, ()):
-            s_new = x.terms[p + 1][t2]
-            for (alpha, beta), c in entry.items():
-                # left component alpha, middle becomes beta*m
+            for k, c in entry.items():
+                left, beta = split(k)
                 for m2, cm in alg.mult(beta, m).items():
-                    new_key = ((p + 1, t2), m2, (q, ti))
-                    e_l = alg.idempotent_index(t.right)
-                    add_entry(
-                        deg,
-                        new_key,
-                        key,
-                        {(alpha, e_l): f.mul(c, cm)},
-                    )
-        # (-1)^p 1 (x) d_Y
-        for t2, entry in y_out.get(q, {}).get(ti, ()):
+                    add(deg, index[((p + 1, t2), m2, (q, ti))], s_idx,
+                        join(left, e_l), f.mul(c, cm))
+        # (-1)^p 1 (x) d_u: the left part alpha of an entry joins the middle
+        e_i = x._left_unit(x.terms[p][si])
+        for t2, entry in u_out.get(q, {}).get(ti, ()):
             for (alpha, beta), c in entry.items():
                 for m2, cm in alg.mult(m, alpha).items():
-                    new_key = ((p, si), m2, (q + 1, t2))
-                    e_i = alg.idempotent_index(s.left)
                     c1 = f.mul(c, cm)
-                    add_entry(
-                        deg, new_key, key, {(e_i, beta): f.neg(c1) if p % 2 else c1}
-                    )
-    return ProjBimodComplex(alg, terms, diff)
+                    add(deg, index[((p, si), m2, (q + 1, t2))], s_idx,
+                        join(e_i, beta), f.neg(c1) if p % 2 else c1)
+    return type(x)(alg, terms, diff)
+
+
+def one_sided(x: ProjBimodComplex, e_vertices) -> RightComplex:
+    """e X = eA (x)_A X for the idempotent e summing e_vertices, a complex
+    of right projectives: each summand (i, j) of X gives one e_jA per
+    basis element of eAe_i."""
+    return tensor_over_A(projective_sum(x.base, e_vertices), x)
 
 
 def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
@@ -679,11 +820,67 @@ def bimodule_dual(x: ProjBimodComplex) -> ProjBimodComplex:
     return ProjBimodComplex(x.base, terms, diff)
 
 
-def chain_maps(x: ProjBimodComplex, y: ProjBimodComplex, r: int):
+
+def hom_coords(x, y, r):
+    """Coordinates of the degree-r maps x -> y: (p, s_idx, t_idx, key) for
+    each entry key of x._hom_basis from summand s_idx of X^p to summand
+    t_idx of Y^{p+r}."""
+    out = []
+    for p in x.degrees():
+        ys = y.summands(p + r)
+        if not ys:
+            continue
+        for s_idx, s in enumerate(x.summands(p)):
+            for t_idx, t in enumerate(ys):
+                out.extend((p, s_idx, t_idx, key) for key in x._hom_basis(s, t))
+    return out
+
+
+def hom_diff_matrix(x, y, r):
+    """Sparse columns of the Hom-complex differential
+    delta f = d_Y f - (-1)^r f d_X from degree-r to degree-(r+1) map
+    coordinates: (columns, src, tgt)."""
+    f = x.base.field
+    one = f.one()
+    y_out = {q: _by_source(dd) for q, dd in y.diff.items()}
+    x_in = {p: _by_target(dd) for p, dd in x.diff.items()}
+
+    def image(coord):
+        p, s_idx, t_idx, key = coord
+        g = {key: one}
+        # d_Y o f: lands in Y^{p+r+1}
+        for t2, entry in y_out.get(p + r, {}).get(t_idx, ()):
+            for k, c in x._compose(entry, g).items():
+                yield (p, s_idx, t2, k), c
+        # -(-1)^r f o d_X: from X^{p-1}
+        for s2, entry in x_in.get(p - 1, {}).get(s_idx, ()):
+            for k, c in x._compose(g, entry).items():
+                yield (p - 1, s2, t_idx, k), c if r % 2 else f.neg(c)
+
+    src = hom_coords(x, y, r)
+    tgt = hom_coords(x, y, r + 1)
+    return assemble(src, tgt, image, f), src, tgt
+
+
+class HomComplex:
+    """Hom complex of two complexes of one kind, on hom_coords."""
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+
+    def diff_matrix(self, r):
+        return hom_diff_matrix(self.x, self.y, r)
+
+    def cohomology_dim(self, r):
+        d, src, _ = self.diff_matrix(r)
+        return cohomology_dim(len(src), d, self.diff_matrix(r - 1)[0], self.x.base.field)
+
+
+def chain_maps(x, y, r: int):
     """Degree-r maps x -> y: (closed subspace, boundary subspace, coordinates).
 
-    Coordinates enumerate (p, s_idx, t_idx, alpha, beta) with alpha in
-    corner(i_S, i_T), beta in corner(l_T, j_S); both subspaces live in that
+    Coordinates are hom_coords(x, y, r); both subspaces live in that
     coordinate space.  The closed maps are the kernel of delta_r, the
     boundaries spanned by independent columns of delta_{r-1}.
     """
@@ -712,73 +909,24 @@ def h0_representatives(diff_matrix, field):
     return coords, reps, PreparedSolver(cols, len(coords), field) if cols else None
 
 
-def _map_coords(x, y, r):
-    alg = x.base
-    coords = []
-    for p in x.degrees():
-        ys = y.summands(p + r)
-        if not ys:
-            continue
-        for s_idx, s in enumerate(x.summands(p)):
-            for t_idx, t in enumerate(ys):
-                if s.adeg != t.adeg:
-                    continue
-                for alpha in alg.corner_indices(s.left, t.left):
-                    for beta in alg.corner_indices(t.right, s.right):
-                        coords.append((p, s_idx, t_idx, alpha, beta))
-    return coords
-
-
-def hom_diff_matrix(x, y, r):
-    """Sparse columns of the Hom-complex differential
-    delta f = d_Y f - (-1)^r f d_X from degree-r to degree-(r+1) map
-    coordinates: (columns, src, tgt)."""
-    alg = x.base
-    f = alg.field
-    y_out = {q: _by_source(dd) for q, dd in y.diff.items()}
-    x_in = {p: _by_target(dd) for p, dd in x.diff.items()}
-
-    def image(coord):
-        p, s_idx, t_idx, alpha, beta = coord
-        # d_Y o f: lands in Y^{p+r+1}
-        for t2, entry in y_out.get(p + r, {}).get(t_idx, ()):
-            for (a2, b2), c in entry.items():
-                for ai, ca in alg.mult(alpha, a2).items():
-                    for bi, cb in alg.mult(b2, beta).items():
-                        yield (p, s_idx, t2, ai, bi), f.mul(c, f.mul(ca, cb))
-        # -(-1)^r f o d_X: from X^{p-1}
-        for s2, entry in x_in.get(p - 1, {}).get(s_idx, ()):
-            for (a1, b1), c in entry.items():
-                for ai, ca in alg.mult(a1, alpha).items():
-                    for bi, cb in alg.mult(beta, b1).items():
-                        v = f.mul(c, f.mul(ca, cb))
-                        yield (p - 1, s2, t_idx, ai, bi), v if r % 2 else f.neg(v)
-
-    src = _map_coords(x, y, r)
-    tgt = _map_coords(x, y, r + 1)
-    return assemble(src, tgt, image, f), src, tgt
-
-
 def map_from_vector(x, y, r, coords, vec) -> ChainMap:
     """The chain map of a sparse vector over map coordinates, built in
     coordinate order."""
     f = x.base.field
     comps = {}
     for i in sorted(vec):
-        p, s_idx, t_idx, alpha, beta = coords[i]
+        p, s_idx, t_idx, key = coords[i]
         entry = comps.setdefault(p, {}).setdefault((t_idx, s_idx), {})
-        entry[(alpha, beta)] = f.add(entry.get((alpha, beta), f.zero()), vec[i])
+        entry[key] = f.add(entry.get(key, f.zero()), vec[i])
     return ChainMap(x, y, r, comps)
 
 
-def identity_map(x: ProjBimodComplex) -> ChainMap:
-    f = x.base.field
+def identity_map(x) -> ChainMap:
+    one = x.base.field.one()
     comps = {}
     for p, ss in x.terms.items():
         for i, s in enumerate(ss):
-            ei = x.base.idempotent_index(s.left)
-            ej = x.base.idempotent_index(s.right)
-            comps.setdefault(p, {})[(i, i)] = {(ei, ej): f.one()}
+            comps.setdefault(p, {})[(i, i)] = {x._unit_key(s, s): one}
     return ChainMap(x, x, 0, comps)
 
 
@@ -815,8 +963,9 @@ def minimize(x, transfer=False):
 
     Serves ProjBimodComplex and RightComplex and returns the same type.
     The complex supplies what differs between the two: the unit key of a
-    summand pair (``_unit_key``), the basis of a summand's endomorphism
-    corner (``_endo_basis``) and the entry product g o f (``_compose``).
+    summand pair (``_unit_key``), the entry keys of a summand's
+    endomorphisms (``_hom_basis(s, s)``) and the entry product g o f
+    (``_compose``).
 
     Pivot order, on which the output and its order depend: degree by
     degree in dict order, the pair cancelled next is the first unit entry
@@ -963,7 +1112,7 @@ def _invert(x, summand, entry):
     """X with entry o X = 1 in the endomorphism corner of a summand, for an
     entry whose unit coefficient is invertible."""
     f = x.base.field
-    basis = x._endo_basis(summand)
+    basis = x._hom_basis(summand, summand)
     if len(basis) == 1:  # the corner is spanned by the unit: X = 1/c
         return {basis[0]: f.inv(entry[basis[0]])}
     pos = {b: k for k, b in enumerate(basis)}
@@ -974,282 +1123,6 @@ def _invert(x, summand, entry):
     if sol is None:
         raise ValueError("entry is not invertible")
     return {basis[k]: c for k, c in sol.items()}
-
-
-class RightSummand:
-    __slots__ = ("vertex", "cdeg", "adeg", "trace")
-
-    def __init__(self, vertex, cdeg, adeg=0, trace=None):
-        self.vertex = vertex
-        self.cdeg = cdeg
-        self.adeg = adeg
-        self.trace = trace
-
-    def __repr__(self):
-        return f"(e_{self.vertex}A, c{self.cdeg})"
-
-
-class RightComplex:
-    """Bounded complex of right projectives e_jA.
-
-    Differential entries are {basis: coeff} elements of e_{j_t}Ae_{j_s}
-    acting by left multiplication.
-    """
-
-    def __init__(self, base, terms, diff):
-        self.base = base
-        self.terms = {p: list(ss) for p, ss in terms.items() if ss}
-        self.diff = {p: dict(d) for p, d in diff.items() if d}
-
-    def degrees(self):
-        return sorted(self.terms)
-
-    def summands(self, p):
-        return self.terms.get(p, [])
-
-    def entry(self, p, t, s):
-        return self.diff.get(p, {}).get((t, s), {})
-
-    def coords(self, p):
-        out = []
-        for s_idx, s in enumerate(self.summands(p)):
-            for b in (bb.index for bb in self.base.basis if bb.target == s.vertex):
-                out.append((s_idx, b))
-        return out
-
-    def diff_matrix(self, p):
-        alg = self.base
-        f = alg.field
-        out = _by_source(self.diff.get(p, {}))
-
-        def image(coord):
-            si, b = coord
-            for t_idx, elem in out.get(si, ()):
-                for g, c in elem.items():
-                    for b2, cb in alg.mult(g, b).items():
-                        yield (t_idx, b2), f.mul(c, cb)
-
-        src = self.coords(p)
-        tgt = self.coords(p + 1)
-        return assemble(src, tgt, image, f), src, tgt
-
-    def validate(self):
-        alg = self.base
-        errors = []
-        for p, dd in self.diff.items():
-            ss, ts = self.summands(p), self.summands(p + 1)
-            for (t_idx, s_idx), elem in dd.items():
-                s, t = ss[s_idx], ts[t_idx]
-                for g in elem:
-                    bg = alg.basis[g]
-                    if bg.target != t.vertex or bg.source != s.vertex:
-                        errors.append(f"entry corner violated at {p}:({t_idx},{s_idx})")
-        for p in self.degrees():
-            m1, _, _ = self.diff_matrix(p)
-            m2, _, _ = self.diff_matrix(p + 1)
-            if any(combine_sparse(col, m2, alg.field) for col in m1):
-                errors.append(f"d*d != 0 at degree {p}")
-        return errors
-
-    def cohomology_dims(self):
-        out = {}
-        for p in self.degrees():
-            d = cohomology_dim(len(self.coords(p)), self.diff_matrix(p)[0],
-                               self.diff_matrix(p - 1)[0], self.base.field)
-            if d:
-                out[p] = d
-        return out
-
-    def is_acyclic(self):
-        return not self.cohomology_dims()
-
-    # what minimize needs; entries act by left multiplication
-    def _unit_key(self, s, t):
-        if s.vertex != t.vertex or s.adeg != t.adeg:
-            return None
-        return self.base.idempotent_index(s.vertex)
-
-    def _endo_basis(self, s):
-        return self.base.corner_indices(s.vertex, s.vertex)
-
-    def _compose(self, g, f):
-        return self.base.mult_elements(g, f)
-
-
-def shift_right(x: RightComplex, n: int) -> RightComplex:
-    f = x.base.field
-    sgn = f(1) if n % 2 == 0 else f(-1)
-    terms = {
-        p - n: [RightSummand(s.vertex, p - n, s.adeg, s.trace) for s in ss]
-        for p, ss in x.terms.items()
-    }
-    diff = {
-        p - n: {k: {g: f.mul(sgn, c) for g, c in e.items()} for k, e in dd.items()}
-        for p, dd in x.diff.items()
-    }
-    return RightComplex(x.base, terms, diff)
-
-
-def one_sided(x: ProjBimodComplex, e_vertices, side="left") -> RightComplex:
-    """Restrict a bimodule complex by the idempotent sum over e_vertices.
-
-    side="left" forms e*X as a complex of right modules; each summand
-    (i, j) contributes one e_jA per basis element of e*A*e_i.
-    """
-    if side != "left":
-        raise ValueError("only left restriction to a right complex is supported")
-    alg = x.base
-    f = alg.field
-    terms = {}
-    index = {}
-    by_summand = {}  # (p, s_idx) -> [(m, idx)], in the order of index
-    for p, ss in x.terms.items():
-        for s_idx, s in enumerate(ss):
-            mids = [
-                m
-                for v in e_vertices
-                for m in alg.corner_indices(v, s.left)
-            ]
-            for m in mids:
-                idx = len(terms.setdefault(p, []))
-                terms[p].append(
-                    RightSummand(s.right, p, s.adeg + alg.basis[m].adeg, trace=(s_idx, m))
-                )
-                index[(p, s_idx, m)] = idx
-                by_summand.setdefault((p, s_idx), []).append((m, idx))
-    diff = {}
-    for p, dd in x.diff.items():
-        for (t_idx, s_idx), entry in dd.items():
-            for (alpha, beta), c in entry.items():
-                for m, idx in by_summand.get((p, s_idx), ()):
-                    for m2, cm in alg.mult(m, alpha).items():
-                        tpos = index.get((p + 1, t_idx, m2))
-                        if tpos is None:
-                            continue
-                        elem = diff.setdefault(p, {}).setdefault((tpos, idx), {})
-                        val = f.add(elem.get(beta, f.zero()), f.mul(c, cm))
-                        if val == 0:
-                            elem.pop(beta, None)
-                        else:
-                            elem[beta] = val
-    return RightComplex(alg, terms, diff)
-
-
-def projective_right(alg, vertex, cdeg=0) -> RightComplex:
-    return RightComplex(alg, {cdeg: [RightSummand(vertex, cdeg)]}, {})
-
-
-def tensor_right(x: RightComplex, u: ProjBimodComplex) -> RightComplex:
-    """x (x)_A u for a right complex x and bimodule complex u."""
-    alg = x.base
-    f = alg.field
-    terms = {}
-    index = {}
-    for p, xs in x.terms.items():
-        for q, us in u.terms.items():
-            for si, s in enumerate(xs):
-                for ti, t in enumerate(us):
-                    for m in alg.corner_indices(s.vertex, t.left):
-                        deg = p + q
-                        idx = len(terms.setdefault(deg, []))
-                        terms[deg].append(
-                            RightSummand(
-                                t.right,
-                                deg,
-                                s.adeg + t.adeg + alg.basis[m].adeg,
-                                trace=((p, si), m, (q, ti)),
-                            )
-                        )
-                        index[((p, si), m, (q, ti))] = (deg, idx)
-    diff = {}
-    x_out = {p: _by_source(dd) for p, dd in x.diff.items()}
-    u_out = {q: _by_source(dd) for q, dd in u.diff.items()}
-
-    def add(deg, tkey, skey, g, c):
-        if c == 0:
-            return
-        _, t_idx = index[tkey]
-        _, s_idx = index[skey]
-        elem = diff.setdefault(deg, {}).setdefault((t_idx, s_idx), {})
-        val = f.add(elem.get(g, f.zero()), c)
-        if val == 0:
-            elem.pop(g, None)
-        else:
-            elem[g] = val
-
-    for key, (deg, _) in index.items():
-        (p, si), m, (q, ti) = key
-        t = u.terms[q][ti]
-        # d_x (x) 1: left multiplier gamma changes the x summand and middle
-        for t2, elem in x_out.get(p, {}).get(si, ()):
-            for g, c in elem.items():
-                for m2, cm in alg.mult(g, m).items():
-                    tkey = ((p + 1, t2), m2, (q, ti))
-                    if tkey in index:
-                        e_l = alg.idempotent_index(t.right)
-                        add(deg, tkey, key, e_l, f.mul(c, cm))
-        # (-1)^p 1 (x) d_u
-        sgn = f(1) if p % 2 == 0 else f(-1)
-        for t2, entry in u_out.get(q, {}).get(ti, ()):
-            for (alpha, beta), c in entry.items():
-                for m2, cm in alg.mult(m, alpha).items():
-                    tkey = ((p, si), m2, (q + 1, t2))
-                    if tkey in index:
-                        add(deg, tkey, key, beta, f.mul(sgn, f.mul(c, cm)))
-    return RightComplex(alg, terms, diff)
-
-
-class HomComplex:
-    """Hom complex of two right complexes, with composable coordinates.
-
-    Degree-r coordinates are (p, s_idx, t_idx, gamma) for maps
-    e_{j_s}A -> e_{j_t}A, gamma in corner(j_t, j_s).
-    """
-
-    def __init__(self, x: RightComplex, y: RightComplex):
-        self.x = x
-        self.y = y
-        self.alg = x.base
-
-    def coords(self, r):
-        out = []
-        for p in self.x.degrees():
-            ys = self.y.summands(p + r)
-            if not ys:
-                continue
-            for s_idx, s in enumerate(self.x.summands(p)):
-                for t_idx, t in enumerate(ys):
-                    for g in self.alg.corner_indices(t.vertex, s.vertex):
-                        out.append((p, s_idx, t_idx, g))
-        return out
-
-    def diff_matrix(self, r):
-        """Sparse columns of delta f = d_y f - (-1)^r f d_x from degree r
-        to r+1: (columns, src, tgt)."""
-        alg = self.alg
-        f = alg.field
-        sgn = f(1) if r % 2 == 0 else f(-1)
-        y_out = {q: _by_source(dd) for q, dd in self.y.diff.items()}
-        x_in = {p: _by_target(dd) for p, dd in self.x.diff.items()}
-
-        def image(coord):
-            p, s_idx, t_idx, g = coord
-            for t2, elem in y_out.get(p + r, {}).get(t_idx, ()):
-                for g1, c1 in elem.items():
-                    for g2, c2 in alg.mult(g1, g).items():
-                        yield (p, s_idx, t2, g2), f.mul(c1, c2)
-            for s2, elem in x_in.get(p - 1, {}).get(s_idx, ()):
-                for g1, c1 in elem.items():
-                    for g2, c2 in alg.mult(g, g1).items():
-                        yield (p - 1, s2, t_idx, g2), f.neg(f.mul(sgn, f.mul(c1, c2)))
-
-        src = self.coords(r)
-        tgt = self.coords(r + 1)
-        return assemble(src, tgt, image, f), src, tgt
-
-    def cohomology_dim(self, r):
-        return cohomology_dim(len(self.coords(r)), self.diff_matrix(r)[0],
-                              self.diff_matrix(r - 1)[0], self.alg.field)
 
 
 class BoundExceeded(Inconclusive):
@@ -1611,24 +1484,6 @@ def relabel_complex(x: ProjBimodComplex, target_alg, vertex_map, basis_map) -> P
             for g, elem in x.augmentation.items()
         }
     return ProjBimodComplex(target_alg, terms, diff, augmentation=aug)
-
-
-def direct_sum_right(x: RightComplex, y: RightComplex) -> RightComplex:
-    terms = {}
-    offsets = {}
-    for p in sorted(set(x.terms) | set(y.terms)):
-        xs = list(x.summands(p))
-        terms[p] = xs + list(y.summands(p))
-        offsets[p] = len(xs)
-    diff = {}
-    for p, dd in x.diff.items():
-        diff.setdefault(p, {}).update({k: dict(e) for k, e in dd.items()})
-    for p, dd in y.diff.items():
-        off_s = offsets.get(p, 0)
-        off_t = offsets.get(p + 1, 0)
-        for (t, s), e in dd.items():
-            diff.setdefault(p, {})[(t + off_t, s + off_s)] = dict(e)
-    return RightComplex(x.base, terms, diff)
 
 
 def outer_tensor(x: ProjBimodComplex, y: ProjBimodComplex, product_alg, pair_index):

@@ -556,8 +556,8 @@ def cmd_classify_roots(args):
 
 
 def cmd_orbit_hom(args):
+    from .bimodcx import projective_sum
     from .cluster import HomTable, orbit_hom
-    from .rootpair import projective_sum
 
     t0 = time.monotonic()
     alg, u, hashes = _load_pair(args)

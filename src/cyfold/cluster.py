@@ -326,7 +326,7 @@ def orbit_hom(alg, u, x, y, window):
     the adjunction.  Returns (dim, converged) where converged reports that
     the last two window steps on each side contributed nothing.
     """
-    from .bimodcx import HomComplex, minimize, tensor_right
+    from .bimodcx import HomComplex, minimize, tensor_over_A
 
     total = 0
     tail = []
@@ -336,29 +336,28 @@ def orbit_hom(alg, u, x, y, window):
         total += d
         if i >= window - 1:
             tail.append(d)
-        y_tw = minimize(tensor_right(y_tw, u))
-    x_tw = minimize(tensor_right(x, u))
+        y_tw = minimize(tensor_over_A(y_tw, u))
+    x_tw = minimize(tensor_over_A(x, u))
     for i in range(1, window + 1):
         d = HomComplex(x_tw, y).cohomology_dim(0)
         total += d
         if i >= window - 1:
             tail.append(d)
-        x_tw = minimize(tensor_right(x_tw, u))
+        x_tw = minimize(tensor_over_A(x_tw, u))
     converged = all(d == 0 for d in tail)
     return total, converged
 
 
 def cluster_tilting_check(alg, u, e_vertices, d, window):
     """Hom_C(P, P[j]) = 0 for 1 <= j <= d-1 in the orbit category."""
-    from .bimodcx import shift_right
-    from .rootpair import projective_sum
+    from .bimodcx import projective_sum, shift
 
     p = projective_sum(alg, e_vertices)
     ok = True
     detail = {}
     converged_all = True
     for j in range(1, d):
-        dim, conv = orbit_hom(alg, u, p, shift_right(p, j), window)
+        dim, conv = orbit_hom(alg, u, p, shift(p, j), window)
         detail[j] = dim
         converged_all = converged_all and conv
         if dim:
@@ -368,8 +367,7 @@ def cluster_tilting_check(alg, u, e_vertices, d, window):
 
 def serre_check(alg, u, d, samples, window, seed=0):
     """dim Hom_C(X, Y) = dim Hom_C(Y, X[d]) on seeded sample pairs."""
-    from .bimodcx import shift_right
-    from .rootpair import projective_sum
+    from .bimodcx import projective_sum, shift
 
     rng = SplitMix64(seed)
     verts = list(alg.vertices)
@@ -380,10 +378,10 @@ def serre_check(alg, u, d, samples, window, seed=0):
         v = verts[rng.int_in(0, len(verts) - 1)]
         w = verts[rng.int_in(0, len(verts) - 1)]
         sx = rng.int_in(0, 1)
-        x = shift_right(projective_sum(alg, [v]), sx)
+        x = shift(projective_sum(alg, [v]), sx)
         y = projective_sum(alg, [w])
         lhs, c1 = orbit_hom(alg, u, x, y, window)
-        rhs, c2 = orbit_hom(alg, u, y, shift_right(x, d), window)
+        rhs, c2 = orbit_hom(alg, u, y, shift(x, d), window)
         detail.append({"x": (v, sx), "y": w, "lhs": lhs, "rhs": rhs})
         converged = converged and c1 and c2
         if lhs != rhs:

@@ -127,22 +127,29 @@ class PathBasisAlgebra:
         return self._mult.get((i, j), {})
 
     def mult_elements(self, x, y):
-        """Product of elements given as {index: coeff} dicts."""
+        """Product of elements given as {index: coeff} dicts; products by 1
+        are skipped and a new index takes its value as is."""
         out = {}
         f = self.field
+        mult = self._mult
         for i, ci in x.items():
             for j, cj in y.items():
-                prod = self._mult.get((i, j))
+                prod = mult.get((i, j))
                 if not prod:
                     continue
-                c = f.mul(ci, cj)
+                c = ci if cj == 1 else cj if ci == 1 else f.mul(ci, cj)
                 for k, ck in prod.items():
-                    val = f.add(out.get(k, f.zero()), f.mul(c, ck))
+                    v = c if ck == 1 else f.mul(c, ck)
+                    old = out.get(k)
+                    if old is None:
+                        if v:
+                            out[k] = v
+                        continue
+                    val = f.add(old, v)
                     if val == 0:
-                        out.pop(k, None)
+                        del out[k]
                     else:
                         out[k] = val
-
         return out
 
     def corner_indices(self, i, j):

@@ -13,21 +13,21 @@ from .bimodcx import (
     HomComplex,
     ProjBimodComplex,
     RightComplex,
-    RightSummand,
     _by_source,
-    _map_coords,
     assemble,
     bimodule_dual,
     chain_maps,
     find_quasi_iso,
     h0_representatives,
+    hom_coords,
     hom_diff_matrix,
     is_quasi_iso,
     map_from_vector,
+    projective_sum,
     resolution_of_algebra,
     shift,
+    tensor_over_A,
     tensor_power,
-    tensor_right,
 )
 from .exactlin import (
     combine_sparse,
@@ -143,10 +143,10 @@ def evaluation_matrix(x: ProjBimodComplex, dual, contracted: ContractedComplex, 
     def image(coord):
         (_, s_idx), (q, t_idx), (u, v) = coord
         # dual summand (q, t_idx) corresponds to x summand (-q, t_idx)
-        yield (-q, t_idx, s_idx, v, u), one
+        yield (-q, t_idx, s_idx, (v, u)), one
 
     src = contracted.coords(r)
-    end_coords = _map_coords(x, x, r)
+    end_coords = hom_coords(x, x, r)
     return assemble(src, end_coords, image, f), src, end_coords
 
 
@@ -167,16 +167,11 @@ class CasimirElement:
 
 def _identity_vector(x, end_coords):
     """The identity of X as a sparse vector over End(X) coordinates."""
-    alg = x.base
-    one = alg.field.one()
+    one = x.base.field.one()
     out = {}
-    for i, (p, s_idx, t_idx, alpha, beta) in enumerate(end_coords):
+    for i, (p, s_idx, t_idx, key) in enumerate(end_coords):
         s = x.summands(p)[s_idx]
-        if (
-            t_idx == s_idx
-            and alpha == alg.idempotent_index(s.left)
-            and beta == alg.idempotent_index(s.right)
-        ):
+        if t_idx == s_idx and key == x._unit_key(s, s):
             out[i] = one
     return out
 
@@ -409,7 +404,7 @@ def _pairing_columns(cas_u, psi_coords, target, tau, resolution, a, d):
     r = -d
     amb_pos = {c: i for i, c in enumerate(tau.ambient.coords(r))}
     by_source = {}
-    for k, (pp, psrc, ptgt, alpha, beta) in enumerate(psi_coords):
+    for k, (pp, psrc, ptgt, (alpha, beta)) in enumerate(psi_coords):
         by_source.setdefault((pp, psrc), []).append((k, ptgt, alpha, beta))
     pair_cols = [{} for _ in psi_coords]
     for ((p, s_idx), (q, t_idx), (u1, v1)), c_cas in cas_u.items():
@@ -484,10 +479,10 @@ def check_peel_identity(phi, u, a, d, resolution=None, seed=7):
     r = -d
     cas2 = casimir(u, psi.source, perturb_seed=seed)
     tau = hh_class(phi, casimir(resolution, perturb_seed=seed + 1), phi.target)
-    psi_coords = _map_coords(psi.source, psi.target, r)
+    psi_coords = hom_coords(psi.source, psi.target, r)
     psi_vec = {}
-    for k, (p, s_idx, t_idx, alpha, beta) in enumerate(psi_coords):
-        c = psi.entry(p, t_idx, s_idx).get((alpha, beta))
+    for k, (p, s_idx, t_idx, key) in enumerate(psi_coords):
+        c = psi.entry(p, t_idx, s_idx).get(key)
         if c:
             psi_vec[k] = c
     pair_cols = _pairing_columns(cas2, psi_coords, psi.target, tau, resolution, a, d)
@@ -527,12 +522,6 @@ class CheckReport:
 
     def as_dict(self):
         return {"verdicts": dict(self.verdicts), "details": dict(self.details)}
-
-
-def projective_sum(alg, vertices, cdeg=0) -> RightComplex:
-    return RightComplex(
-        alg, {cdeg: [RightSummand(v, cdeg) for v in vertices]}, {}
-    )
 
 
 def h0_right_module(rc: RightComplex):
@@ -608,7 +597,7 @@ def check_strict_pair(spec: RootPairSpec, resolution=None) -> CheckReport:
     )
     xs = [projective_sum(alg, spec.e_vertices)]
     for _ in range(spec.a - 1):
-        xs.append(tensor_right(xs[-1], spec.u))
+        xs.append(tensor_over_A(xs[-1], spec.u))
     ones = {v: 1 for v in alg.vertices}
     total = {v: 0 for v in alg.vertices}
     add_ok = True
@@ -673,5 +662,5 @@ def k0_spanning_check(spec: RootPairSpec) -> bool:
         for _ in range(spec.a):
             ev = euler_vector(xi, alg)
             rows.append({j: f(ev[w]) for j, w in enumerate(verts) if ev[w]})
-            xi = tensor_right(xi, spec.u)
+            xi = tensor_over_A(xi, spec.u)
     return rank(rows, f) == len(verts)

@@ -489,15 +489,15 @@ def transported_pair(a_alg, u_a, b_alg, u_b, e_vertices_a, len_bound=10, seed=0)
     tilting object: returns a dict with the endomorphism algebra E, the
     transported bimodule complex over E, and the intermediate data."""
     from .quiveralg import tensor_product_algebra
-    from .bimodcx import direct_sum_right, outer_tensor, tensor_right
-    from .rootpair import h0_right_module, projective_sum
+    from .bimodcx import direct_sum, outer_tensor, projective_sum, tensor_over_A
+    from .rootpair import h0_right_module
 
     d_alg, pair_idx = tensor_product_algebra(a_alg, b_alg)
     w = outer_tensor(u_a, u_b, d_alg, pair_idx)
     e_pairs = [(va, vb) for va in e_vertices_a for vb in b_alg.vertices]
     t0 = projective_sum(d_alg, e_pairs)
-    t1 = tensor_right(t0, w)
-    m_raw, _, _ = h0_right_module(direct_sum_right(t0, t1))
+    t1 = tensor_over_A(t0, w)
+    m_raw, _, _ = h0_right_module(direct_sum(t0, t1))
     module, tags, _ = corner_adapt_module(m_raw)
     e_alg, chosen, idems = algebra_from_endomorphisms(module, seed)
     # the action rows of each chosen End(M) element

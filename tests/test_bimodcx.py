@@ -9,13 +9,14 @@ from cyfold.bimodcx import (
     NotHereditary,
     ProjBimodComplex,
     ProjBimodSummand,
+    RightComplex,
+    RightSummand,
     bimodule_dual,
     chain_maps,
     compose_entries,
     dual_regular_bimodule,
     cone,
     direct_sum,
-    direct_sum_right,
     find_quasi_iso,
     hom_diff_matrix,
     identity_map,
@@ -23,16 +24,14 @@ from cyfold.bimodcx import (
     map_from_vector,
     minimize,
     one_sided,
-    projective_right,
+    projective_sum,
     regular_bimodule,
     resolution_of_algebra,
     resolve_bimodule,
     shift,
-    shift_right,
     standard_hereditary_resolution,
     tensor_over_A,
     tensor_power,
-    tensor_right,
 )
 from cyfold.exactlin import QQ, Field, SplitMix64, random_vector, solve_linear
 from cyfold.presets import (
@@ -45,7 +44,6 @@ from cyfold.presets import (
     linear_an_algebra,
 )
 from cyfold.quiveralg import PathBasisAlgebra
-from cyfold.rootpair import projective_sum
 from cyfold.transport import transported_pair
 
 
@@ -108,6 +106,16 @@ def test_miscornered_entry_reported(kron):
         {0: [ProjBimodSummand(0, 0, 0)], 1: [ProjBimodSummand(1, 1, 1)]},
         {0: {(0, 0): {(e0, x): Fraction(1)}}},
     )
+    assert any("corner" in e for e in bad.validate())
+
+
+def test_dangling_and_miscornered_right_entries_reported(kron):
+    e0 = kron.idempotent_index(0)
+    dangling = RightComplex(kron, {0: [RightSummand(0, 0)]}, {0: {(0, 0): {e0: Fraction(1)}}})
+    assert dangling.validate() == ["dangling entry at degree 0: (0,0)"]
+    # e_0 is no map e_0A -> e_1A: the entry must lie in e_1Ae_0
+    bad = RightComplex(kron, {0: [RightSummand(0, 0)], 1: [RightSummand(1, 1)]},
+                       {0: {(0, 0): {e0: Fraction(1)}}})
     assert any("corner" in e for e in bad.validate())
 
 
@@ -257,7 +265,7 @@ def test_minimize_on_right_complex_twist_chain(kron, root, vertices, totals):
     y = projective_sum(kron, vertices)
     got = []
     for _ in totals:
-        big = tensor_right(y, u)
+        big = tensor_over_A(y, u)
         y = minimize(big)
         assert type(y) is type(big)
         assert y.validate() == []
@@ -304,8 +312,8 @@ def _map_to_vector(x, y, r, coords, fmap):
     vec = {}
     for p, comps in fmap.components.items():
         for (t, s), entry in comps.items():
-            for (alpha, beta), c in entry.items():
-                vec[pos[(p, s, t, alpha, beta)]] = c
+            for key, c in entry.items():
+                vec[pos[(p, s, t, key)]] = c
     return vec
 
 
@@ -353,10 +361,10 @@ def test_minimize_tensor_powers_golden(kron, root):
 @pytest.mark.parametrize("root", sorted(TWIST_CHAIN_DIGESTS))
 def test_minimize_twist_chain_golden(kron, root):
     u = kronecker_root(kron, *root)
-    y = projective_right(kron, 0)
+    y = projective_sum(kron, [0])
     h = hashlib.sha256()
     for _ in range(8):
-        y = minimize(tensor_right(y, u))
+        y = minimize(tensor_over_A(y, u))
         h.update(_canonical_dump(y))
     assert h.hexdigest() == TWIST_CHAIN_DIGESTS[root]
 
@@ -511,7 +519,7 @@ def test_hom_differentials_golden(name, char):
     p = projective_sum(alg, alg.vertices)
     x = p
     for _ in range(3):
-        x = tensor_right(x, u)
+        x = tensor_over_A(x, u)
     pairs = [(bimodule_dual(resolution_of_algebra(alg)), tensor_power(u, 2)),
              (power, power)]
     homs = [HomComplex(x, x), HomComplex(x, p)]
@@ -536,13 +544,13 @@ RIGHT_SHIFT_SUM_DIGESTS = {
 @pytest.mark.parametrize("root", sorted(RIGHT_SHIFT_SUM_DIGESTS))
 def test_right_shift_and_sum_golden(kron, root):
     u = kronecker_root(kron, *root)
-    y = projective_right(kron, 0)
+    y = projective_sum(kron, [0])
     for _ in range(3):
-        y = minimize(tensor_right(y, u))
-    p = shift_right(projective_sum(kron, kron.vertices), -1)
+        y = minimize(tensor_over_A(y, u))
+    p = shift(projective_sum(kron, kron.vertices), -1)
     h = hashlib.sha256()
-    for cx in (shift_right(y, -1), shift_right(y, 2), direct_sum_right(y, p),
-               direct_sum_right(p, y)):
+    for cx in (shift(y, -1), shift(y, 2), direct_sum(y, p),
+               direct_sum(p, y)):
         h.update(_canonical_dump(cx))
     assert h.hexdigest() == RIGHT_SHIFT_SUM_DIGESTS[root]
 

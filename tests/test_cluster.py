@@ -1,6 +1,6 @@
 import pytest
 
-from cyfold.bimodcx import dual_regular_bimodule, resolve_bimodule, shift_right
+from cyfold.bimodcx import dual_regular_bimodule, resolve_bimodule, shift
 from cyfold.cluster import (
     NonFreeAction,
     QuiverAuto,

@@ -10,8 +10,8 @@ from cyfold.bimodcx import (
     bimodule_dual,
     hom_diff_matrix,
     resolution_of_algebra,
+    tensor_over_A,
     tensor_power,
-    tensor_right,
 )
 from cyfold.cluster import orbit_hom
 from cyfold.completion import completion
@@ -54,7 +54,7 @@ def _differentials(kind, s, eps, monkeypatch):
     power = tensor_power(u, 3)
     x3 = projective_sum(alg, alg.vertices)
     for _ in range(3):
-        x3 = tensor_right(x3, u)
+        x3 = tensor_over_A(x3, u)
     contracted = ContractedComplex(power, bimodule_dual(u))
     with_a = ContractWithA(tensor_power(u, 4))
     hom = HomComplex(x3, x3)

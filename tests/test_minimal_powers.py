@@ -133,7 +133,7 @@ def test_transfer_maps_where_a_corner_is_not_the_unit(field):
     terms = {p: [ProjBimodSummand(0, 0, p) for _ in range(n)] for p, n in ((0, 1), (1, 2))}
     x = ProjBimodComplex(alg, terms, {0: {(0, 0): {(e, e): one, (xi, e): one},
                                           (1, 0): {(xi, e): one}}})
-    assert len(x._endo_basis(terms[0][0])) == 4
+    assert len(x._hom_basis(terms[0][0], terms[0][0])) == 4
     m = minimize(x, transfer=True)
     assert m.total_summands() == 1
     _check_transfer(x, m, *m.transfer)

@@ -8,13 +8,13 @@ from cyfold.bimodcx import (
     dual_regular_bimodule,
     inverse_dualizing,
     one_sided,
-    projective_right,
+    projective_sum,
     regular_bimodule,
     resolution_of_algebra,
     resolve_bimodule,
-    shift_right,
+    shift,
     standard_hereditary_resolution,
-    tensor_right,
+    tensor_over_A,
 )
 from cyfold.presets import (
     a4_mod_longest_algebra,
@@ -130,13 +130,13 @@ def test_one_sided_restriction(kron):
 
 def test_tensor_right_walks_preprojectives(kron):
     u = kronecker_root(kron, 0, 1)
-    p0 = projective_right(kron, 0)
-    p0u = tensor_right(p0, u)
+    p0 = projective_sum(kron, [0])
+    p0u = tensor_over_A(p0, u)
     assert p0u.validate() == []
     assert p0u.cohomology_dims() == {0: 3}
-    p0uu = tensor_right(p0u, u)
+    p0uu = tensor_over_A(p0u, u)
     assert p0uu.cohomology_dims() == {0: 5}
-    p0u3 = tensor_right(p0uu, u)
+    p0u3 = tensor_over_A(p0uu, u)
     assert p0u3.cohomology_dims() == {0: 7}
 
 
@@ -144,13 +144,13 @@ def test_rhom_projectives(kron):
     # Hom(e_iA, e_jA) = e_jAe_i
     for i in (0, 1):
         for j in (0, 1):
-            h = HomComplex(projective_right(kron, i), projective_right(kron, j))
+            h = HomComplex(projective_sum(kron, [i]), projective_sum(kron, [j]))
             assert h.cohomology_dim(0) == len(kron.corner_indices(j, i))
 
 
 def test_rhom_shift(kron):
-    p0 = projective_right(kron, 0)
-    sh = shift_right(p0, 1)
+    p0 = projective_sum(kron, [0])
+    sh = shift(p0, 1)
     h = HomComplex(p0, sh)
     assert h.cohomology_dim(0) == 0
     assert h.cohomology_dim(-1) == 1
