@@ -174,8 +174,9 @@ class _Complex:
     """What both kinds of complex share.  Each subclass supplies, for its
     summands S, T and entries (maps S -> T):
 
-      _unit_key(s, t)     the identity's entry key, None unless S = T as
-                          graded projectives;
+      _unit_class(s)      what S is as a graded projective: S and T have
+                          an identity map between them exactly when
+                          their classes are equal;
       _hom_basis(s, t)    the entry keys spanning the maps S -> T that the
                           Hom complex counts;
       _compose(g, f)      the entry of g o f;
@@ -207,6 +208,13 @@ class _Complex:
     def total_summands(self):
         return sum(len(s) for s in self.terms.values())
 
+    def _unit_key(self, s, t):
+        """The identity's entry key, None unless S = T as graded
+        projectives."""
+        if self._unit_class(s) != self._unit_class(t):
+            return None
+        return self._join(self._left_unit(s), self.base.idempotent_index(s.right))
+
     def trace_index(self):
         """Cached map from summand traces to (degree, index)."""
         if not hasattr(self, "_trace_index"):
@@ -230,14 +238,15 @@ class _Complex:
         for p, dd in self.diff.items():
             ss = self.summands(p)
             ts = self.summands(p + 1)
+            s_units = [unit_key(s, s) for s in ss]
+            t_units = [unit_key(t, t) for t in ts]
             for (t_idx, s_idx), entry in dd.items():
                 if s_idx >= len(ss) or t_idx >= len(ts):
                     errors.append(f"dangling entry at degree {p}: ({t_idx},{s_idx})")
                     continue
-                s, t = ss[s_idx], ts[t_idx]
-                if s.adeg != t.adeg:
+                if ss[s_idx].adeg != ts[t_idx].adeg:
                     errors.append(f"Adams degree broken at {p}:({t_idx},{s_idx})")
-                us, ut = unit_key(s, s), unit_key(t, t)
+                us, ut = s_units[s_idx], t_units[t_idx]
                 for key in entry:
                     ok = fixed.get((key, us, ut))
                     if ok is None:
@@ -375,10 +384,8 @@ class ProjBimodComplex(_Complex):
         return out
 
     # entry keys are (alpha, beta); maps count only within one Adams degree
-    def _unit_key(self, s, t):
-        if s.left != t.left or s.right != t.right or s.adeg != t.adeg:
-            return None
-        return (self.base.idempotent_index(s.left), self.base.idempotent_index(s.right))
+    def _unit_class(self, s):
+        return s.left, s.right, s.adeg
 
     def _hom_basis(self, s, t):
         if s.adeg != t.adeg:
@@ -435,10 +442,8 @@ class RightComplex(_Complex):
         return assemble(src, tgt, image, f), src, tgt
 
     # entry keys are elements g, acting by left multiplication; no left part
-    def _unit_key(self, s, t):
-        if s.vertex != t.vertex or s.adeg != t.adeg:
-            return None
-        return self.base.idempotent_index(s.vertex)
+    def _unit_class(self, s):
+        return s.vertex, s.adeg
 
     def _hom_basis(self, s, t):
         return self.base.corner_indices(t.vertex, s.vertex)
@@ -962,10 +967,13 @@ def minimize(x, transfer=False):
     """Strip contractible pairs by Gaussian elimination on unit entries.
 
     Serves ProjBimodComplex and RightComplex and returns the same type.
-    The complex supplies what differs between the two: the unit key of a
-    summand pair (``_unit_key``), the entry keys of a summand's
-    endomorphisms (``_hom_basis(s, s)``) and the entry product g o f
-    (``_compose``).
+    The complex supplies what differs between the two: the class of a
+    summand (``_unit_class``) and its identity's key (``_unit_key``), the
+    entry keys of a summand's endomorphisms (``_hom_basis(s, s)``) and the
+    entry product g o f (``_compose``).  x is never changed, and the
+    result shares no entry dict with it: an entry is copied when a
+    correction first writes to it, and the survivors when the result is
+    built.
 
     Pivot order, on which the output and its order depend: degree by
     degree in dict order, the pair cancelled next is the first unit entry
@@ -977,9 +985,13 @@ def minimize(x, transfer=False):
     degree p the entries of d^p are indexed by source and by target
     summand (dicts that see the same inserts and deletes as d^p, so they
     keep its relative order), d^{p-1} by target and d^{p+1} by source.
-    Unit entries wait in a min-heap keyed by insertion rank, which is dict
-    order: a key deleted and re-created gets a new rank, an entry that
-    gains its unit is pushed again, and stale items are skipped on pop.
+    An entry is a unit entry when its source and target summands have the
+    same class and it holds the source's identity key; both are worked out
+    once per summand.  Unit entries wait in a min-heap keyed by insertion
+    rank, which is dict order (the unit entries of d^p, listed in that
+    order, already form the heap): a key deleted and re-created gets a new
+    rank, an entry that gains its unit is pushed again, and stale items
+    are skipped on pop.
 
     With ``transfer=True`` the returned complex m also carries
     ``m.transfer = (iota, pi)``: chain maps iota: m -> x and pi: x -> m
@@ -992,7 +1004,8 @@ def minimize(x, transfer=False):
     (degree, summand id).
     """
     f = x.base.field
-    diff = {p: {k: dict(e) for k, e in dd.items() if e} for p, dd in x.diff.items()}
+    minus = f(-1)
+    diff = {p: {k: e for k, e in dd.items() if e} for p, dd in x.diff.items()}
     dead = set()  # (degree, summand id) of cancelled summands
     iota, pi = {}, {}  # only with transfer: columns of iota, rows of pi
 
@@ -1004,6 +1017,14 @@ def minimize(x, transfer=False):
     # still hold no unit entry.
     for p, dd in diff.items():
         ss, ts = x.summands(p), x.summands(p + 1)
+        s_cls = [x._unit_class(s) for s in ss]
+        t_cls = [x._unit_class(t) for t in ts]
+        units = {}  # class -> identity key
+        for s, c in zip(ss, s_cls):
+            if c not in units:
+                units[c] = x._unit_key(s, s)
+        s_unit = [units[c] for c in s_cls]
+        shared = x.diff[p]  # entries of x: copied before a write
         by_src, by_tgt = {}, {}  # s -> {t: entry}, t -> {s: entry}
         rank, heap, tick = {}, [], itertools.count()
 
@@ -1012,14 +1033,11 @@ def minimize(x, transfer=False):
             by_src.setdefault(key[1], {})[key[0]] = entry
             by_tgt.setdefault(key[0], {})[key[1]] = entry
 
-        def offer(key, entry):
-            unit = x._unit_key(ss[key[1]], ts[key[0]])
-            if unit is not None and entry.get(unit):
-                heapq.heappush(heap, (rank[key], key, unit))
-
         for key, entry in dd.items():
             index(key, entry)
-            offer(key, entry)
+            t, s = key
+            if s_cls[s] == t_cls[t] and entry.get(s_unit[s]):
+                heap.append((rank[key], key, s_unit[s]))
         below = _by_target(diff.get(p - 1, {}))
         above = _by_source(diff.get(p + 1, {}))
         while heap:
@@ -1034,9 +1052,9 @@ def minimize(x, transfer=False):
                 del dd[(t, s_idx)], by_tgt[t][s_idx]
             for s in row:
                 del dd[(t_idx, s)], by_src[s][t_idx]
-            inv, inv_row = None, []  # X o b, X the pivot's inverse
+            inv, inv_row = None, []  # -X and -X o b, X the pivot's inverse
             if (col and row) or (transfer and (col or row)):
-                inv = _invert(x, ss[s_idx], entry)
+                inv = entry_scale(_invert(x, ss[s_idx], entry), minus, f)
                 inv_row = [(s2, x._compose(inv, be)) for s2, be in row.items()]
             if transfer:
                 _transfer_step(x, iota, pi, unit_map, p, s_idx, t_idx, inv, inv_row, col)
@@ -1050,11 +1068,13 @@ def minimize(x, transfer=False):
                     if e is None:
                         e = dd[k2] = {}
                         index(k2, e)
-                    entry_add(e, {k: f.neg(v) for k, v in corr.items()}, f)
-                    if e:
-                        offer(k2, e)
-                    else:
+                    elif e is shared.get(k2):
+                        e = dd[k2] = by_src[s2][t2] = by_tgt[t2][s2] = dict(e)
+                    entry_add(e, corr, f)
+                    if not e:
                         del dd[k2], by_src[s2][t2], by_tgt[t2][s2]
+                    elif s_cls[s2] == t_cls[t2] and e.get(s_unit[s2]):
+                        heapq.heappush(heap, (rank[k2], k2, s_unit[s2]))
             for s, _ in below.pop(s_idx, ()):
                 del diff[p - 1][(s_idx, s)]
             for t, _ in above.pop(t_idx, ()):
@@ -1067,7 +1087,7 @@ def minimize(x, transfer=False):
         new_id[p] = {i: n for n, i in enumerate(keep)}
         terms[p] = [ss[i] for i in keep]
     diff = {
-        p: {(new_id[p + 1][t], new_id[p][s]): e for (t, s), e in dd.items()}
+        p: {(new_id[p + 1][t], new_id[p][s]): dict(e) for (t, s), e in dd.items()}
         for p, dd in diff.items()
     }
     m = type(x)(x.base, terms, diff)
@@ -1089,18 +1109,17 @@ def minimize(x, transfer=False):
 def _transfer_step(x, iota, pi, unit_map, p, s_idx, t_idx, inv, inv_row, col):
     """Compose minimize's transfer maps with those of one cancelled pair
     S = (p, s_idx) -> T = (p + 1, t_idx): iota(B) -= iota(S) X beta(B) and
-    pi(D) -= gamma(D) X pi(T), then S and T leave both maps."""
+    pi(D) -= gamma(D) X pi(T), then S and T leave both maps.  inv is -X and
+    inv_row holds the -X beta(B)."""
     f = x.base.field
-    minus = f(-1)
     s_col = iota.pop((p, s_idx), None) or unit_map(p, s_idx)
-    for s2, ib in inv_row:
-        step = entry_scale(ib, minus, f)
+    for s2, step in inv_row:
         dst = iota.get((p, s2)) or iota.setdefault((p, s2), unit_map(p, s2))
         for xi, e in s_col.items():
             entry_add(dst.setdefault(xi, {}), x._compose(e, step), f)
     t_row = pi.pop((p + 1, t_idx), None) or unit_map(p + 1, t_idx)
     for t2, ce in col.items():
-        step = entry_scale(x._compose(ce, inv), minus, f)
+        step = x._compose(ce, inv)
         dst = pi.get((p + 1, t2)) or pi.setdefault((p + 1, t2), unit_map(p + 1, t2))
         for xi, e in t_row.items():
             entry_add(dst.setdefault(xi, {}), x._compose(step, e), f)

@@ -508,12 +508,20 @@ def cmd_fold(args):
     t0 = time.monotonic()
     if args.type != "A":
         raise ParseError("--type", "folding is implemented for type A")
-    if args.rank % 2 != 0:
-        raise ParseError("--rank", "type A folding needs even rank")
+    if args.rank < 2 or args.rank % 2 != 0:
+        raise ParseError("--rank", "type A folding needs an even rank >= 2")
+    if args.a != 2:
+        raise ParseError("--a", "only the square root (a = 2) is built")
+    if args.d < 1 or args.d % 2 == 0:
+        raise ParseError("--d", "the square root needs an odd d >= 1")
     n = args.rank // 2
+    auto = folded_a2n_auto(n, args.d)
+    shift = max(abs(s) for s in auto.shifts.values())
+    if args.window < shift:
+        raise ParseError("--window", f"a window below the fold's shift {shift} "
+                         "leaves the fundamental domain empty")
     quiver = dynkin_quiver("A", args.rank)
     sl = build_zq(quiver, (-args.window, args.window))
-    auto = folded_a2n_auto(n, args.d)
     oq = orbit_quiver(sl, auto)
     dot = oq.dot(f"fold_A{args.rank}")
     if args.dot:
@@ -537,6 +545,14 @@ def cmd_classify_roots(args):
     from .cluster import classify_dynkin_roots
 
     t0 = time.monotonic()
+    dynkin = {"A": args.rank >= 1, "D": args.rank >= 4, "E": 6 <= args.rank <= 8}
+    if not dynkin[args.type]:
+        raise ParseError("--rank", f"{args.type}{args.rank} is not a Dynkin type "
+                         "(A n >= 1, D n >= 4, E n = 6, 7, 8)")
+    if args.a < 1:
+        raise ParseError("--a", "the root's order a must be >= 1")
+    if args.window < 1:
+        raise ParseError("--window", "the search window must be >= 1")
     exists, witness = classify_dynkin_roots(args.type, args.rank, args.a, args.window)
     payload = {
         "command": "classify-roots",
@@ -588,8 +604,17 @@ def cmd_orbit_hom(args):
     return EXIT_PASS if verdict_converged else EXIT_INCONCLUSIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which for cyfold means
+    inconclusive; a malformed command line is an input error, exit 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cyfold",
         description="Exact checks for root pairs, completions, and folded "
         "cluster categories on quiver algebras",
@@ -636,7 +661,12 @@ def build_parser():
     fo.add_argument("--dot", default=None)
     fo.set_defaults(func=cmd_fold)
 
-    cl = sub.add_parser("classify-roots", help="combinatorial root search")
+    cl = sub.add_parser(
+        "classify-roots", help="combinatorial root search",
+        description="Search for an a-th root of tau on the window "
+        "[-window, window] of ZQ.  root_exists: false holds only for the "
+        "searched window: A4 with a = 2 answers false at windows <= 3 and "
+        "true from 4 on.")
     cl.add_argument("--type", required=True, choices=["A", "D", "E"])
     cl.add_argument("--rank", type=int, required=True)
     cl.add_argument("--a", type=int, required=True)

@@ -37,15 +37,10 @@ class TransQuiverSlice:
                 self.arrows.append(((m, a.source), (m, a.target)))
                 if m + 1 <= self.m1:
                     self.arrows.append(((m, a.target), (m + 1, a.source)))
-        self.vertex_set = set(self.vertices)
-        self.arrow_set = set(self.arrows)
 
     def tau(self, vertex):
         m, v = vertex
         return (m - 1, v)
-
-    def contains(self, vertex):
-        return vertex in self.vertex_set
 
     def interior(self, margin):
         return [
@@ -86,11 +81,30 @@ class QuiverAuto:
 
     def preserves_arrows(self, slice_: TransQuiverSlice):
         """Check the mesh structure is preserved on the window: every arrow
-        whose image has both ends in the window maps to an arrow."""
-        for (src, tgt) in slice_.arrows:
-            fs, ft = self.apply(src), self.apply(tgt)
-            if slice_.contains(fs) and slice_.contains(ft) and (fs, ft) not in slice_.arrow_set:
-                return False
+        whose image has both ends in the window maps to an arrow.
+
+        An arrow u -> v of Q gives ZQ two families of arrows, (m, u) ->
+        (m, v) and (m, v) -> (m+1, u).  F sends a member (m, x) -> (m+k, y)
+        to (m + s_x, rho x) -> (m + k + s_y, rho y), an arrow of ZQ exactly
+        when the level step k + s_y - s_x is 0 and rho x -> rho y is an
+        arrow of Q, or the step is 1 and rho y -> rho x is one.  Neither
+        depends on m, so each family is tested once, if some m of its range
+        puts both ends of the image inside the window."""
+        m0, m1 = slice_.m0, slice_.m1
+        verts = set(slice_.quiver.vertices)
+        q_arrows = {(a.source, a.target) for a in slice_.quiver.arrows}
+        rho, sh = self.rho, self.shifts
+        for a in slice_.quiver.arrows:
+            for x, y, k in ((a.source, a.target, 0), (a.target, a.source, 1)):
+                fx, fy, sx, sy = rho[x], rho[y], sh[x], sh[y]
+                if fx not in verts or fy not in verts:
+                    continue
+                if max(m0, m0 - sx, m0 - k - sy) > min(m1 - k, m1 - sx, m1 - k - sy):
+                    continue
+                step = k + sy - sx
+                if not (step == 0 and (fx, fy) in q_arrows
+                        or step == 1 and (fy, fx) in q_arrows):
+                    return False
         return True
 
 
@@ -99,8 +113,8 @@ def identity_auto(vertices):
 
 
 def tau_auto(vertices, power=1, name=None):
-    """tau^power: the translation (m, v) -> (m + power... ) with
-    tau = (m, v) -> (m - 1, v)."""
+    """tau^power, which sends (m, v) to (m - power, v); tau itself is
+    (m, v) -> (m - 1, v)."""
     return QuiverAuto(
         {v: v for v in vertices},
         {v: -power for v in vertices},
@@ -169,16 +183,19 @@ def graph_automorphisms(kind, n):
 
 
 def check_combinatorial_root(F: QuiverAuto, a, slice_: TransQuiverSlice):
-    """F^a = tau^{-1} on the testable interior of the window."""
-    margin = 0
-    for v, s in F.shifts.items():
-        margin = max(margin, abs(s))
-    margin *= a
-    interior = slice_.interior(margin)
-    if not interior:
+    """F^a = tau^{-1} on the testable interior of the window.
+
+    The interior keeps the levels at least a * max|shift| inside the
+    window, and WindowTooSmall says there are none.  F^a sends (m, v) to
+    (m + S(v), rho^a v) with S(v) independent of m, and each level of the
+    interior holds every vertex of Q, so the test is rho^a v = v and
+    S(v) = 1 for every vertex v of Q."""
+    margin = a * max((abs(s) for s in F.shifts.values()), default=0)
+    lo, hi = max(slice_.m0, slice_.m0 + margin), min(slice_.m1, slice_.m1 - margin)
+    if lo > hi or not slice_.quiver.vertices:
         raise WindowTooSmall("window cannot absorb the composed shifts")
-    target = tau_auto(list(F.rho), power=-1)
-    return F.power(a).equals_on(target, interior)
+    fa = F.power(a)
+    return all(fa.rho[v] == v and fa.shifts[v] == 1 for v in slice_.quiver.vertices)
 
 
 def dynkin_quiver(kind, n):

@@ -358,6 +358,57 @@ def test_minimize_tensor_powers_golden(kron, root):
     assert h.hexdigest() == MINIMIZED_POWER_DIGESTS[root]
 
 
+# the same for minimize(U^{(x)9}) alone, per root and field characteristic
+MINIMIZED_POWER_9_DIGESTS = {
+    ((0, 1), 0):
+        "b24a15f3fa93aeceadf9af0ab7cb8f5ddf3b734ce935296d1c3f0a050eaf3883",
+    ((1, -1), 0):
+        "49fd0785335b509046f356203feb8a80543a9cde400823e479e556d62d115382",
+    ((0, 1), 2**31 - 1):
+        "03b8465b077851f502fb9e01e1ded8a7c5cabf229a1a2ffa4ccfe5532abe15b2",
+    ((1, -1), 2**31 - 1):
+        "bf5ca08c0e6b0ff748d1c3493ab8f115d713eb7dde0096394123dbc230249181",
+}
+
+
+@pytest.mark.parametrize("root,char", list(MINIMIZED_POWER_9_DIGESTS))
+def test_minimize_ninth_power_golden(root, char):
+    u = _root(("kronecker",) + root, char)
+    digest = hashlib.sha256(_canonical_dump(minimize(tensor_power(u, 9)))).hexdigest()
+    assert digest == MINIMIZED_POWER_9_DIGESTS[(root, char)]
+
+
+def _zigzags(kron):
+    """S, B -> T, D with d = [[1, 1], [1, 2]] at vertex 0, of both kinds:
+    cancelling S -> T rewrites the entry B -> D."""
+    e0 = kron.idempotent_index(0)
+
+    def zigzag(kind, summand, key):
+        one, two = Fraction(1), Fraction(2)
+        return kind(kron, {p: [summand(p), summand(p)] for p in (0, 1)},
+                    {0: {(0, 0): {key: one}, (1, 0): {key: one},
+                         (0, 1): {key: one}, (1, 1): {key: two}}})
+
+    return [zigzag(ProjBimodComplex, lambda p: ProjBimodSummand(0, 0, p), (e0, e0)),
+            zigzag(RightComplex, lambda p: RightSummand(0, p), e0)]
+
+
+@pytest.mark.parametrize("transfer", [False, True])
+def test_minimize_leaves_input_alone(kron, transfer):
+    u = kronecker_root(kron, 0, 1)
+    twisted = projective_sum(kron, [0])
+    for _ in range(4):
+        twisted = tensor_over_A(twisted, u)  # a right complex, 17 summands
+    for x in [tensor_power(u, 4), tensor_power(kronecker_root(kron, 1, -1), 3),
+              twisted] + _zigzags(kron):
+        before = _canonical_dump(x)
+        m = minimize(x, transfer=transfer)
+        assert m.total_summands() < x.total_summands()
+        assert _canonical_dump(x) == before
+        ours = {id(e) for dd in x.diff.values() for e in dd.values()}
+        assert not any(id(e) in ours for dd in m.diff.values() for e in dd.values())
+
+
 @pytest.mark.parametrize("root", sorted(TWIST_CHAIN_DIGESTS))
 def test_minimize_twist_chain_golden(kron, root):
     u = kronecker_root(kron, *root)

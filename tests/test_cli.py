@@ -421,3 +421,33 @@ def test_command_imports_only_what_it_runs(tmp_path, kron_inputs, monkeypatch, a
     assert after == sorted(modules)
     if cached:
         assert json.loads((out / "report.json").read_text())["cache_hit"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["fold", "--type", "A", "--rank", "4", "--d", "2"],
+    ["fold", "--type", "A", "--rank", "4", "--a", "3"],
+    ["fold", "--type", "A", "--rank", "0"],
+    ["fold", "--type", "A", "--rank", "4", "--window", "0"],
+    ["classify-roots", "--type", "D", "--rank", "3", "--a", "2"],
+    ["classify-roots", "--type", "E", "--rank", "5", "--a", "2"],
+    ["classify-roots", "--type", "E", "--rank", "9", "--a", "2"],
+    ["classify-roots", "--type", "A", "--rank", "0", "--a", "2"],
+    ["classify-roots", "--type", "A", "--rank", "4", "--a", "0"],
+    ["classify-roots", "--type", "A", "--rank", "4", "--a", "2", "--window", "-3"],
+], ids=["fold-even-d", "fold-a3", "fold-rank0", "fold-window0", "D3", "E5", "E9",
+        "A0", "a0", "window-3"])
+def test_fold_and_classify_reject_non_dynkin_questions(tmp_path, capsys, argv):
+    assert run(["--out-dir", str(tmp_path)] + argv) == cli.EXIT_INPUT
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_usage_errors_exit_3_and_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["classify-roots", "--type", "X", "--rank", "4", "--a", "2"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["classify-roots", "--help"])
+    assert exc.value.code == 0
+    assert "only for the searched window" in capsys.readouterr().out

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from cyfold import cluster
 from cyfold.bimodcx import dual_regular_bimodule, resolve_bimodule, shift
 from cyfold.cluster import (
     NonFreeAction,
@@ -10,7 +13,9 @@ from cyfold.cluster import (
     classify_dynkin_roots,
     cluster_tilting_check,
     d_quiver,
+    dynkin_quiver,
     folded_a2n_auto,
+    graph_automorphisms,
     identity_auto,
     linear_quiver,
     orbit_count,
@@ -198,3 +203,92 @@ def test_hom_table_csv():
     text = t.csv()
     assert text.splitlines()[0] == "x,y,dim,converged,window"
     assert "P0,P1,3,True,4" in text
+
+
+# The window loops that preserves_arrows and check_combinatorial_root replaced
+# with closed forms; they serve as oracles.
+def _preserves_arrows_loop(F, sl):
+    vertices, arrows = set(sl.vertices), set(sl.arrows)
+    for (src, tgt) in sl.arrows:
+        fs, ft = F.apply(src), F.apply(tgt)
+        if fs in vertices and ft in vertices and (fs, ft) not in arrows:
+            return False
+    return True
+
+
+def _check_root_loop(F, a, sl):
+    margin = 0
+    for s in F.shifts.values():
+        margin = max(margin, abs(s))
+    interior = sl.interior(margin * a)
+    if not interior:
+        raise WindowTooSmall("window cannot absorb the composed shifts")
+    return F.power(a).equals_on(tau_auto(list(F.rho), power=-1), interior)
+
+
+def _answer(check, *args):
+    try:
+        return check(*args)
+    except WindowTooSmall:
+        return "too small"
+
+
+DYNKIN_TYPES = ([("A", n) for n in range(1, 10)] + [("D", n) for n in range(4, 10)]
+                + [("E", n) for n in (6, 7, 8)])
+
+
+def _random_auto(rng, kind, n):
+    """A random vertex permutation with random shifts, or a candidate of
+    the root search with its shifts perturbed at a few vertices, so that
+    both answers of each check occur."""
+    verts = list(range(1, n + 1))
+    if rng.random() < 0.4:
+        perm = verts[:]
+        rng.shuffle(perm)
+        return QuiverAuto(dict(zip(verts, perm)),
+                          {v: rng.randint(-3, 3) for v in verts})
+    pool = [identity_auto(verts)] + graph_automorphisms(kind, n)
+    if kind == "A":
+        pool.append(type_a_flip_family(n, rng.randint(-n - 2, 1)))
+    g = tau_auto(verts, power=rng.randint(-2, 2)).compose(rng.choice(pool))
+    shifts = dict(g.shifts)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        shifts[rng.choice(verts)] += rng.choice((-1, 1))
+    return QuiverAuto(g.rho, shifts)
+
+
+def test_closed_forms_match_window_loops():
+    rng = random.Random(14)
+    for kind, n in DYNKIN_TYPES:
+        quiver = dynkin_quiver(kind, n)
+        for w in range(13):
+            c = rng.randint(-2, 2)
+            sl = build_zq(quiver, (c - w, c + w))
+            for a in range(1, 5):
+                for _ in range(6):
+                    F = _random_auto(rng, kind, n)
+                    assert F.preserves_arrows(sl) == _preserves_arrows_loop(F, sl)
+                    assert (_answer(check_combinatorial_root, F, a, sl)
+                            == _answer(_check_root_loop, F, a, sl))
+
+
+@pytest.mark.parametrize("window", [4, 10, 12])
+def test_classification_matches_window_loops(monkeypatch, window):
+    def search():
+        out = []
+        for kind, n in DYNKIN_TYPES:
+            for a in (2, 3, 4):
+                got, F = classify_dynkin_roots(kind, n, a, window)
+                out.append((got, F and (F.rho, F.shifts, F.name)))
+        return out
+
+    closed = search()
+    monkeypatch.setattr(QuiverAuto, "preserves_arrows", _preserves_arrows_loop)
+    monkeypatch.setattr(cluster, "check_combinatorial_root", _check_root_loop)
+    assert search() == closed
+    if window < 10:
+        return  # A6 and A8 need more room for their flip
+    # the flip is the square root on A2n; no other type has a root
+    assert [got for got, _ in closed] == [
+        kind == "A" and n % 2 == 0 and a == 2
+        for kind, n in DYNKIN_TYPES for a in (2, 3, 4)]
