@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,10 @@ from cyfold.presets import (
     linear_an_algebra,
     sigma_presentation_quiver,
 )
+from cyfold.exactlin import QQ, Field
 from cyfold.quiveralg import Arrow, Quiver
+
+FIELDS = [QQ, Field(2**31 - 1)]
 
 
 @pytest.fixture(scope="module")
@@ -336,3 +340,109 @@ def test_ordinary_completion_dims(kron, pA):
     u = shift(bimodule_dual(pA), 1)
     data = completion(kron, u, [0, 1], 2)
     assert data.table == {(0, 0): 4, (0, 1): 12, (0, 2): 20}
+
+
+def _coeffs(entry):
+    return [(k, type(c).__name__, c) for k, c in entry.items()]
+
+
+def _graded_dump(g):
+    """Objects as the sorted basis indices of their idempotents, each
+    degree's basis with source and target written the same way, then every
+    product in dict order with the type of each coefficient."""
+    obj = g.idem
+    lines = [f"O {sorted(obj.values())!r}"]
+    for l, items in sorted(g.basis.items()):
+        for i, (label, src, tgt) in enumerate(items):
+            lines.append(f"B {l} {i} {label} {obj[src]} {obj[tgt]}")
+    for key, entry in g.mult.items():
+        lines.append(f"M {key!r} {_coeffs(entry)!r}")
+    return "\n".join(lines).encode()
+
+
+def _root_pair_dump(A, U, e):
+    """A's basis (repr, source, target) and structure constants, U's action
+    rows and the vertex list e, dicts in order with coefficient types."""
+    lines = [f"B {b.index} {b!r} {b.source!r} {b.target!r}" for b in A.basis]
+    lines += [f"M {key!r} {_coeffs(entry)!r}" for key, entry in A._mult.items()]
+    for side, action in (("L", U.left_action), ("R", U.right_action)):
+        for k, rows in enumerate(action):
+            lines += [f"{side} {k} {i} {_coeffs(row)!r}" for i, row in enumerate(rows)]
+    lines.append(f"E {U.dim} {e!r}")
+    return "\n".join(lines).encode()
+
+
+# sha256 of _root_pair_dump(matrix_root_pair(Pi, a)) per (Pi, a, field
+# characteristic), Pi a polynomial ring given by its variables and cutoff.
+ROOT_PAIR_DIGESTS = {
+    (("x", "y"), 4, 1, 0):
+        "db82abfe4a3bdc010677a2657ac519e84e15df6e03fa06f4fcb119d3fb47fd67",
+    (("x", "y"), 4, 2, 0):
+        "7c2c02df6f9a1799cb5be0bb66515b75bca8436efa2aaf235dc0781720c61aa9",
+    (("x0", "x1", "x2"), 4, 3, 0):
+        "b7fc736fcd2c9bdb6982cd09eda6956343f42d1565e2949b03b71f50a632d4cb",
+    ((), 2, 2, 0):
+        "d8fd9fdbe1ec69748df860f16819c69cc4fe58ba46c10c81e45fbcb13d8a88e5",
+    (("x", "y"), 4, 1, 2**31 - 1):
+        "d6d196f14dff70aae67c224a78a58d3cc69ea9be7308345e26a47a72a0b34b1a",
+    (("x", "y"), 4, 2, 2**31 - 1):
+        "5caabfcc23b7d75e436754746f01d0fdd55b31dac48fb4dfecc886530f051366",
+    (("x0", "x1", "x2"), 4, 3, 2**31 - 1):
+        "c4676ca37314da0804d286b55d2ac11ffda8e343286796a811e46d010b543256",
+    ((), 2, 2, 2**31 - 1):
+        "4adba5027c87743fe797cd673ead11dc83e7804d030c32698af60502fba700bd",
+}
+
+
+@pytest.mark.parametrize("variables,cutoff,a,char", sorted(ROOT_PAIR_DIGESTS))
+def test_matrix_root_pair_golden(variables, cutoff, a, char):
+    field = Field(char) if char else QQ
+    pi = polynomial_algebra(list(variables), cutoff, field)
+    digest = hashlib.sha256(_root_pair_dump(*matrix_root_pair(pi, a))).hexdigest()
+    assert digest == ROOT_PAIR_DIGESTS[(variables, cutoff, a, char)]
+
+
+def _quasi_veronese_inputs(field):
+    """(name, graded algebra, a, cutoff): k[x, y] at a = 1, 2, 3 and the
+    two-object completion of the Kronecker root at a = 2."""
+    kxy = polynomial_algebra(["x", "y"], 8, field)
+    for a, cutoff in ((1, 3), (2, 3), (3, 2)):
+        yield f"kxy a={a}", kxy, a, cutoff
+    kron = kronecker_algebra(field)
+    sig = completion_algebra(kron, kronecker_root(kron, 0, 1), [0, 1], 5)
+    yield "kronecker a=2", sig, 2, 2
+
+
+# sha256 of _graded_dump(quasi_veronese(...)) over _quasi_veronese_inputs,
+# per field characteristic
+QUASI_VERONESE_DIGESTS = {
+    0: "2fd3c39a8919f2f62b3f1b425c404268d39b6d904086fffbde2faf9f065c6d6a",
+    2**31 - 1: "8442c7731f577961d6885834297571b6a5af017ff6ec5c80dee285e929c5f821",
+}
+
+
+@pytest.mark.parametrize("char", sorted(QUASI_VERONESE_DIGESTS))
+def test_quasi_veronese_golden(char):
+    h = hashlib.sha256()
+    for _, x, a, cutoff in _quasi_veronese_inputs(Field(char) if char else QQ):
+        h.update(_graded_dump(quasi_veronese(x, a, cutoff)))
+    assert h.hexdigest() == QUASI_VERONESE_DIGESTS[char]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("a", [2, 3])
+def test_a_segre_dims_and_associativity(field, a):
+    """dim_l = dim X_l * sum over r, c < a of dim Y_(l+r-c); for
+    k[x, y] (x) k[x, y] that is 4(l+1)^2 at a = 2 and 10, 36, 81, ... at
+    a = 3."""
+    cutoff = 3
+    kxy = polynomial_algebra(["x", "y"], cutoff + a - 1, field)
+    seg = a_segre(kxy, kxy, a, cutoff)
+    expected = {l: (l + 1) * sum(max(l + r - c + 1, 0) for r in range(a) for c in range(a))
+                for l in range(cutoff + 1)}
+    assert seg.dims() == expected
+    if a == 2:
+        assert expected == {l: 4 * (l + 1) ** 2 for l in range(cutoff + 1)}
+    else:
+        assert [expected[l] for l in range(3)] == [10, 36, 81]
+    assert seg.check_associativity(3)

@@ -217,3 +217,15 @@ def test_completion_algebra_with_relations_matches_flattened_product(field):
     assert pi.check_associativity(3)
     products = {k: v for k, v in pi.mult.items() if k[0][0] and k[1][0]}
     assert products == flat_products(A, u, e, 3)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_completion_algebra_over_every_vertex_of_the_p2_pair(field):
+    """The k[x0, x1, x2] pair completed over all three vertices: dims
+    sum over r, c < 3 of C(l + r - c + 2, 2), and associative.  The inner
+    products of m_{l1,l2} have left components that are not idempotents
+    here, which the one-vertex instances above never reach."""
+    A, U, _ = matrix_root_pair(polynomial_algebra(["x0", "x1", "x2"], 4, field), 3)
+    pi = completion_algebra(A, resolve_bimodule(U, len_bound=8), A.vertices, 3)
+    assert pi.dims() == {0: 15, 1: 33, 2: 60, 3: 96}
+    assert pi.check_associativity(3)
