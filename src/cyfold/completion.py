@@ -2,6 +2,9 @@
 cohomology, Segre-family constructions, the graded-algebra <-> matrix
 correspondence, and Gorenstein-parameter checks.
 
+The quasi-Veronese, the a-Segre product and the matrix root pair all read
+one a x a block matrix algebra over a graded algebra (_matrix_blocks).
+
 All graded computations are windowed by an explicit Adams cutoff N, and
 every verdict carries that window.
 """
@@ -601,56 +604,10 @@ def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraDa
 
 
 def a_segre(x: GradedAlgebraData, y: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
-    """Degree i is X_i (x) the a x a block matrix with (r, c) entry Y_{i+r-c}."""
-    _require_degree(x, cutoff)
-    _require_degree(y, cutoff + a - 1)
-    f = x.field
-    objects = [(ox, oy, r) for ox in x.objects for oy in y.objects for r in range(a)]
-    basis = {}
-    index = {}
-    for l in range(cutoff + 1):
-        items = []
-        for r in range(a):
-            for c in range(a):
-                ly = l + r - c
-                if ly < 0:
-                    continue
-                for i, bx in enumerate(x.basis.get(l, [])):
-                    for j, by in enumerate(y.basis.get(ly, [])):
-                        index[(l, r, c, i, j)] = len(items)
-                        items.append(
-                            (
-                                f"{bx[0]}#{by[0]}[{r},{c}]",
-                                (bx[1], by[1], c),
-                                (bx[2], by[2], r),
-                            )
-                        )
-        basis[l] = items
-    mult = {}
-    for key1, pos1 in index.items():
-        l1, r1, c1, i1, j1 = key1
-        for key2, pos2 in index.items():
-            l2, r2, c2, i2, j2 = key2
-            if c1 != r2 or l1 + l2 > cutoff:
-                continue
-            px = x.product(l1, i1, l2, i2)
-            py = y.product(l1 + r1 - c1, j1, l2 + r2 - c2, j2)
-            if not px or not py:
-                continue
-            entry = {}
-            for i3, cx in px.items():
-                for j3, cy in py.items():
-                    tgt = index.get((l1 + l2, r1, c2, i3, j3))
-                    if tgt is not None:
-                        entry[tgt] = f.add(entry.get(tgt, f.zero()), f.mul(cx, cy))
-            if entry:
-                mult[((l1, pos1), (l2, pos2))] = entry
-    idem = {}
-    for ox in x.objects:
-        for oy in y.objects:
-            for r in range(a):
-                idem[(ox, oy, r)] = index[(0, r, r, x.idem[ox], y.idem[oy])]
-    return GradedAlgebraData(objects, cutoff, basis, mult, idem, f)
+    """Degree i is X_i (x) the a x a block matrix with (r, c) entry Y_{i+r-c}:
+    the Segre product with _matrix_blocks(y, a, 1, cutoff), so objects are
+    (ox, (r, oy))."""
+    return segre(x, _matrix_blocks(y, a, 1, cutoff), cutoff)
 
 
 def veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
@@ -668,110 +625,59 @@ def veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
     return GradedAlgebraData(x.objects, cutoff, basis, mult, dict(x.idem), x.field)
 
 
-def quasi_veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
-    """Degree i is the a x a block matrix with (r, c) entry X_{a i + r - c}."""
-    _require_degree(x, a * cutoff + a - 1)
-    f = x.field
-    objects = [(ox, r) for ox in x.objects for r in range(a)]
+def _matrix_blocks(x: GradedAlgebraData, a, step, cutoff) -> GradedAlgebraData:
+    """The a x a block matrix algebra over x: degree l has X_{step l + r - c}
+    in block (r, c), and blocks multiply as matrices.  Objects are (r, o);
+    an element of block (r, c) goes from (c, src) to (r, tgt).  Degree 0
+    is the Beilinson algebra of x, and step a gives the quasi-Veronese."""
+    _require_degree(x, step * cutoff + a - 1)
+    pos = {}  # (l, r, c, i) -> index in basis[l]
+    rows = {}  # (l, r) -> [(index in basis[l], c, i)]
     basis = {}
-    index = {}
     for l in range(cutoff + 1):
-        items = []
+        items = basis[l] = []
         for r in range(a):
             for c in range(a):
-                lx = a * l + r - c
-                if lx < 0:
-                    continue
-                for i, bx in enumerate(x.basis.get(lx, [])):
-                    index[(l, r, c, i)] = len(items)
-                    items.append((f"{bx[0]}[{r},{c}]", (bx[1], c), (bx[2], r)))
-        basis[l] = items
+                for i, (label, src, tgt) in enumerate(x.basis.get(step * l + r - c, [])):
+                    pos[(l, r, c, i)] = len(items)
+                    rows.setdefault((l, r), []).append((len(items), c, i))
+                    items.append((f"{label}[{r},{c}]", (c, src), (r, tgt)))
     mult = {}
-    for key1, pos1 in index.items():
-        l1, r1, c1, i1 = key1
-        for key2, pos2 in index.items():
-            l2, r2, c2, i2 = key2
-            if c1 != r2 or l1 + l2 > cutoff:
-                continue
-            px = x.product(a * l1 + r1 - c1, i1, a * l2 + r2 - c2, i2)
-            if not px:
-                continue
-            entry = {}
-            for i3, cx in px.items():
-                tgt = index.get((l1 + l2, r1, c2, i3))
-                if tgt is not None:
-                    entry[tgt] = f.add(entry.get(tgt, f.zero()), cx)
-            if entry:
-                mult[((l1, pos1), (l2, pos2))] = entry
-    idem = {(ox, r): index[(0, r, r, x.idem[ox])] for ox in x.objects for r in range(a)}
-    return GradedAlgebraData(objects, cutoff, basis, mult, idem, f)
+    for (l1, r1, c1, i1), p1 in pos.items():
+        for l2 in range(cutoff + 1 - l1):
+            for p2, c2, i2 in rows.get((l2, c1), ()):
+                prod = x.product(step * l1 + r1 - c1, i1, step * l2 + c1 - c2, i2)
+                if prod:
+                    mult[((l1, p1), (l2, p2))] = {
+                        pos[(l1 + l2, r1, c2, i3)]: c for i3, c in prod.items()}
+    objects = [(r, o) for r in range(a) for o in x.objects]
+    idem = {(r, o): pos[(0, r, r, x.idem[o])] for r, o in objects}
+    return GradedAlgebraData(objects, cutoff, basis, mult, idem, x.field)
+
+
+def quasi_veronese(x: GradedAlgebraData, a, cutoff) -> GradedAlgebraData:
+    """Degree i is the a x a block matrix with (r, c) entry X_{a i + r - c};
+    objects are (r, o)."""
+    return _matrix_blocks(x, a, a, cutoff)
 
 
 def matrix_root_pair(pi: GradedAlgebraData, a):
-    """Lower-triangular matrix algebra and bimodule from a graded algebra.
+    """Lower-triangular matrix algebra and bimodule from a graded algebra:
+    A and U are degrees 0 and 1 of _matrix_blocks(pi, a, 1, 1), and U's
+    actions are its products 0 . 1 and 1 . 0.
 
     Returns (algebra, U as BimoduleData, e vertex list); requires the
     components up to degree a.
     """
-    _require_degree(pi, a)
-    f = pi.field
-    vertices = [(r, o) for r in range(a) for o in pi.objects]
-    tagged = []
-    a_index = {}
-    for r in range(a):
-        for c in range(r + 1):
-            for i, (label, src, tgt) in enumerate(pi.basis.get(r - c, [])):
-                a_index[(r, c, i)] = len(tagged)
-                tagged.append((f"{label}[{r},{c}]", (c, src), (r, tgt)))
-    mult = {}
-    for key1, p1 in a_index.items():
-        r1, c1, i1 = key1
-        for key2, p2 in a_index.items():
-            r2, c2, i2 = key2
-            if c1 != r2:
-                continue
-            prod = pi.product(r1 - c1, i1, r2 - c2, i2)
-            if not prod:
-                continue
-            entry = {}
-            for i3, cx in prod.items():
-                tgt = a_index.get((r1, c2, i3))
-                if tgt is not None:
-                    entry[tgt] = f.add(entry.get(tgt, f.zero()), cx)
-            if entry:
-                mult[(p1, p2)] = entry
-    alg = PathBasisAlgebra.from_structure_constants(vertices, tagged, mult, f)
-
-    u_index = {}
-    u_coords = []
-    for r in range(a):
-        for c in range(a):
-            deg = r - c + 1
-            if deg < 0 or deg > pi.cutoff:
-                continue
-            for i in range(pi.dim(deg)):
-                u_index[(r, c, i)] = len(u_coords)
-                u_coords.append((r, c, i))
-    n = len(u_coords)
-    left = [[{} for _ in range(n)] for _ in range(alg.dim)]
-    right = [[{} for _ in range(n)] for _ in range(alg.dim)]
-    rev_a = {v: k for k, v in a_index.items()}
-    for k in range(alg.dim):
-        ra, ca, ia = rev_a[k]
-        for idx, (r, c, i) in enumerate(u_coords):
-            # left: E_{ra,ca}(x) . U_{r,c}(y) = U_{ra,c}(xy) when ca == r
-            if ca == r:
-                prod = pi.product(ra - ca, ia, r - c + 1, i)
-                left[k][idx] = {u_index[(ra, c, i3)]: cx for i3, cx in prod.items()
-                                if cx and (ra, c, i3) in u_index}
-            # right: U_{r,c}(y) . E_{ra,ca}(x) = U_{r,ca}(yx) when c == ra
-            if c == ra:
-                prod = pi.product(r - c + 1, i, ra - ca, ia)
-                right[k][idx] = {u_index[(r, ca, i3)]: cx for i3, cx in prod.items()
-                                 if cx and (r, ca, i3) in u_index}
-    u_data = BimoduleData(alg, alg, n, left, right)
+    m = _matrix_blocks(pi, a, 1, 1)
+    zero = {(i1, i2): entry for ((l1, i1), (l2, i2)), entry in m.mult.items()
+            if l1 == l2 == 0}
+    alg = PathBasisAlgebra.from_structure_constants(m.objects, m.basis[0], zero, pi.field)
+    n = m.dim(1)
+    left = [[dict(m.product(0, k, 1, i)) for i in range(n)] for k in range(alg.dim)]
+    right = [[dict(m.product(1, i, 0, k)) for i in range(n)] for k in range(alg.dim)]
     e_vertices = [(0, o) for o in pi.objects]
-    return alg, u_data, e_vertices
+    return alg, BimoduleData(alg, alg, n, left, right), e_vertices
 
 
 def _free_piece_basis(g: GradedAlgebraData, vertex_obj, degree):

@@ -427,13 +427,14 @@ def hom_transport_complex(module, steps, d_maps, tags, w):
         # distinct coordinates
         left = []
         for e_rows in module.left_action:
-            # left: act on the N part through the module's E action, which
-            # stays inside the vertex tag
+            # left: act on the N part through the module's E action; E acts
+            # by D-endomorphisms, which commute with D's idempotents, so
+            # the action stays inside the vertex tag
             rows = [{} for _ in range(dim)]
             for i, (p, g, xx, (t_idx, mi, d)) in enumerate(items):
                 for mj, c in e_rows[mi].items():
                     jj = pos.get((p, g, xx, (t_idx, mj, d)))
-                    if jj is not None and tags[mj] == tags[mi]:
+                    if jj is not None:
                         rows[i][jj] = c
             left.append(rows)
         right = []
