@@ -692,7 +692,8 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
     The image of d at position t of a chain depends only on the factor
     S_t, the middles on either side of it (none at an end) and the parity
     of the degrees before it, so each such local pattern is worked out
-    once per call.
+    once per call, and a factor without an outgoing differential is
+    skipped.
     """
     alg = u.base
     f = alg.field
@@ -729,6 +730,7 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
             trace=(tuple(map(keys.__getitem__, flat[::2])), flat[1::2]),
         ))
     out = {p: _by_source(dd) for p, dd in u.diff.items()}
+    has_d = [bool(out.get(p, {}).get(si)) for p, si in keys]  # d leaves factor k
     patterns = {}
 
     def pattern(k, lm, rm):
@@ -770,6 +772,9 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
         odd = 0  # parity of the cohomological degree of the factors before k
         for pos in range(0, last + 1, 2):
             k = flat[pos]
+            if not has_d[k]:
+                odd ^= odd_deg[k]
+                continue
             lo = pos - 1 if pos else pos
             hi = pos + 2 if pos < last else pos + 1
             pk = (k, flat[lo] if pos else None, flat[pos + 1] if pos < last else None)
@@ -981,17 +986,21 @@ def minimize(x, transfer=False):
     row entry, each in dict order.  Summands keep their ids while pairs
     are cancelled and are renumbered once, at the end.
 
-    Each cancellation costs only the entries it touches.  On entering
-    degree p the entries of d^p are indexed by source and by target
-    summand (dicts that see the same inserts and deletes as d^p, so they
-    keep its relative order), d^{p-1} by target and d^{p+1} by source.
-    An entry is a unit entry when its source and target summands have the
-    same class and it holds the source's identity key; both are worked out
-    once per summand.  Unit entries wait in a min-heap keyed by insertion
-    rank, which is dict order (the unit entries of d^p, listed in that
-    order, already form the heap): a key deleted and re-created gets a new
-    rank, an entry that gains its unit is pushed again, and stale items
-    are skipped on pop.
+    Each cancellation costs only the entries it touches.  The cancelled
+    summand ids are kept per degree.  On entering degree p, one pass over
+    x's d^p, skipping the entries with a cancelled source or target (the
+    degrees of x.diff need not come in increasing order), builds the
+    working d^p, its indexes by source and by target summand (dicts that
+    see the same inserts and deletes as d^p, so they keep its relative
+    order), the insertion ranks and the list of unit entries.  An entry is
+    a unit entry when its source and target summands have the same class
+    and it holds the source's identity key; both are worked out once per
+    summand.  Unit entries are taken in rank order, which is dict order:
+    a cursor walks the listed ones, merged with a min-heap that holds only
+    the entries that gain their unit later.  A key deleted and re-created
+    gets a new rank, and stale items are skipped.  The entries that a
+    later degree's cancellation leaves with a cancelled end are dropped
+    once, when the result is built.
 
     With ``transfer=True`` the returned complex m also carries
     ``m.transfer = (iota, pi)``: chain maps iota: m -> x and pi: x -> m
@@ -1005,17 +1014,17 @@ def minimize(x, transfer=False):
     """
     f = x.base.field
     minus = f(-1)
-    diff = {p: {k: e for k, e in dd.items() if e} for p, dd in x.diff.items()}
-    dead = set()  # (degree, summand id) of cancelled summands
+    diff = {}
+    dead = {}  # degree -> ids of its cancelled summands
     iota, pi = {}, {}  # only with transfer: columns of iota, rows of pi
 
     def unit_map(p, i):
         s = x.summands(p)[i]
         return {i: {x._unit_key(s, s): f.one()}}
     # A cancellation at degree p rewrites entries of degree p only and
-    # deletes entries at p - 1 and p + 1, so the degrees done before p
-    # still hold no unit entry.
-    for p, dd in diff.items():
+    # kills summands that entries at p - 1 and p + 1 touch, so the degrees
+    # done before p still hold no unit entry.
+    for p, shared in x.diff.items():  # shared: entries of x, copied before a write
         ss, ts = x.summands(p), x.summands(p + 1)
         s_cls = [x._unit_class(s) for s in ss]
         t_cls = [x._unit_class(t) for t in ts]
@@ -1024,24 +1033,35 @@ def minimize(x, transfer=False):
             if c not in units:
                 units[c] = x._unit_key(s, s)
         s_unit = [units[c] for c in s_cls]
-        shared = x.diff[p]  # entries of x: copied before a write
+        s_dead, t_dead = dead.setdefault(p, set()), dead.setdefault(p + 1, set())
+        dd = diff[p] = {}
         by_src, by_tgt = {}, {}  # s -> {t: entry}, t -> {s: entry}
-        rank, heap, tick = {}, [], itertools.count()
+        rank, pending, heap, tick = {}, [], [], itertools.count()
 
         def index(key, entry):
             rank[key] = next(tick)
             by_src.setdefault(key[1], {})[key[0]] = entry
             by_tgt.setdefault(key[0], {})[key[1]] = entry
 
-        for key, entry in dd.items():
-            index(key, entry)
+        for key, entry in shared.items():
             t, s = key
+            if not entry or s in s_dead or t in t_dead:
+                continue
+            dd[key] = entry
+            rank[key] = r = next(tick)
+            by_src.setdefault(s, {})[t] = entry
+            by_tgt.setdefault(t, {})[s] = entry
             if s_cls[s] == t_cls[t] and entry.get(s_unit[s]):
-                heap.append((rank[key], key, s_unit[s]))
-        below = _by_target(diff.get(p - 1, {}))
-        above = _by_source(diff.get(p + 1, {}))
-        while heap:
-            r, key, unit = heapq.heappop(heap)
+                pending.append((r, key, s_unit[s]))
+        nxt = 0  # cursor into pending
+        while True:
+            if heap and (nxt == len(pending) or heap[0][0] < pending[nxt][0]):
+                r, key, unit = heapq.heappop(heap)
+            elif nxt < len(pending):
+                r, key, unit = pending[nxt]
+                nxt += 1
+            else:
+                break
             entry = dd.get(key)
             if entry is None or rank[key] != r or not entry.get(unit):
                 continue
@@ -1075,21 +1095,19 @@ def minimize(x, transfer=False):
                         del dd[k2], by_src[s2][t2], by_tgt[t2][s2]
                     elif s_cls[s2] == t_cls[t2] and e.get(s_unit[s2]):
                         heapq.heappush(heap, (rank[k2], k2, s_unit[s2]))
-            for s, _ in below.pop(s_idx, ()):
-                del diff[p - 1][(s_idx, s)]
-            for t, _ in above.pop(t_idx, ()):
-                del diff[p + 1][(t, t_idx)]
-            dead.update(((p, s_idx), (p + 1, t_idx)))
+            s_dead.add(s_idx)
+            t_dead.add(t_idx)
     terms = {}
     new_id = {}
     for p, ss in x.terms.items():
-        keep = [i for i in range(len(ss)) if (p, i) not in dead]
+        gone = dead.get(p, ())
+        keep = [i for i in range(len(ss)) if i not in gone]
         new_id[p] = {i: n for n, i in enumerate(keep)}
         terms[p] = [ss[i] for i in keep]
-    diff = {
-        p: {(new_id[p + 1][t], new_id[p][s]): dict(e) for (t, s), e in dd.items()}
-        for p, dd in diff.items()
-    }
+    for p, dd in diff.items():  # drop the entries with a cancelled end
+        s_ids, t_ids = new_id.get(p, {}), new_id.get(p + 1, {})
+        diff[p] = {(t_ids[t], s_ids[s]): dict(e) for (t, s), e in dd.items()
+                   if s in s_ids and t in t_ids}
     m = type(x)(x.base, terms, diff)
     if not transfer:
         return m

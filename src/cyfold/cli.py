@@ -523,6 +523,7 @@ def cmd_fold(args):
     quiver = dynkin_quiver("A", args.rank)
     sl = build_zq(quiver, (-args.window, args.window))
     oq = orbit_quiver(sl, auto)
+    found = len(oq.vertices)
     dot = oq.dot(f"fold_A{args.rank}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -533,12 +534,21 @@ def cmd_fold(args):
             "type": args.type, "rank": args.rank, "a": args.a, "d": args.d,
             "window": args.window,
         },
-        "fundamental_domain_vertices": len(oq.vertices),
+        "fundamental_domain_vertices": found,
         "arrows": len(oq.arrows),
         "timing_s": round(time.monotonic() - t0, 3),
     }
+    # the fold is the pure translation tau^shift, whose orbits on ZQ
+    # number rank * shift; a window just above the shift sees only some
+    expected = args.rank * shift
+    if found < expected:
+        payload["expected_fundamental_domain_vertices"] = expected
     write_report(args, payload)
-    return EXIT_PASS
+    if found >= expected:
+        return EXIT_PASS
+    print(json.dumps({"inconclusive": f"window {args.window} gives {found} of the "
+                      f"{expected} vertices of a fundamental domain"}), file=sys.stderr)
+    return EXIT_INCONCLUSIVE
 
 
 def cmd_classify_roots(args):

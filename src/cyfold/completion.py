@@ -564,6 +564,18 @@ def _express_with_solver(solver, nreps, vec):
     return {i: c for i, c in sorted(sol.items()) if i < nreps}
 
 
+def _products_by_left(x: GradedAlgebraData, cutoff):
+    """x's nonzero products of degree at most cutoff by left element:
+    {(l1, i1, l2): [(i2, product)]}, i2 increasing."""
+    out = {}
+    for ((l1, i1), (l2, i2)), entry in x.mult.items():
+        if entry and l1 + l2 <= cutoff:
+            out.setdefault((l1, i1, l2), []).append((i2, entry))
+    for products in out.values():
+        products.sort(key=lambda item: item[0])
+    return out
+
+
 def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraData:
     """Degreewise product: degree i is X_i (x) Y_i."""
     _require_degree(x, cutoff)
@@ -579,17 +591,18 @@ def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraDa
                 index[(l, i, j)] = len(items)
                 items.append((f"{lx}#{ly}", (sx, sy), (tx, ty)))
         basis[l] = items
+    x_right, y_right = _products_by_left(x, cutoff), _products_by_left(y, cutoff)
     mult = {}
     for l1 in range(cutoff + 1):
         for l2 in range(cutoff + 1 - l1):
             for i1 in range(x.dim(l1)):
+                xs = x_right.get((l1, i1, l2))
+                if not xs:
+                    continue
                 for j1 in range(y.dim(l1)):
-                    for i2 in range(x.dim(l2)):
-                        for j2 in range(y.dim(l2)):
-                            px = x.product(l1, i1, l2, i2)
-                            py = y.product(l1, j1, l2, j2)
-                            if not px or not py:
-                                continue
+                    ys = y_right.get((l1, j1, l2), ())
+                    for i2, px in xs:
+                        for j2, py in ys:
                             entry = {}
                             for i3, cx in px.items():
                                 for j3, cy in py.items():

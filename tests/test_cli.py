@@ -151,6 +151,27 @@ def test_fold_dot(tmp_path):
     assert text.startswith("digraph") and "cluster_domain" in text
 
 
+@pytest.mark.parametrize("d,window,found,code", [
+    (1, 3, 4, cli.EXIT_INCONCLUSIVE),
+    (1, 4, 12, cli.EXIT_PASS),
+    (3, 11, 28, cli.EXIT_INCONCLUSIVE),
+    (3, 12, 32, cli.EXIT_PASS),
+])
+def test_fold_partial_domain_is_inconclusive(tmp_path, capsys, d, window, found, code):
+    # the fold of A4 is tau^k with k = 3 at d = 1 and k = 8 at d = 3, so a
+    # fundamental domain has 4k vertices
+    assert run(["--out-dir", str(tmp_path), "fold", "--type", "A", "--rank", "4",
+                "--a", "2", "--d", str(d), "--window", str(window)]) == code
+    r = json.loads((tmp_path / "report.json").read_text())
+    assert r["fundamental_domain_vertices"] == found
+    if code == cli.EXIT_PASS:
+        assert "expected_fundamental_domain_vertices" not in r
+    else:
+        assert r["expected_fundamental_domain_vertices"] == 4 * (3 if d == 1 else 8)
+        reason = json.loads(capsys.readouterr().err)["inconclusive"]
+        assert f"{found} of the {4 * (3 if d == 1 else 8)} vertices" in reason
+
+
 def test_classify_roots_cli(tmp_path):
     out = tmp_path / "cls"
     assert run(["--out-dir", str(out), "classify-roots", "--type", "A",

@@ -429,6 +429,24 @@ def test_quasi_veronese_golden(char):
     assert h.hexdigest() == QUASI_VERONESE_DIGESTS[char]
 
 
+# sha256 of _graded_dump(a_segre(k[x, y], k[x, y], 2, 3)) followed by its
+# object list, per field characteristic: the products in dict order pin
+# segre's pair order
+A_SEGRE_DIGESTS = {
+    0: "fc91fc236f7d3be5c58672962b67e2498ae935b8f98788bb29e634e650fa4115",
+    2**31 - 1: "dd786be07a6e19f4f6206c12a8728d09d5ec71269561a362da54c94ea29adb83",
+}
+
+
+@pytest.mark.parametrize("char", sorted(A_SEGRE_DIGESTS))
+def test_a_segre_golden(char):
+    kxy = polynomial_algebra(["x", "y"], 4, Field(char) if char else QQ)
+    seg = a_segre(kxy, kxy, 2, 3)
+    h = hashlib.sha256(_graded_dump(seg))
+    h.update(repr(seg.objects).encode())
+    assert h.hexdigest() == A_SEGRE_DIGESTS[char]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("a", [2, 3])
 def test_a_segre_dims_and_associativity(field, a):
