@@ -17,21 +17,25 @@ a resolution or tensor power outgrows its bound), 3 input error, 4 internal
 error (the traceback goes to stderr).
 
 Each subcommand imports the modules it runs when it starts, so a fresh
-process compiles only those: `fold` never loads the bimodule-complex code,
-and a `complete` served from the cache never loads `completion`.  The
-`complete` cache key holds a hash of the package's sources, so a cached
-table is never served to code that would compute it differently.
+process compiles only those (run without bytecode, it compiles each one
+from source):
+  fold, classify-roots   cli, cluster, quiver
+  complete (cache hit)   cli, complexes, quiver, quiveralg, exactlin, _kernels
+  gen                    as a cache hit, and presets
+  complete (computed)    as a cache hit, and bimodcx, completion
+  check-root-pair        as a cache hit, and bimodcx, rootpair
+  orbit-hom              as a cache hit, and bimodcx, cluster
+hashlib, tempfile, fractions and traceback are imported by the functions
+that use them.  The `complete` cache key holds a hash of the package's
+sources, so a cached table is never served to code that would compute it
+differently.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
-import traceback
-from fractions import Fraction
 
 from . import Inconclusive, __version__
 
@@ -52,6 +56,8 @@ class ParseError(Exception):
 
 
 def _frac(text, location):
+    from fractions import Fraction
+
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -112,6 +118,8 @@ def doc_to_algebra(doc, max_len, field=None):
 
 
 def complex_to_doc(cx):
+    from fractions import Fraction
+
     alg = cx.base
     terms = {}
     for p, ss in sorted(cx.terms.items()):
@@ -165,7 +173,7 @@ def _vertex(alg, value, location):
 
 
 def doc_to_complex(doc, alg):
-    from .bimodcx import ProjBimodComplex
+    from .complexes import ProjBimodComplex
 
     try:
         terms, diff = _parse_complex(doc, alg)
@@ -180,7 +188,7 @@ def doc_to_complex(doc, alg):
 
 
 def _parse_complex(doc, alg):
-    from .bimodcx import ProjBimodSummand
+    from .complexes import ProjBimodSummand
 
     f = alg.field
     terms = {}
@@ -231,6 +239,8 @@ def _parse_complex(doc, alg):
 
 
 def content_hash(payload):
+    import hashlib
+
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -238,6 +248,8 @@ def content_hash(payload):
 def source_digest(directory):
     """Hash of the *.py files in a directory, read as bytes, not imported:
     part of the cache key, so that an entry made by other code is missed."""
+    import hashlib
+
     digests = {}
     for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
@@ -274,6 +286,8 @@ def cache_get(directory, key):
 
 
 def cache_put(directory, key, table):
+    import tempfile
+
     rows = {f"{p}:{l}": d for (p, l), d in table.items()}
     blob = {"table": rows, "sha256": content_hash(rows)}
     try:
@@ -311,7 +325,15 @@ def _load_json(path):
 def _field(args):
     from .exactlin import QQ, Field
 
-    return QQ if args.field == "Q" else Field(int(args.field))
+    if args.field == "Q":
+        return QQ
+    try:
+        char = int(args.field)
+        if char != 0:  # Field(0) is Q, which is spelt "Q"
+            return Field(char)
+    except (ValueError, OverflowError):  # not an integer, not a prime, or too large
+        pass
+    raise ParseError("--field", f"expected Q or a prime p, got {args.field!r}")
 
 
 def cmd_gen(args):
@@ -418,6 +440,8 @@ def cmd_check_root_pair(args):
         k0_spanning_check,
     )
 
+    if args.a < 1:
+        raise ParseError("--a", "the root's order a must be >= 1")
     t0 = time.monotonic()
     alg, u, hashes = _load_pair(args)
     e_vertices = _vertex_arg(alg, args.e)
@@ -585,6 +609,8 @@ def cmd_orbit_hom(args):
     from .bimodcx import projective_sum
     from .cluster import HomTable, orbit_hom
 
+    if args.window < 1:
+        raise ParseError("--window", "the orbit window must be >= 1")
     t0 = time.monotonic()
     alg, u, hashes = _load_pair(args)
     e_vertices = _vertex_arg(alg, args.e)
@@ -706,6 +732,8 @@ def main(argv=None):
         print(json.dumps({"inconclusive": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -2,8 +2,7 @@
 combinatorial roots of the translation, orbit quotients with DOT export,
 and orbit Hom dimensions through the tensor formula."""
 
-from .exactlin import SplitMix64
-from .quiveralg import Arrow, Quiver
+from .quiver import Arrow, Quiver
 
 
 class WindowTooSmall(Exception):
@@ -341,7 +340,8 @@ def orbit_hom(alg, u, x, y, window):
     Computes sum_{i=0..W} dim H^0 RHom(x, y (x) U^i) plus
     sum_{i=1..W} dim H^0 RHom(x (x) U^i, y); negative powers enter through
     the adjunction.  Returns (dim, converged) where converged reports that
-    the last two window steps on each side contributed nothing.
+    the last two window steps on each side contributed nothing; a negative
+    window sums nothing and is never converged.
     """
     from .bimodcx import HomComplex, minimize, tensor_over_A
 
@@ -361,7 +361,7 @@ def orbit_hom(alg, u, x, y, window):
         if i >= window - 1:
             tail.append(d)
         x_tw = minimize(tensor_over_A(x_tw, u))
-    converged = all(d == 0 for d in tail)
+    converged = bool(tail) and all(d == 0 for d in tail)
     return total, converged
 
 
@@ -385,6 +385,7 @@ def cluster_tilting_check(alg, u, e_vertices, d, window):
 def serre_check(alg, u, d, samples, window, seed=0):
     """dim Hom_C(X, Y) = dim Hom_C(Y, X[d]) on seeded sample pairs."""
     from .bimodcx import projective_sum, shift
+    from .exactlin import SplitMix64
 
     rng = SplitMix64(seed)
     verts = list(alg.vertices)

@@ -606,7 +606,8 @@ def segre(x: GradedAlgebraData, y: GradedAlgebraData, cutoff) -> GradedAlgebraDa
                             entry = {}
                             for i3, cx in px.items():
                                 for j3, cy in py.items():
-                                    entry[index[(l1 + l2, i3, j3)]] = f.mul(cx, cy)
+                                    entry[index[(l1 + l2, i3, j3)]] = (
+                                        cy if cx == 1 else cx if cy == 1 else f.mul(cx, cy))
                             mult[((l1, index[(l1, i1, j1)]), (l2, index[(l2, i2, j2)]))] = entry
     idem = {
         (ox, oy): index[(0, x.idem[ox], y.idem[oy])]

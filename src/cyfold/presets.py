@@ -4,9 +4,10 @@ These are the inputs every golden test and the CLI `gen` subcommand use,
 so formulas are written down exactly once.
 """
 
-from .bimodcx import ProjBimodComplex, ProjBimodSummand
+from .complexes import ProjBimodComplex, ProjBimodSummand
 from .exactlin import QQ
-from .quiveralg import Arrow, Quiver, Relation, build_algebra
+from .quiver import Arrow, Quiver
+from .quiveralg import Relation, build_algebra
 
 
 def kronecker_algebra(field=QQ):

@@ -926,3 +926,19 @@ def test_compose_entries_matches_nested_loop(char):
             (k, type(v), v) for k, v in want.items()]
         nonzero += bool(want)
     assert nonzero > 100
+
+
+@pytest.mark.parametrize("old,new,names", [
+    ("bimodcx", "complexes",
+     ["ProjBimodSummand", "RightSummand", "entry_scale", "entry_add", "compose_entries",
+      "assemble", "_by_source", "_by_target", "_Complex", "ProjBimodComplex", "RightComplex"]),
+    ("quiveralg", "quiver", ["Arrow", "Quiver"]),
+], ids=["complexes", "quiver"])
+def test_moved_names_stay_importable_from_their_old_module(old, new, names):
+    import importlib
+
+    old_mod = importlib.import_module(f"cyfold.{old}")
+    new_mod = importlib.import_module(f"cyfold.{new}")
+    for name in names:
+        assert getattr(old_mod, name) is getattr(new_mod, name), name
+        assert getattr(new_mod, name).__module__ == new_mod.__name__, name

@@ -403,7 +403,8 @@ def test_resource_limit_is_inconclusive(tmp_path, kron_inputs, monkeypatch, caps
 
 
 # Prints the cyfold modules loaded by `import cyfold.cli` and then by the
-# command in argv, with the command's exit code.
+# command in argv, with the command's exit code and which of hashlib and
+# traceback are loaded at the end.
 LOADED_MODULES = """
 import json, sys
 import cyfold.cli
@@ -411,37 +412,59 @@ def loaded():
     return sorted(m[len("cyfold."):] for m in sys.modules if m.startswith("cyfold."))
 on_import = loaded()
 code = cyfold.cli.main(sys.argv[1:])
-print(json.dumps([code, on_import, loaded()]))
+std = sorted(m for m in ("hashlib", "traceback") if m in sys.modules)
+print(json.dumps([code, on_import, loaded(), std]))
 """
-DYNKIN = ["cli", "cluster", "quiveralg", "exactlin", "_kernels"]
-COMPLEX_INPUT = ["cli", "bimodcx", "quiveralg", "exactlin", "_kernels"]
+BARE_MODULES = """
+import json, sys
+print(json.dumps(sorted(m for m in ("hashlib", "traceback") if m in sys.modules)))
+"""
+QUIVER_ONLY = ["cli", "cluster", "quiver"]
+COMPLEX_INPUT = ["cli", "complexes", "quiver", "quiveralg", "exactlin", "_kernels"]
+PAIR = ["--algebra", "@algebra", "--bimodule", "@bimodule"]
+COMPLETE = ["complete"] + PAIR + ["--adams-max", "4", "--e", "0"]
 
 
-@pytest.mark.parametrize("argv,modules", [
-    (["fold", "--type", "A", "--rank", "4", "--a", "2", "--window", "12"], DYNKIN),
-    (["classify-roots", "--type", "A", "--rank", "4", "--a", "2"], DYNKIN),
-    (["gen", "kronecker"], COMPLEX_INPUT + ["presets"]),
-    (["complete", "--adams-max", "4", "--e", "0"], COMPLEX_INPUT),
-], ids=["fold", "classify-roots", "gen", "complete-cache-hit"])
-def test_command_imports_only_what_it_runs(tmp_path, kron_inputs, monkeypatch, argv, modules):
+# a `complete` whose set lacks `completion` is the cache hit
+@pytest.mark.parametrize("argv,modules,code", [
+    (["fold", "--type", "A", "--rank", "4", "--a", "2", "--window", "12"], QUIVER_ONLY, 0),
+    (["classify-roots", "--type", "A", "--rank", "4", "--a", "2"], QUIVER_ONLY, 0),
+    (["gen", "kronecker"], COMPLEX_INPUT + ["presets"], 0),
+    (["gen", "typeA", "--n", "2", "--d", "1"], COMPLEX_INPUT + ["presets"], 0),
+    (["gen", "a4mod"], COMPLEX_INPUT + ["presets"], 0),
+    (["check-root-pair"] + PAIR + ["--a", "2", "--d", "1", "--e", "0"],
+     COMPLEX_INPUT + ["bimodcx", "rootpair"], 0),
+    (["orbit-hom"] + PAIR + ["--e", "0", "--window", "2"],
+     COMPLEX_INPUT + ["bimodcx", "cluster"], cli.EXIT_INCONCLUSIVE),
+    (COMPLETE, COMPLEX_INPUT + ["bimodcx", "completion"], 0),
+    (COMPLETE, COMPLEX_INPUT, 0),
+], ids=["fold", "classify-roots", "gen", "gen-typeA", "gen-a4mod", "check-root-pair",
+        "orbit-hom", "complete-cold", "complete-cache-hit"])
+def test_command_imports_only_what_it_runs(tmp_path, kron_inputs, monkeypatch, argv, modules,
+                                           code):
     apath, upath = kron_inputs
     monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
     out = tmp_path / "out"
-    cached = argv[0] == "complete"
+    command = argv[0]
+    cached = command == "complete" and "completion" not in modules
+    argv = ["--out-dir", str(out)] + [{"@algebra": apath, "@bimodule": upath}.get(a, a)
+                                      for a in argv]
     if cached:
-        argv = _complete_argv(out, apath, upath)
         assert run(argv) == cli.EXIT_PASS  # fill the cache
-    else:
-        argv = ["--out-dir", str(out)] + argv
     env = dict(os.environ, PYTHONPATH=os.path.dirname(cli.PACKAGE_DIR))
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES] + argv,
                           capture_output=True, env=env, timeout=120, check=True)
-    code, on_import, after = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert code == cli.EXIT_PASS
+    got, on_import, after, std = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert got == code
     assert on_import == ["cli"]
     assert after == sorted(modules)
-    if cached:
-        assert json.loads((out / "report.json").read_text())["cache_hit"] is True
+    if command in ("fold", "gen"):
+        # hashlib and traceback only when a bare interpreter already has them
+        bare = subprocess.run([sys.executable, "-c", BARE_MODULES], capture_output=True,
+                              env=env, timeout=120, check=True)
+        assert set(std) <= set(json.loads(bare.stdout))
+    if command == "complete":
+        assert json.loads((out / "report.json").read_text())["cache_hit"] is cached
 
 
 @pytest.mark.parametrize("argv", [
@@ -461,6 +484,30 @@ def test_fold_and_classify_reject_non_dynkin_questions(tmp_path, capsys, argv):
     assert run(["--out-dir", str(tmp_path)] + argv) == cli.EXIT_INPUT
     assert "error" in json.loads(capsys.readouterr().err)
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv,location", [
+    (["orbit-hom"] + PAIR + ["--e", "0", "--window", "-1"], "--window"),
+    (["orbit-hom"] + PAIR + ["--e", "0", "--window", "0"], "--window"),
+    (["check-root-pair"] + PAIR + ["--a", "0", "--d", "1", "--e", "0"], "--a"),
+    (["--field", "4"] + COMPLETE, "--field"),
+    (["--field", "1"] + COMPLETE, "--field"),
+    (["--field", "-7"] + COMPLETE, "--field"),
+    (["--field", "abc"] + COMPLETE, "--field"),
+    (["--field", "0"] + COMPLETE, "--field"),
+    (["--field", "1" + "0" * 400 + "1"] + COMPLETE, "--field"),
+], ids=["orbit-window-1", "orbit-window0", "root-a0", "field4", "field1", "field-7",
+        "field-abc", "field0", "field-401-digits"])
+def test_pair_commands_reject_bad_arguments(tmp_path, kron_inputs, monkeypatch, capsys, argv,
+                                            location):
+    apath, upath = kron_inputs
+    monkeypatch.setenv("CYFOLD_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = [{"@algebra": apath, "@bimodule": upath}.get(a, a) for a in argv]
+    assert run(["--out-dir", str(out)] + argv) == cli.EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["error"].startswith(location + ":")
+    assert not (out / "report.json").exists()
 
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys):

@@ -161,6 +161,8 @@ def test_orbit_hom_kronecker_endomorphisms():
     dim, conv = orbit_hom(kr, u, p, p, 4)
     assert dim == sum(i + 1 for i in range(5))
     assert not conv
+    # a negative window sums nothing, which shows no convergence
+    assert orbit_hom(kr, u, p, p, -1) == (0, False)
 
 
 def test_cluster_tilting_vacuous_d1():
