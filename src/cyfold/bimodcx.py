@@ -249,13 +249,13 @@ def tensor_over_A(x, u: ProjBimodComplex):
                 left, beta = split(k)
                 for m2, cm in alg.mult(beta, m).items():
                     add(deg, index[((p + 1, t2), m2, (q, ti))], s_idx,
-                        join(left, e_l), f.mul(c, cm))
+                        join(left, e_l), c if cm == 1 else f.mul(c, cm))
         # (-1)^p 1 (x) d_u: the left part alpha of an entry joins the middle
         e_i = x._left_unit(x.terms[p][si])
         for t2, entry in u_out.get(q, {}).get(ti, ()):
             for (alpha, beta), c in entry.items():
                 for m2, cm in alg.mult(m, alpha).items():
-                    c1 = f.mul(c, cm)
+                    c1 = c if cm == 1 else f.mul(c, cm)
                     add(deg, index[((p, si), m2, (q + 1, t2))], s_idx,
                         join(e_i, beta), f.neg(c1) if p % 2 else c1)
     return type(x)(alg, terms, diff)
@@ -277,9 +277,13 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
 
     The image of d at position t of a chain depends only on the factor
     S_t, the middles on either side of it (none at an end) and the parity
-    of the degrees before it, so each such local pattern is worked out
-    once per call, and a factor without an outgoing differential is
-    skipped.
+    of the degrees before it, and a factor without an outgoing
+    differential is skipped.  A chain's place in the enumeration is a sum
+    of offsets, one per factor, each fixed by the factor before it, the
+    successor chosen and the number of factors left, so d at position t
+    moves a chain by an amount fixed by t, the factors on either side of
+    S_t and the local pattern.  Each such move, with its entries for both
+    parities, is worked out once per call and per pair of end vertices.
     """
     alg = u.base
     f = alg.field
@@ -306,18 +310,50 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
             for flat, deg, adeg in chains
             for m, k2, dp, da in succ[flat[-1]]
         ]
-    terms = {}
-    index = {}  # flat chain -> its index in its degree
-    for flat, deg, adeg in chains:
-        ts = terms.setdefault(deg, [])
-        index[flat] = len(ts)
-        ts.append(ProjBimodSummand(
-            factor[flat[0]].left, factor[flat[-1]].right, deg, adeg,
-            trace=(tuple(map(keys.__getitem__, flat[::2])), flat[1::2]),
-        ))
     out = {p: _by_source(dd) for p, dd in u.diff.items()}
     has_d = [bool(out.get(p, {}).get(si)) for p, si in keys]  # d leaves factor k
-    patterns = {}
+    e_left = [alg.idempotent_index(s.left) for s in factor]
+    e_right = [alg.idempotent_index(s.right) for s in factor]
+    local = {}  # (e_first, e_last, factor position) -> {window: moves}
+
+    def plan(fseq):
+        """What the chains with factors fseq share: the keys of their
+        factors, their end vertices and, per factor with a differential,
+        its position in the flat chain, the parity of the degrees before
+        it and the cache of its moves."""
+        ef, el = e_left[fseq[0]], e_right[fseq[-1]]
+        steps = []
+        odd = 0
+        for i, k in enumerate(fseq):
+            if has_d[k]:
+                steps.append((2 * i, odd, local.setdefault((ef, el, i), {})))
+            odd ^= keys[k][0] & 1
+        return (tuple(map(keys.__getitem__, fseq)), factor[fseq[0]].left,
+                factor[fseq[-1]].right, ef, el, steps)
+
+    terms = {}
+    place = []  # each chain's index in its degree, in enumeration order
+    plans, chain_plan = {}, []
+    for flat, deg, adeg in chains:
+        fseq = flat[::2]
+        pl = plans.get(fseq)
+        if pl is None:
+            pl = plans[fseq] = plan(fseq)
+        chain_plan.append(pl)
+        ts = terms.setdefault(deg, [])
+        place.append(len(ts))
+        ts.append(ProjBimodSummand(pl[1], pl[2], deg, adeg, trace=(pl[0], flat[1::2])))
+    # the enumeration puts chain (k_0, c_1, ..., c_{n-1}), c_i the choice of
+    # (m_{i-1}, k_i) in succ[k_{i-1}], at first[k_0] + the sum over i of
+    # before[i][k_{i-1}][c_i], the chains under the choices ahead of c_i
+    choice = [{(m, k2): c for c, (m, k2, _, _) in enumerate(opts)} for opts in succ]
+    below = [1] * len(factor)  # chains under each factor at factor i
+    before = [None] * n
+    for i in range(n - 1, 0, -1):
+        before[i] = [list(itertools.accumulate((below[k2] for _, k2, _, _ in opts), initial=0))
+                     for opts in succ]
+        below = [acc[-1] for acc in before[i]]
+    first = list(itertools.accumulate(below, initial=0))
 
     def pattern(k, lm, rm):
         """d on factor k between the middles lm and rm (None at an end):
@@ -334,62 +370,73 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
             for (alpha, beta), c in entry.items():
                 # absorb alpha to the left, beta to the right
                 left_opts = [((k2,), alpha, c)] if lm is None else [
-                    ((m2, k2), None, f.mul(c, cm))
+                    ((m2, k2), None, c if cm == 1 else f.mul(c, cm))
                     for m2, cm in alg.mult(lm, alpha).items()
                 ]
                 for mid, a, c1 in left_opts:
                     right_opts = [(mid, beta, c1)] if rm is None else [
-                        (mid + (m2,), None, f.mul(c1, cm))
+                        (mid + (m2,), None, c1 if cm == 1 else f.mul(c1, cm))
                         for m2, cm in alg.mult(beta, rm).items()
                     ]
                     for repl, b, c2 in right_opts:
                         pats.append((repl, a, b, (c2, f.neg(c2)) if c2 else None))
         return pats
 
-    e_left = [alg.idempotent_index(s.left) for s in factor]
-    e_right = [alg.idempotent_index(s.right) for s in factor]
-    odd_deg = [p & 1 for p, _ in keys]
-    last = 2 * n - 2
-    diff = {}
-    for flat, deg, _ in chains:
-        s_idx = index[flat]
-        e_first, e_last = e_left[flat[0]], e_right[flat[-1]]
-        dd = diff.get(deg)
-        odd = 0  # parity of the cohomological degree of the factors before k
-        for pos in range(0, last + 1, 2):
-            k = flat[pos]
-            if not has_d[k]:
-                odd ^= odd_deg[k]
-                continue
-            lo = pos - 1 if pos else pos
-            hi = pos + 2 if pos < last else pos + 1
-            pk = (k, flat[lo] if pos else None, flat[pos + 1] if pos < last else None)
-            pats = patterns.get(pk)
-            if pats is None:
-                pats = patterns[pk] = pattern(*pk)
-            head, tail = flat[:lo], flat[hi:]
-            for repl, a, b, cs in pats:
-                t_idx = index.get(head + repl + tail)
-                if t_idx is None:
+    def moves(i, window, e_first, e_last):
+        """d at factor i of the chains around window = (factor i-1, its
+        middle, factor i, its middle, factor i+1), None off the ends: a
+        list of (move in the enumeration, its entry for an even and for an
+        odd degree before factor i), one per target chain, in the order
+        the targets are first met."""
+        kp, lm, k, rm, kn = window
+        out_of_k = first[k] if i == 0 else before[i][kp][choice[kp][(lm, k)]]
+        if i < n - 1:
+            out_of_k += before[i + 1][k][choice[k][(rm, kn)]]
+        targets = {}
+        j = 0 if lm is None else 1  # where the new factor sits in repl
+        for repl, a, b, cs in pattern(k, lm, rm):
+            k2 = repl[j]
+            if i == 0:
+                into = first[k2]
+            else:
+                c2 = choice[kp].get((repl[0], k2))
+                if c2 is None:  # not a chain
                     continue
+                into = before[i][kp][c2]
+            if i < n - 1:
+                c2 = choice[k2].get((repl[j + 1], kn))
+                if c2 is None:
+                    continue
+                into += before[i + 1][k2][c2]
+            t = targets.get(repl)
+            if t is None:
+                t = targets[repl] = (into - out_of_k, {}, {})
+            if cs is None:
+                continue
+            key = (e_first if a is None else a, e_last if b is None else b)
+            for e, v in zip(t[1:], cs):
+                entry_add(e, {key: v}, f)
+        return [(move, (even, odd)) for move, even, odd in targets.values()]
+
+    ends = (None, None)
+    diff = {}
+    for g, (flat, deg, _) in enumerate(chains):
+        _, _, _, ef, el, steps = chain_plan[g]
+        if not steps:
+            continue
+        s_idx = place[g]
+        padded = ends + flat + ends
+        dd = diff.get(deg)
+        for pos, odd, cache in steps:
+            window = padded[pos:pos + 5]
+            mv = cache.get(window)
+            if mv is None:
+                mv = cache[window] = moves(pos >> 1, window, ef, el)
+            if mv:
                 if dd is None:
                     dd = diff[deg] = {}
-                e = dd.get((t_idx, s_idx))
-                if e is None:
-                    e = dd[(t_idx, s_idx)] = {}
-                if cs is None:
-                    continue
-                key = (e_first if a is None else a, e_last if b is None else b)
-                old = e.get(key)
-                if old is None:
-                    e[key] = cs[odd]
-                    continue
-                val = f.add(old, cs[odd])
-                if val == 0:
-                    del e[key]
-                else:
-                    e[key] = val
-            odd ^= odd_deg[k]
+                for move, entries in mv:
+                    dd[(place[g + move], s_idx)] = dict(entries[odd])
     return ProjBimodComplex(alg, terms, diff)
 
 
@@ -580,13 +627,20 @@ def minimize(x, transfer=False):
     see the same inserts and deletes as d^p, so they keep its relative
     order), the insertion ranks and the list of unit entries.  An entry is
     a unit entry when its source and target summands have the same class
-    and it holds the source's identity key; both are worked out once per
-    summand.  Unit entries are taken in rank order, which is dict order:
-    a cursor walks the listed ones, merged with a min-heap that holds only
-    the entries that gain their unit later.  A key deleted and re-created
+    and it holds the source's identity key; each summand's class is worked
+    out once, and the identity key once per class.  Unit entries are taken
+    in rank order, which is dict order: a cursor walks the listed ones,
+    merged with a min-heap that holds only the entries that gain their
+    unit later.  A key deleted and re-created
     gets a new rank, and stale items are skipped.  The entries that a
     later degree's cancellation leaves with a cancelled end are dropped
     once, when the result is built.
+
+    A pivot c u + ... (u the identity key) is inverted by the scalar 1/c
+    when its summand's endomorphism corner is one-dimensional, as every
+    vertex corner of a path algebra of an acyclic quiver is; -X o beta is
+    then beta scaled, and only other corners go through ``_invert``.  A
+    correction that lands on no entry becomes the entry as it is.
 
     With ``transfer=True`` the returned complex m also carries
     ``m.transfer = (iota, pi)``: chain maps iota: m -> x and pi: x -> m
@@ -599,10 +653,26 @@ def minimize(x, transfer=False):
     (degree, summand id).
     """
     f = x.base.field
-    minus = f(-1)
+    one, minus = f.one(), f(-1)
+    compose = x._compose
     diff = {}
     dead = {}  # degree -> ids of its cancelled summands
     iota, pi = {}, {}  # only with transfer: columns of iota, rows of pi
+    classes = {}  # summand class -> (class id, identity key, corner is 1-dim)
+    summand_class = {}  # degree -> class id of each summand
+
+    def class_ids(p):
+        ids = summand_class.get(p)
+        if ids is None:
+            ids = summand_class[p] = []
+            for s in x.summands(p):
+                c = x._unit_class(s)
+                got = classes.get(c)
+                if got is None:
+                    unit = x._unit_key(s, s)
+                    got = classes[c] = (len(classes), unit, len(x._hom_basis(s, s)) == 1)
+                ids.append(got[0])
+        return ids
 
     def unit_map(p, i):
         s = x.summands(p)[i]
@@ -611,34 +681,27 @@ def minimize(x, transfer=False):
     # kills summands that entries at p - 1 and p + 1 touch, so the degrees
     # done before p still hold no unit entry.
     for p, shared in x.diff.items():  # shared: entries of x, copied before a write
-        ss, ts = x.summands(p), x.summands(p + 1)
-        s_cls = [x._unit_class(s) for s in ss]
-        t_cls = [x._unit_class(t) for t in ts]
-        units = {}  # class -> identity key
-        for s, c in zip(ss, s_cls):
-            if c not in units:
-                units[c] = x._unit_key(s, s)
-        s_unit = [units[c] for c in s_cls]
+        ss = x.summands(p)
+        s_cls, t_cls = class_ids(p), class_ids(p + 1)
+        info = list(classes.values())  # by class id
+        s_unit = [info[c][1] for c in s_cls]
         s_dead, t_dead = dead.setdefault(p, set()), dead.setdefault(p + 1, set())
         dd = diff[p] = {}
-        by_src, by_tgt = {}, {}  # s -> {t: entry}, t -> {s: entry}
-        rank, pending, heap, tick = {}, [], [], itertools.count()
-
-        def index(key, entry):
-            rank[key] = next(tick)
-            by_src.setdefault(key[1], {})[key[0]] = entry
-            by_tgt.setdefault(key[0], {})[key[1]] = entry
-
+        by_src = [{} for _ in ss]  # s -> {t: entry}
+        by_tgt = [{} for _ in t_cls]  # t -> {s: entry}
+        rank, pending, heap = {}, [], []
+        tick = 0
         for key, entry in shared.items():
             t, s = key
             if not entry or s in s_dead or t in t_dead:
                 continue
             dd[key] = entry
-            rank[key] = r = next(tick)
-            by_src.setdefault(s, {})[t] = entry
-            by_tgt.setdefault(t, {})[s] = entry
+            rank[key] = tick
+            by_src[s][t] = entry
+            by_tgt[t][s] = entry
             if s_cls[s] == t_cls[t] and entry.get(s_unit[s]):
-                pending.append((r, key, s_unit[s]))
+                pending.append((tick, key, s_unit[s]))
+            tick += 1
         nxt = 0  # cursor into pending
         while True:
             if heap and (nxt == len(pending) or heap[0][0] < pending[nxt][0]):
@@ -652,7 +715,8 @@ def minimize(x, transfer=False):
             if entry is None or rank[key] != r or not entry.get(unit):
                 continue
             t_idx, s_idx = key
-            col, row = by_src.pop(s_idx), by_tgt.pop(t_idx)  # pivot aside
+            col, row = by_src[s_idx], by_tgt[t_idx]  # pivot aside
+            by_src[s_idx] = by_tgt[t_idx] = None
             del col[t_idx], row[s_idx], dd[key]
             for t in col:
                 del dd[(t, s_idx)], by_tgt[t][s_idx]
@@ -660,26 +724,42 @@ def minimize(x, transfer=False):
                 del dd[(t_idx, s)], by_src[s][t_idx]
             inv, inv_row = None, []  # -X and -X o b, X the pivot's inverse
             if (col and row) or (transfer and (col or row)):
-                inv = entry_scale(_invert(x, ss[s_idx], entry), minus, f)
-                inv_row = [(s2, x._compose(inv, be)) for s2, be in row.items()]
+                if info[s_cls[s_idx]][2]:  # X = 1/c, so -X o b is b scaled
+                    c = entry[unit]
+                    if c == minus:
+                        inv, inv_row = {unit: one}, list(row.items())
+                    elif c == one:
+                        inv = {unit: minus}
+                        inv_row = [(s2, {k: f.neg(v) for k, v in be.items()})
+                                   for s2, be in row.items()]
+                    else:
+                        c = f.mul(minus, f.inv(c))
+                        inv = {unit: c}
+                        inv_row = [(s2, entry_scale(be, c, f)) for s2, be in row.items()]
+                else:
+                    inv = entry_scale(_invert(x, ss[s_idx], entry), minus, f)
+                    inv_row = [(s2, compose(inv, be)) for s2, be in row.items()]
             if transfer:
                 _transfer_step(x, iota, pi, unit_map, p, s_idx, t_idx, inv, inv_row, col)
             for t2, ce in col.items():
                 for s2, ib in inv_row:
-                    corr = x._compose(ce, ib)
+                    corr = compose(ce, ib)
                     if not corr:
                         continue
                     k2 = (t2, s2)
                     e = dd.get(k2)
-                    if e is None:
-                        e = dd[k2] = {}
-                        index(k2, e)
-                    elif e is shared.get(k2):
-                        e = dd[k2] = by_src[s2][t2] = by_tgt[t2][s2] = dict(e)
-                    entry_add(e, corr, f)
-                    if not e:
-                        del dd[k2], by_src[s2][t2], by_tgt[t2][s2]
-                    elif s_cls[s2] == t_cls[t2] and e.get(s_unit[s2]):
+                    if e is None:  # corr is a new dict without zeros
+                        e = dd[k2] = by_src[s2][t2] = by_tgt[t2][s2] = corr
+                        rank[k2] = tick
+                        tick += 1
+                    else:
+                        if e is shared.get(k2):
+                            e = dd[k2] = by_src[s2][t2] = by_tgt[t2][s2] = dict(e)
+                        entry_add(e, corr, f)
+                        if not e:
+                            del dd[k2], by_src[s2][t2], by_tgt[t2][s2]
+                            continue
+                    if s_cls[s2] == t_cls[t2] and e.get(s_unit[s2]):
                         heapq.heappush(heap, (rank[k2], k2, s_unit[s2]))
             s_dead.add(s_idx)
             t_dead.add(t_idx)
@@ -733,11 +813,10 @@ def _transfer_step(x, iota, pi, unit_map, p, s_idx, t_idx, inv, inv_row, col):
 
 def _invert(x, summand, entry):
     """X with entry o X = 1 in the endomorphism corner of a summand, for an
-    entry whose unit coefficient is invertible."""
+    entry whose unit coefficient is invertible.  minimize calls it only
+    when the corner is more than the unit's multiples."""
     f = x.base.field
     basis = x._hom_basis(summand, summand)
-    if len(basis) == 1:  # the corner is spanned by the unit: X = 1/c
-        return {basis[0]: f.inv(entry[basis[0]])}
     pos = {b: k for k, b in enumerate(basis)}
     cols = [{pos[b2]: c for b2, c in x._compose(entry, {b: f.one()}).items()}
             for b in basis]

@@ -37,7 +37,7 @@ import os
 import sys
 import time
 
-from . import Inconclusive, __version__
+from . import Inconclusive, __version__, is_prime
 
 SCHEMA_VERSION = 1
 PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -322,23 +322,29 @@ def _load_json(path):
         raise ParseError(path, f"invalid JSON: {exc}")
 
 
+def _field_char(text):
+    """0 for "Q", p for a prime p below 2**64; checked for every command
+    without importing exactlin."""
+    if text == "Q":
+        return 0
+    try:
+        char = int(text)
+        if char != 0 and is_prime(char):  # Field(0) is Q, which is spelt "Q"
+            return char
+    except ValueError:  # not an integer, or too large to decide
+        pass
+    raise ParseError("--field", f"expected Q or a prime p, got {text!r}")
+
+
 def _field(args):
     from .exactlin import QQ, Field
 
-    if args.field == "Q":
-        return QQ
-    try:
-        char = int(args.field)
-        if char != 0:  # Field(0) is Q, which is spelt "Q"
-            return Field(char)
-    except (ValueError, OverflowError):  # not an integer, not a prime, or too large
-        pass
-    raise ParseError("--field", f"expected Q or a prime p, got {args.field!r}")
+    char = _field_char(args.field)
+    return Field(char) if char else QQ
 
 
 def cmd_gen(args):
     from . import presets
-    from .quiveralg import Relation
 
     out = args.out_dir or "."
     os.makedirs(out, exist_ok=True)
@@ -356,7 +362,7 @@ def cmd_gen(args):
         meta = {"model": "typeA", "n": args.n, "d": args.d, "eps": args.eps, "max_len": 2}
     elif args.model == "beilinson":
         alg = presets.beilinson_algebra(args.d)
-        qdoc = quiver_to_doc(alg.quiver, _beilinson_relations(args.d))
+        qdoc = quiver_to_doc(alg.quiver, presets.beilinson_relations(args.d))
         meta = {"model": "beilinson", "d": args.d, "max_len": args.d + 1}
         if args.d == 1:
             udoc = complex_to_doc(
@@ -365,7 +371,7 @@ def cmd_gen(args):
             udoc = None
     elif args.model == "a4mod":
         alg = presets.a4_mod_longest_algebra()
-        qdoc = quiver_to_doc(alg.quiver, [Relation([(1, ("a3", "a2", "a1"))])])
+        qdoc = quiver_to_doc(alg.quiver, presets.a4_mod_longest_relations())
         udoc = None
         meta = {"model": "a4mod", "max_len": 3}
     else:
@@ -382,24 +388,6 @@ def cmd_gen(args):
         paths["bimodule"] = upath
     print(json.dumps({"written": paths}, indent=2, sort_keys=True))
     return EXIT_PASS
-
-
-def _beilinson_relations(d):
-    from .quiveralg import Relation
-
-    rels = []
-    for k in range(d - 1):
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                rels.append(
-                    Relation(
-                        [
-                            (1, (f"x{i}_{k + 1}", f"x{j}_{k}")),
-                            (-1, (f"x{j}_{k + 1}", f"x{i}_{k}")),
-                        ]
-                    )
-                )
-    return rels
 
 
 def _load_pair(args):
@@ -724,6 +712,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _field_char(args.field)
         return args.func(args)
     except ParseError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

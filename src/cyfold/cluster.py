@@ -2,6 +2,8 @@
 combinatorial roots of the translation, orbit quotients with DOT export,
 and orbit Hom dimensions through the tensor formula."""
 
+import functools
+
 from .quiver import Arrow, Quiver
 
 
@@ -19,7 +21,9 @@ class TransQuiverSlice:
     """Window [m0, m1] of the repetition quiver ZQ.
 
     Vertices are (m, v); arrows (m, u) -> (m, v) for each u -> v in Q and
-    (m, v) -> (m+1, u); tau shifts m down by one.
+    (m, v) -> (m+1, u); tau shifts m down by one.  The vertex and arrow
+    lists are built on first use: the root search reads only the window
+    and Q.
     """
 
     def __init__(self, quiver: Quiver, window):
@@ -27,15 +31,20 @@ class TransQuiverSlice:
             raise ValueError("ZQ needs an acyclic quiver")
         self.quiver = quiver
         self.m0, self.m1 = window
-        self.vertices = [
-            (m, v) for m in range(self.m0, self.m1 + 1) for v in quiver.vertices
-        ]
-        self.arrows = []
+
+    @functools.cached_property
+    def vertices(self):
+        return [(m, v) for m in range(self.m0, self.m1 + 1) for v in self.quiver.vertices]
+
+    @functools.cached_property
+    def arrows(self):
+        out = []
         for m in range(self.m0, self.m1 + 1):
-            for a in quiver.arrows:
-                self.arrows.append(((m, a.source), (m, a.target)))
+            for a in self.quiver.arrows:
+                out.append(((m, a.source), (m, a.target)))
                 if m + 1 <= self.m1:
-                    self.arrows.append(((m, a.target), (m + 1, a.source)))
+                    out.append(((m, a.target), (m + 1, a.source)))
+        return out
 
     def tau(self, vertex):
         m, v = vertex
@@ -189,12 +198,19 @@ def check_combinatorial_root(F: QuiverAuto, a, slice_: TransQuiverSlice):
     (m + S(v), rho^a v) with S(v) independent of m, and each level of the
     interior holds every vertex of Q, so the test is rho^a v = v and
     S(v) = 1 for every vertex v of Q."""
-    margin = a * max((abs(s) for s in F.shifts.values()), default=0)
+    margin = a * max(map(abs, F.shifts.values()), default=0)
     lo, hi = max(slice_.m0, slice_.m0 + margin), min(slice_.m1, slice_.m1 - margin)
     if lo > hi or not slice_.quiver.vertices:
         raise WindowTooSmall("window cannot absorb the composed shifts")
-    fa = F.power(a)
-    return all(fa.rho[v] == v and fa.shifts[v] == 1 for v in slice_.quiver.vertices)
+    rho, sh = F.rho, F.shifts
+    for v in slice_.quiver.vertices:
+        w, s = v, 0
+        for _ in range(a):
+            s += sh[w]
+            w = rho[w]
+        if w != v or s != 1:
+            return False
+    return True
 
 
 def dynkin_quiver(kind, n):
@@ -214,21 +230,24 @@ def classify_dynkin_roots(kind, n, a, window=12):
     slice_ = build_zq(quiver, (-window, window))
     verts = list(quiver.vertices)
     candidates = []
+    autos = graph_automorphisms(kind, n)
     for m in range(-window // 2, window // 2 + 1):
         candidates.append(tau_auto(verts, power=-m, name=f"tau^{m}"))
-        for g in graph_automorphisms(kind, n):
+        for g in autos:
             candidates.append(tau_auto(verts, power=-m).compose(g))
     if kind == "A":
         for off in range(-window, window):
             candidates.append(type_a_flip_family(n, off))
     for F in candidates:
-        if not F.preserves_arrows(slice_):
-            continue
+        # the root test is a few integer compares per vertex, so it goes
+        # first; every candidate must pass both tests
         try:
-            if check_combinatorial_root(F, a, slice_):
-                return True, F
+            if not check_combinatorial_root(F, a, slice_):
+                continue
         except WindowTooSmall:
             continue
+        if F.preserves_arrows(slice_):
+            return True, F
     return False, None
 
 

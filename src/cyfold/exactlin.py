@@ -18,16 +18,17 @@ in a loop over one matrix.  The seeded PRNG is splitmix64
 
 from fractions import Fraction
 
+from . import is_prime
 from ._kernels import ZERO, Echelon, dense_row, row_of, sparse_row
 
 
 class Field:
-    """Ground field: Field(0) is Q, Field(p) is GF(p) for p prime."""
+    """Ground field: Field(0) is Q, Field(p) is GF(p) for p a prime below
+    2**64."""
 
     def __init__(self, char=0):
-        if char != 0:
-            if char < 2 or any(char % q == 0 for q in range(2, int(char**0.5) + 1)):
-                raise ValueError(f"characteristic must be 0 or prime, got {char}")
+        if char != 0 and not is_prime(char):
+            raise ValueError(f"characteristic must be 0 or prime, got {char}")
         self.char = char
 
     def __call__(self, value, den=1):

@@ -82,6 +82,12 @@ def beilinson_algebra(d, field=QQ):
     for k in range(d):
         for i in range(d + 1):
             arrows.append(Arrow(f"x{i}_{k}", k, k + 1))
+    return build_algebra(Quiver(verts, arrows), beilinson_relations(d), d + 1, field)
+
+
+def beilinson_relations(d):
+    """The commutativity relations x_{i,k+1} x_{j,k} = x_{j,k+1} x_{i,k}
+    of the d-Beilinson algebra, i < j."""
     rels = []
     for k in range(d - 1):
         for i in range(d + 1):
@@ -94,7 +100,7 @@ def beilinson_algebra(d, field=QQ):
                         ]
                     )
                 )
-    return build_algebra(Quiver(verts, arrows), rels, d + 1, field)
+    return rels
 
 
 def a4_mod_longest_algebra(field=QQ):
@@ -103,8 +109,12 @@ def a4_mod_longest_algebra(field=QQ):
         [1, 2, 3, 4],
         [Arrow("a1", 1, 2), Arrow("a2", 2, 3), Arrow("a3", 3, 4)],
     )
-    rel = Relation([(1, ("a3", "a2", "a1"))])
-    return build_algebra(q, [rel], 3, field)
+    return build_algebra(q, a4_mod_longest_relations(), 3, field)
+
+
+def a4_mod_longest_relations():
+    """The one relation a3 a2 a1 = 0 of a4_mod_longest_algebra."""
+    return [Relation([(1, ("a3", "a2", "a1"))])]
 
 
 def linear_an_algebra(n, field=QQ):

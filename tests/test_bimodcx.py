@@ -41,6 +41,7 @@ from cyfold.bimodcx import (
     tensor_over_A,
     tensor_power,
 )
+from cyfold.completion import matrix_root_pair, polynomial_algebra
 from cyfold.exactlin import QQ, Field, SplitMix64, random_vector, solve_linear
 from cyfold.presets import (
     a2n_algebra,
@@ -559,8 +560,8 @@ def _minimize_inputs(field):
     random closed maps, their sums and tensors with a root, tensor powers
     of Kronecker and A_2n roots, twisted right projectives, a resolution
     with relations tensored with itself, random two-term complexes over
-    k[x]/(x^2), and a power whose differential lists its degrees in
-    decreasing order."""
+    k[x]/(x^2), a pivot other than 1 and -1, and a power whose
+    differential lists its degrees in decreasing order."""
     kron = kronecker_algebra(field)
     pA = standard_hereditary_resolution(kron)
     u = kronecker_root(kron, 1, -1)
@@ -596,6 +597,19 @@ def _minimize_inputs(field):
                 dd[key] = entry
         yield RightComplex(dual_numbers, {p: [RightSummand(0, p) for _ in range(6)] for p in (0, 1)},
                            {0: dd})
+    # S, B -> T, D with the pivot S -> T equal to 2 on the vertex corner
+    # e_0Ae_0, which the unit spans, so minimize inverts it by the scalar
+    # 1/2; the correction lands on B -> D, whose ends survive
+    e0, arrow = kron.idempotent_index(0), kron.corner_indices(1, 0)[0]
+    dd = {(0, 0): field(2), (1, 0): field(1), (0, 1): field(3)}
+    yield ProjBimodComplex(
+        kron, {0: [ProjBimodSummand(0, 0, 0), ProjBimodSummand(0, 0, 0)],
+               1: [ProjBimodSummand(0, 0, 1), ProjBimodSummand(0, 1, 1)]},
+        {0: {k: {(e0, arrow if k[0] else e0): c} for k, c in dd.items()}})
+    yield RightComplex(
+        kron, {0: [RightSummand(0, 0), RightSummand(0, 0)],
+               1: [RightSummand(0, 1), RightSummand(1, 1)]},
+        {0: {k: {arrow if k[0] else e0: c} for k, c in dd.items()}})
     x = tensor_power(kronecker_root(kron, 0, 1), 5)
     yield ProjBimodComplex(kron, x.terms, dict(reversed(x.diff.items())))
 
@@ -730,6 +744,160 @@ def test_tensor_power_golden(name, char):
     for l in range(1, 7):
         h.update(_canonical_dump(tensor_power(u, l)))
     assert h.hexdigest() == TENSOR_POWER_DIGESTS[(name, char)]
+
+
+def _reference_tensor_power(u, n):
+    """tensor_power as it was before it placed a target chain by offsets:
+    every target built as a flat tuple and looked up by its hash.
+
+    Summand traces are (summand_keys, middle_keys): summand_keys a tuple of
+    (cdeg, idx) into u, middle_keys a tuple of algebra basis indices with
+    middles[t] in e_{right(S_t)} A e_{left(S_{t+1})}.
+
+    The image of d at position t of a chain depends only on the factor
+    S_t, the middles on either side of it (none at an end) and the parity
+    of the degrees before it, so each such local pattern is worked out
+    once per call, and a factor without an outgoing differential is
+    skipped.
+    """
+    alg = u.base
+    f = alg.field
+    if n == 0:
+        raise ValueError("use the resolution of A for the 0-th power")
+    # a chain is the flat tuple (S_0, m_0, S_1, ..., m_{n-2}, S_{n-1}) of
+    # factor ids (positions in keys) and middles
+    keys = [(p, i) for p, ss in u.terms.items() for i in range(len(ss))]
+    fid = {key: k for k, key in enumerate(keys)}
+    factor = [u.terms[p][i] for p, i in keys]
+    # the (middle, factor, added degree, added Adams degree) after each factor
+    succ = [
+        [
+            (m, k2, keys[k2][0], alg.basis[m].adeg + s2.adeg)
+            for k2, s2 in enumerate(factor)
+            for m in alg.corner_indices(s.right, s2.left)
+        ]
+        for s in factor
+    ]
+    chains = [((k,), keys[k][0], s.adeg) for k, s in enumerate(factor)]
+    for _ in range(n - 1):
+        chains = [
+            (flat + (m, k2), deg + dp, adeg + da)
+            for flat, deg, adeg in chains
+            for m, k2, dp, da in succ[flat[-1]]
+        ]
+    terms = {}
+    index = {}  # flat chain -> its index in its degree
+    for flat, deg, adeg in chains:
+        ts = terms.setdefault(deg, [])
+        index[flat] = len(ts)
+        ts.append(ProjBimodSummand(
+            factor[flat[0]].left, factor[flat[-1]].right, deg, adeg,
+            trace=(tuple(map(keys.__getitem__, flat[::2])), flat[1::2]),
+        ))
+    out = {p: _by_source(dd) for p, dd in u.diff.items()}
+    has_d = [bool(out.get(p, {}).get(si)) for p, si in keys]  # d leaves factor k
+    patterns = {}
+
+    def pattern(k, lm, rm):
+        """d on factor k between the middles lm and rm (None at an end):
+        (the factor and middles it puts in place of k and its neighbouring
+        middles, a component, b component, (coefficient, its negation) or
+        None when the coefficient is 0), a component None for the chain's
+        left idempotent and b component None for its right one."""
+        p, si = keys[k]
+        pats = []
+        for t2, entry in out.get(p, {}).get(si, ()):
+            k2 = fid.get((p + 1, t2))
+            if k2 is None:
+                continue
+            for (alpha, beta), c in entry.items():
+                # absorb alpha to the left, beta to the right
+                left_opts = [((k2,), alpha, c)] if lm is None else [
+                    ((m2, k2), None, f.mul(c, cm))
+                    for m2, cm in alg.mult(lm, alpha).items()
+                ]
+                for mid, a, c1 in left_opts:
+                    right_opts = [(mid, beta, c1)] if rm is None else [
+                        (mid + (m2,), None, f.mul(c1, cm))
+                        for m2, cm in alg.mult(beta, rm).items()
+                    ]
+                    for repl, b, c2 in right_opts:
+                        pats.append((repl, a, b, (c2, f.neg(c2)) if c2 else None))
+        return pats
+
+    e_left = [alg.idempotent_index(s.left) for s in factor]
+    e_right = [alg.idempotent_index(s.right) for s in factor]
+    odd_deg = [p & 1 for p, _ in keys]
+    last = 2 * n - 2
+    diff = {}
+    for flat, deg, _ in chains:
+        s_idx = index[flat]
+        e_first, e_last = e_left[flat[0]], e_right[flat[-1]]
+        dd = diff.get(deg)
+        odd = 0  # parity of the cohomological degree of the factors before k
+        for pos in range(0, last + 1, 2):
+            k = flat[pos]
+            if not has_d[k]:
+                odd ^= odd_deg[k]
+                continue
+            lo = pos - 1 if pos else pos
+            hi = pos + 2 if pos < last else pos + 1
+            pk = (k, flat[lo] if pos else None, flat[pos + 1] if pos < last else None)
+            pats = patterns.get(pk)
+            if pats is None:
+                pats = patterns[pk] = pattern(*pk)
+            head, tail = flat[:lo], flat[hi:]
+            for repl, a, b, cs in pats:
+                t_idx = index.get(head + repl + tail)
+                if t_idx is None:
+                    continue
+                if dd is None:
+                    dd = diff[deg] = {}
+                e = dd.get((t_idx, s_idx))
+                if e is None:
+                    e = dd[(t_idx, s_idx)] = {}
+                if cs is None:
+                    continue
+                key = (e_first if a is None else a, e_last if b is None else b)
+                old = e.get(key)
+                if old is None:
+                    e[key] = cs[odd]
+                    continue
+                val = f.add(old, cs[odd])
+                if val == 0:
+                    del e[key]
+                else:
+                    e[key] = val
+            odd ^= odd_deg[k]
+    return ProjBimodComplex(alg, terms, diff)
+
+
+# U^{(x)6} of the P^2 root has 269,532 summands and 1.3 M entries; the
+# fifth power (31,098 summands) already crosses every factor pattern
+P2_TOP = 5
+
+
+def _power_roots(field):
+    """(name, U, highest power checked): the four Kronecker roots, the A_2
+    and A_4 roots with d = 1 and 3, and the P^2 root, resolved."""
+    kron = kronecker_algebra(field)
+    for s in (0, 1):
+        for eps in (1, -1):
+            yield f"kronecker s={s} eps={eps}", kronecker_root(kron, s, eps), 6
+    for n in (1, 2):
+        alg = a2n_algebra(n, field)
+        for d in (1, 3):
+            yield f"A_{2 * n} d={d}", a2n_root(alg, n, d=d), 6
+    _, u, _ = matrix_root_pair(polynomial_algebra(["x0", "x1", "x2"], 4, field), 3)
+    yield "P^2", resolve_bimodule(u, len_bound=6), P2_TOP
+
+
+@pytest.mark.parametrize("char", [0, 2**31 - 1])
+def test_tensor_power_matches_reference(char):
+    for name, u, top in _power_roots(Field(char) if char else QQ):
+        for l in range(1, top + 1):
+            got, want = tensor_power(u, l), _reference_tensor_power(u, l)
+            assert _canonical_dump(got) == _canonical_dump(want), (name, l)
 
 
 def _flat(coord):

@@ -438,8 +438,13 @@ COMPLETE = ["complete"] + PAIR + ["--adams-max", "4", "--e", "0"]
      COMPLEX_INPUT + ["bimodcx", "cluster"], cli.EXIT_INCONCLUSIVE),
     (COMPLETE, COMPLEX_INPUT + ["bimodcx", "completion"], 0),
     (COMPLETE, COMPLEX_INPUT, 0),
+    (["--field", "2147483647", "classify-roots", "--type", "A", "--rank", "4", "--a", "2"],
+     QUIVER_ONLY, 0),
+    # a bad --field is refused before the command imports anything
+    (["--field", "4", "fold", "--type", "A", "--rank", "4"], ["cli"], cli.EXIT_INPUT),
 ], ids=["fold", "classify-roots", "gen", "gen-typeA", "gen-a4mod", "check-root-pair",
-        "orbit-hom", "complete-cold", "complete-cache-hit"])
+        "orbit-hom", "complete-cold", "complete-cache-hit", "classify-roots-gfp",
+        "fold-field4"])
 def test_command_imports_only_what_it_runs(tmp_path, kron_inputs, monkeypatch, argv, modules,
                                            code):
     apath, upath = kron_inputs
@@ -508,6 +513,19 @@ def test_pair_commands_reject_bad_arguments(tmp_path, kron_inputs, monkeypatch, 
     assert run(["--out-dir", str(out)] + argv) == cli.EXIT_INPUT
     assert json.loads(capsys.readouterr().err)["error"].startswith(location + ":")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "abc", "fold", "--type", "A", "--rank", "4", "--a", "2", "--window", "12"],
+    ["--field", "4", "gen", "a4mod"],
+    ["--field", "4", "classify-roots", "--type", "A", "--rank", "4", "--a", "2"],
+    ["--field", str(2**64 + 13), "classify-roots", "--type", "A", "--rank", "4", "--a", "2"],
+], ids=["fold-abc", "gen-4", "classify-roots-4", "classify-roots-above-2^64"])
+def test_every_command_checks_field(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(["--out-dir", str(out)] + argv) == cli.EXIT_INPUT
+    assert json.loads(capsys.readouterr().err)["error"].startswith("--field:")
+    assert not out.exists()
 
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys):

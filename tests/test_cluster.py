@@ -294,3 +294,44 @@ def test_classification_matches_window_loops(monkeypatch, window):
     assert [got for got, _ in closed] == [
         kind == "A" and n % 2 == 0 and a == 2
         for kind, n in DYNKIN_TYPES for a in (2, 3, 4)]
+
+
+def _classify_arrows_first(kind, n, a, window, too_small):
+    """classify_dynkin_roots as it was before it ran the root test first:
+    preserves_arrows, then check_combinatorial_root on each candidate.
+    Appends to too_small each candidate the window was too small for."""
+    quiver = dynkin_quiver(kind, n)
+    slice_ = build_zq(quiver, (-window, window))
+    verts = list(quiver.vertices)
+    candidates = []
+    for m in range(-window // 2, window // 2 + 1):
+        candidates.append(tau_auto(verts, power=-m, name=f"tau^{m}"))
+        for g in graph_automorphisms(kind, n):
+            candidates.append(tau_auto(verts, power=-m).compose(g))
+    if kind == "A":
+        for off in range(-window, window):
+            candidates.append(type_a_flip_family(n, off))
+    for F in candidates:
+        if not F.preserves_arrows(slice_):
+            continue
+        try:
+            if check_combinatorial_root(F, a, slice_):
+                return True, F
+        except WindowTooSmall:
+            too_small.append(F)
+            continue
+    return False, None
+
+
+def test_classification_matches_arrows_first_order():
+    too_small = []
+    types = ([("A", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+             + [("E", n) for n in (6, 7, 8)])
+    for kind, n in types:
+        for a in range(1, 5):
+            for window in (4, 8, 12):
+                got, F = classify_dynkin_roots(kind, n, a, window)
+                want, G = _classify_arrows_first(kind, n, a, window, too_small)
+                assert (got, F and (F.rho, F.shifts, F.name)) == (
+                    want, G and (G.rho, G.shifts, G.name)), (kind, n, a, window)
+    assert too_small  # the sweep reaches candidates the window cannot test

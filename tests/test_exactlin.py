@@ -1,9 +1,12 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyfold import is_prime
 from cyfold.exactlin import (
     QQ,
     Field,
@@ -173,6 +176,47 @@ def test_modp_field():
 def test_field_rejects_composite_char():
     with pytest.raises(ValueError):
         Field(6)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    for n in range(-2, 10**5):
+        want = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == want, n
+
+
+# strong pseudoprimes to the bases 2; 2, 3; ...; 2..23, and Carmichael numbers
+STRONG_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 3215031751,
+                       2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161]
+
+
+# products of two large primes, and a square
+LARGE_COMPOSITES = [(2**31 - 1) * (2**32 - 5), (2**32 - 5) ** 2, (2**61 - 1) * 7]
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL + LARGE_COMPOSITES)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+    with pytest.raises(ValueError):
+        Field(n)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 10**12 + 39, 2**61 - 1, 2**64 - 59])
+def test_large_primes_are_fields_at_once(p):
+    start = time.perf_counter()
+    assert is_prime(p)
+    assert Field(p).char == p
+    assert time.perf_counter() - start < 0.5  # trial division took minutes at 2**61 - 1
+
+
+def test_is_prime_refuses_what_it_cannot_decide():
+    for n in (2**64, 2**64 + 13, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            Field(n)
 
 
 @pytest.mark.parametrize("p,den", [(2, 2), (3, 3), (3, -6), (13, 26)])
