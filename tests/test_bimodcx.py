@@ -41,7 +41,11 @@ from cyfold.bimodcx import (
     tensor_over_A,
     tensor_power,
 )
-from cyfold.completion import matrix_root_pair, polynomial_algebra
+from cyfold.completion import (
+    corner_restricted_cohomology,
+    matrix_root_pair,
+    polynomial_algebra,
+)
 from cyfold.exactlin import QQ, Field, SplitMix64, random_vector, solve_linear
 from cyfold.presets import (
     a2n_algebra,
@@ -695,6 +699,54 @@ def _resolution_digest(name, kind, char):
 @pytest.mark.parametrize("name,kind,char", list(RESOLUTION_DIGESTS))
 def test_resolution_golden(name, kind, char):
     assert _resolution_digest(name, kind, char) == RESOLUTION_DIGESTS[(name, kind, char)]
+
+
+def _cohomology_input(name, field):
+    if name in RESOLUTION_ALGEBRAS:
+        return resolution_of_algebra(RESOLUTION_ALGEBRAS[name](field))
+    return tensor_power(kronecker_root(kronecker_algebra(field), 0, 1), int(name[-1]))
+
+
+def _cohomology_dump(x):
+    """ProjBimodComplex.cohomology() in dict order, then the corner
+    cohomology of e_v X e_v per vertex v and of X itself."""
+    lines = [f"C {x.cohomology()!r}"]
+    for v in x.base.vertices:
+        lines.append(f"E {v!r} {corner_restricted_cohomology(x, [v])!r}")
+    lines.append(f"E None {corner_restricted_cohomology(x)!r}")
+    return "\n".join(lines).encode()
+
+
+# sha256 of _cohomology_dump over the resolutions of three algebras and the
+# tensor powers U^(x)l, l = 1..4, of the Kronecker root (s, eps) = (0, 1);
+# the dims are integers, so one digest serves both fields.
+COHOMOLOGY_DIGESTS = {
+    "kronecker": "64233993d4513d7ba66f9cfa7901970f3663f0ff04007dae15f9776fa0298308",
+    "a4_mod_longest": "7bbf1c2e2687af6f9241acf63482681cfc4265176ac8b3153a6a2f9600c420bc",
+    "beilinson2": "8cbed0e4ea11268b193a8840639a201e552ee90d36e4800b08ccc6169b2f372c",
+    "U^1": "91aa36be1926d273c094789e8096f7cf94470d83f1c8fe394e630197b4f4592f",
+    "U^2": "c6c44b951fe2c30a849f970dd4441eabea3b0c888091c6023c8620ac6c6d8ba8",
+    "U^3": "299fa07cc51b195c1965e968dfedd5deb287038f0fd95cb005f9114cf7f98d7f",
+    "U^4": "ccc6c32feef605c2967b4c424b16fcb2436a05264bf106e130eefe201609997c",
+}
+
+
+@pytest.mark.parametrize("char", [0, 2**31 - 1])
+@pytest.mark.parametrize("name", list(COHOMOLOGY_DIGESTS))
+def test_cohomology_golden(name, char):
+    x = _cohomology_input(name, Field(char) if char else QQ)
+    assert hashlib.sha256(_cohomology_dump(x)).hexdigest() == COHOMOLOGY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(COHOMOLOGY_DIGESTS))
+def test_corner_dims_add_up_to_total(name):
+    x = _cohomology_input(name, QQ)
+    coh = x.cohomology()
+    assert coh and list(coh) == x.degrees()
+    for p, per in coh.items():
+        assert sum(d for uv, d in per.items() if uv != "total") == per["total"]
+    assert {p: per["total"] for p, per in coh.items() if per["total"]} == (
+        x.cohomology_dims())
 
 
 # sha256 of the dumps of tensor_power(u, l), l = 1..6, per root and field

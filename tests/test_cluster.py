@@ -274,6 +274,18 @@ def test_closed_forms_match_window_loops():
                             == _answer(_check_root_loop, F, a, sl))
 
 
+
+def test_preserves_arrows_rejects_a_combinatorial_root():
+    """On A4, rho = (1 2)(3 4) with shifts (-1, 2, -1, 2) squares to
+    tau^-1, so check_combinatorial_root accepts it at a = 2, but it sends
+    the arrow (m, 1) -> (m, 2) to (m - 1, 2) -> (m + 2, 1), which is no
+    arrow of ZA4."""
+    sl = build_zq(linear_quiver(4), (-10, 10))
+    F = QuiverAuto({1: 2, 2: 1, 3: 4, 4: 3}, {1: -1, 2: 2, 3: -1, 4: 2})
+    assert check_combinatorial_root(F, 2, sl)
+    assert not F.preserves_arrows(sl)
+    assert not _preserves_arrows_loop(F, sl)
+
 @pytest.mark.parametrize("window", [4, 10, 12])
 def test_classification_matches_window_loops(monkeypatch, window):
     def search():

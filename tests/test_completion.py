@@ -447,6 +447,47 @@ def test_a_segre_golden(char):
     assert h.hexdigest() == A_SEGRE_DIGESTS[char]
 
 
+# sha256 of _graded_dump of each builder's output at cutoffs 0..5, per
+# builder, variables and field characteristic: they pin the basis order,
+# the labels and the products in dict order
+WORD_ALGEBRA_DIGESTS = {
+    ("polynomial", ("x",), 0):
+        "e52e61ab39d442686050a027bd3a01ad3a5d6a56c4251e4ee00b1058653849a3",
+    ("polynomial", ("x",), 2**31 - 1):
+        "32c69cb49d538557a4fc67af2bd4a55fbc11845ab7c576bfbf456350cd7eec61",
+    ("polynomial", ("x", "y"), 0):
+        "4e68d09b12371c328aab03d1c431823e7f87fd822efd14b3be3f0ac822d1a6a0",
+    ("polynomial", ("x", "y"), 2**31 - 1):
+        "7f91b1199218909b8a50abc5104c1d738778658ecc2f6be75065e305c3749435",
+    ("polynomial", ("x", "y", "z"), 0):
+        "0a2fae0bfa6d7fa77ad1c787b8ecdcb44542f5614254a5c7323dac39a37dcde4",
+    ("polynomial", ("x", "y", "z"), 2**31 - 1):
+        "9ef7f1fbfe2c570280870e18e4a95c18a18656b4b8401d81aaa5c5ce0fbed876",
+    ("free", ("x",), 0):
+        "e52e61ab39d442686050a027bd3a01ad3a5d6a56c4251e4ee00b1058653849a3",
+    ("free", ("x",), 2**31 - 1):
+        "32c69cb49d538557a4fc67af2bd4a55fbc11845ab7c576bfbf456350cd7eec61",
+    ("free", ("x", "y"), 0):
+        "c67eec468ce9cfe59d092b7db6346ac27ab34bff2fe73becb5e55be09568e31a",
+    ("free", ("x", "y"), 2**31 - 1):
+        "2ecb6411077bf66f027b493031aec9466927fdd01f658054884fd91194528ba7",
+    ("free", ("x", "y", "z"), 0):
+        "79754d8e4ee4ad3118476a9ba757445e2d9c53ce84ca357fb733d2ae41df4f90",
+    ("free", ("x", "y", "z"), 2**31 - 1):
+        "e327c89cf4960bac4404abbfa58d821defae794e3bdd31da512a71f4d1ae83cb",
+}
+
+
+@pytest.mark.parametrize("kind,variables,char", list(WORD_ALGEBRA_DIGESTS))
+def test_word_algebra_golden(kind, variables, char):
+    build = polynomial_algebra if kind == "polynomial" else free_graded_algebra
+    field = Field(char) if char else QQ
+    h = hashlib.sha256()
+    for cutoff in range(6):
+        h.update(_graded_dump(build(list(variables), cutoff, field)))
+    assert h.hexdigest() == WORD_ALGEBRA_DIGESTS[(kind, variables, char)]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 @pytest.mark.parametrize("a", [2, 3])
 def test_a_segre_dims_and_associativity(field, a):
