@@ -47,9 +47,9 @@ from .exactlin import (
 )
 
 
-def projective_sum(alg, vertices, cdeg=0) -> RightComplex:
-    """The right complex e_{v_1}A + ... + e_{v_n}A in degree cdeg."""
-    return RightComplex(alg, {cdeg: [RightSummand(v, cdeg) for v in vertices]}, {})
+def projective_sum(alg, vertices) -> RightComplex:
+    """The right complex e_{v_1}A + ... + e_{v_n}A in degree 0."""
+    return RightComplex(alg, {0: [RightSummand(v, 0) for v in vertices]}, {})
 
 
 def shift(x, n: int):

@@ -175,7 +175,6 @@ def graph_automorphisms(kind, n):
         rho[n - 1], rho[n] = n, n - 1
         out.append(QuiverAuto(rho, {v: 0 for v in verts}, "swap"))
         if n == 4:
-            rho3 = {1: 1, 2: 2, 3: 4, 4: 3}
             # triality on D4 permutes the three outer vertices 1, 3, 4
             tri = {1: 3, 2: 2, 3: 4, 4: 1}
             out.append(QuiverAuto(tri, {v: 0 for v in verts}, "triality"))
@@ -444,31 +443,3 @@ def folded_a2n_auto(n, d):
     shift = n + 1 + (2 * n + 1) * (d - 1) // 2
     return tau_auto(list(range(1, 2 * n + 1)), power=shift, name=f"fold[{n},{d}]")
 
-
-def make_root_auto(quiver, spec):
-    """Candidate automorphism from a small description.
-
-    spec keys: kind in {"tau", "flip", "graph"}; power (tau exponent),
-    offset (type-A flip shift), name (graph automorphism label), and an
-    optional extra tau power composed on top via "twist".
-    """
-    verts = list(quiver.vertices)
-    kind = spec.get("kind", "tau")
-    if kind == "tau":
-        base = tau_auto(verts, power=spec.get("power", -1))
-    elif kind == "flip":
-        base = type_a_flip_family(len(verts), spec.get("offset", 0))
-    elif kind == "graph":
-        name = spec.get("name", "swap")
-        for g in graph_automorphisms(spec.get("type", "D"), len(verts)):
-            if g.name == name:
-                base = g
-                break
-        else:
-            raise ValueError(f"unknown graph automorphism {name!r}")
-    else:
-        raise ValueError(f"unknown automorphism kind {kind!r}")
-    twist = spec.get("twist", 0)
-    if twist:
-        base = tau_auto(verts, power=twist).compose(base)
-    return base

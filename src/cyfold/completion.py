@@ -22,7 +22,8 @@ from .bimodcx import (
     resolution_of_algebra,
     tensor_over_A,
 )
-from .exactlin import IncrementalSpan, cohomology_dim, kernel_basis, rank
+from .complexes import cohomology_table
+from .exactlin import QQ, IncrementalSpan, cohomology_dim, kernel_basis, rank
 from .quiveralg import PathBasisAlgebra, Quiver
 
 
@@ -56,19 +57,7 @@ def corner_restricted_cohomology(x: ProjBimodComplex, e_vertices=None):
     """Dims of H^p(e X e) per cohomological degree p; e_vertices=None
     takes every corner, so the dims are those of H^p(X)."""
     filt = None if e_vertices is None else {(u, v) for u in e_vertices for v in e_vertices}
-    degs = x.degrees()
-    out = {}
-    dm = {}
-    sizes = {}
-    for p in (range(min(degs) - 1, max(degs) + 1) if degs else []):
-        sizes[p] = len(x.coords(p, filt))
-    for p in (range(min(degs) - 1, max(degs)) if degs else []):
-        dm[p], _, _ = x.diff_matrix(p, filt)
-    for p in degs:
-        d = cohomology_dim(sizes[p], dm.get(p), dm.get(p - 1), x.base.field)
-        if d:
-            out[p] = d
-    return out
+    return cohomology_table(lambda p: x.diff_matrix(p, filt), x.degrees(), x.base.field)
 
 
 class TruncatedTensorAlgebra:
@@ -141,8 +130,6 @@ class DgPathAlgebra:
     """Graded quiver with a differential on arrows, extended by Leibniz."""
 
     def __init__(self, quiver: Quiver, differential, field=None):
-        from .exactlin import QQ
-
         self.quiver = quiver
         self.field = field or QQ
         self.differential = {
@@ -300,50 +287,23 @@ class GradedAlgebraData:
         return True
 
 
-def polynomial_algebra(varnames, cutoff, field=None):
-    """Commutative polynomial ring, all generators in Adams degree 1."""
-    from .exactlin import QQ
-
-    f = field or QQ
-    obj = "*"
-    basis = {}
-    index = {}
-    monos = {0: [()]}
-    for l in range(1, cutoff + 1):
-        seen = []
-        for m in monos[l - 1]:
-            for v in varnames:
-                mm = tuple(sorted(m + (v,)))
-                if mm not in seen:
-                    seen.append(mm)
-        monos[l] = seen
-    for l, ms in monos.items():
-        basis[l] = [("".join(m) or "1", obj, obj) for m in ms]
-        for i, m in enumerate(ms):
-            index[(l, m)] = i
-    mult = {}
-    for l1, ms1 in monos.items():
-        for l2, ms2 in monos.items():
-            if l1 + l2 > cutoff:
-                continue
-            for i1, m1 in enumerate(ms1):
-                for i2, m2 in enumerate(ms2):
-                    m3 = tuple(sorted(m1 + m2))
-                    mult[((l1, i1), (l2, i2))] = {index[(l1 + l2, m3)]: f.one()}
-    return GradedAlgebraData([obj], cutoff, basis, mult, {obj: 0}, f)
-
-
-def free_graded_algebra(varnames, cutoff, field=None):
-    """Free associative algebra, generators in Adams degree 1."""
-    from .exactlin import QQ
-
+def _word_algebra(varnames, cutoff, field, normal):
+    """One object, generators in Adams degree 1, and a basis of words in
+    their normal form: degree l lists the forms of w + (v,) over degree
+    l - 1 and the generators, in order of first appearance."""
     f = field or QQ
     obj = "*"
     words = {0: [()]}
+    index = {(0, ()): 0}
     for l in range(1, cutoff + 1):
-        words[l] = [w + (v,) for w in words[l - 1] for v in varnames]
+        ws = words[l] = []
+        for w in words[l - 1]:
+            for v in varnames:
+                nw = normal(w + (v,))
+                if (l, nw) not in index:
+                    index[(l, nw)] = len(ws)
+                    ws.append(nw)
     basis = {l: [("".join(w) or "1", obj, obj) for w in ws] for l, ws in words.items()}
-    index = {(l, w): i for l, ws in words.items() for i, w in enumerate(ws)}
     mult = {}
     for l1, ws1 in words.items():
         for l2, ws2 in words.items():
@@ -351,8 +311,18 @@ def free_graded_algebra(varnames, cutoff, field=None):
                 continue
             for i1, w1 in enumerate(ws1):
                 for i2, w2 in enumerate(ws2):
-                    mult[((l1, i1), (l2, i2))] = {index[(l1 + l2, w1 + w2)]: f.one()}
+                    mult[((l1, i1), (l2, i2))] = {index[(l1 + l2, normal(w1 + w2))]: f.one()}
     return GradedAlgebraData([obj], cutoff, basis, mult, {obj: 0}, f)
+
+
+def polynomial_algebra(varnames, cutoff, field=None):
+    """Commutative polynomial ring, all generators in Adams degree 1."""
+    return _word_algebra(varnames, cutoff, field, lambda w: tuple(sorted(w)))
+
+
+def free_graded_algebra(varnames, cutoff, field=None):
+    """Free associative algebra, generators in Adams degree 1."""
+    return _word_algebra(varnames, cutoff, field, lambda w: w)
 
 
 def completion_algebra(algebra, u, e_vertices, cutoff, resolution=None):
@@ -708,19 +678,20 @@ def _free_coords(g, gens, d):
             for bi in _free_piece_basis(g, obj, d - s)]
 
 
-def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
+def graded_gorenstein_check(g: GradedAlgebraData, a):
     """Verdict on the Gorenstein parameter: "yes", "no", or "inconclusive".
 
     Builds the minimal graded free resolution of the degree-0 block within
-    the window, dualizes termwise, and reports "yes" exactly when the dual
-    cohomology concentrates in Adams degree -a.  Returns (verdict, detail).
+    the window N = g.cutoff, at most 8 steps long, dualizes termwise, and
+    reports "yes" exactly when the dual cohomology concentrates in Adams
+    degree -a.  Returns (verdict, detail).
     A generator of shift s contributes to Adams degree -a only when
     s >= a, and the window shows shifts up to N, so a > N is
     "inconclusive": the resolution would look terminated before the
     syzygy at shift a, and the answer would always be "no".
     """
     f = g.field
-    N = cutoff if cutoff is not None else g.cutoff
+    N = g.cutoff
     if a > N:
         return "inconclusive", {"reason": "window does not reach Adams degree -a",
                                 "window": N}
@@ -741,7 +712,7 @@ def graded_gorenstein_check(g: GradedAlgebraData, a, cutoff=None, max_steps=8):
     current_gens = frees[0]
     current_kernel = kernels
     terminated = False
-    for step in range(max_steps):
+    for _ in range(8):
         if all(not v for v in current_kernel.values()):
             terminated = True
             break
@@ -903,8 +874,6 @@ def _left_piece_basis(g, vertex_obj, degree):
 def graded_quotient_dims(quiver, relations, adams_max, field=None):
     """Dims per Adams degree of a path algebra modulo Adams-homogeneous
     relations; the independent path-count oracle for graded algebras."""
-    from .exactlin import QQ
-
     f = field or QQ
     for r in relations:
         r.validate(quiver)

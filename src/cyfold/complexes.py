@@ -151,6 +151,24 @@ def _by_target(dd):
     return out
 
 
+def cohomology_table(diff_matrix, degrees, field):
+    """{p: dim H^p} over the nonzero cohomology of a complex with terms in
+    the sorted degrees, given its diff_matrix(p) -> (columns, src, tgt);
+    each differential is built once."""
+    if not degrees:
+        return {}
+    out = {}
+    prev = diff_matrix(degrees[0] - 1)[0]
+    for p in range(degrees[0], degrees[-1] + 1):
+        d, src, _ = diff_matrix(p)
+        if src:
+            dim = cohomology_dim(len(src), d, prev, field)
+            if dim:
+                out[p] = dim
+        prev = d
+    return out
+
+
 class _Complex:
     """What both kinds of complex share.  Each subclass supplies, for its
     summands S, T and entries (maps S -> T):
@@ -252,22 +270,8 @@ class _Complex:
         return errors
 
     def cohomology_dims(self):
-        """{degree: dim H^p} over the nonzero cohomology, each differential
-        built once."""
-        degs = self.degrees()
-        if not degs:
-            return {}
-        f = self.base.field
-        out = {}
-        prev = self.diff_matrix(degs[0] - 1)[0]
-        for p in range(degs[0], degs[-1] + 1):
-            d, src, _ = self.diff_matrix(p)
-            if src:
-                dim = cohomology_dim(len(src), d, prev, f)
-                if dim:
-                    out[p] = dim
-            prev = d
-        return out
+        """{degree: dim H^p} over the nonzero cohomology."""
+        return cohomology_table(self.diff_matrix, self.degrees(), self.base.field)
 
     def is_acyclic(self):
         return not self.cohomology_dims()
@@ -329,39 +333,20 @@ class ProjBimodComplex(_Complex):
         return assemble(src, tgt, image, f), src, tgt
 
     def cohomology(self):
-        """Per-degree cohomology dims: {cdeg: {{(u,v): dim}, 'total': n}}."""
-        degs = self.degrees()
-        if not degs:
-            return {}
-        out = {}
-        mats = {}
-        coords = {}
-        for p in range(min(degs) - 1, max(degs) + 1):
-            mats[p], coords[p], _ = self.diff_matrix(p)
-        alg = self.base
-        f = alg.field
-        for p in degs:
-            src = coords[p]
-            dmat = mats[p]
-            prev = mats[p - 1]
-            # corner split: group coordinates by (target(a), source(b)); both
-            # the cycle and boundary computations respect the split
-            corner_of = [
-                (alg.basis[a].target, alg.basis[b].source) for (_, a, b) in src
-            ]
-            per = {}
-            for uv in sorted(set(corner_of), key=str):
-                keep = {i for i, c in enumerate(corner_of) if c == uv}
-                d = cohomology_dim(
-                    len(keep),
-                    [dmat[i] for i in sorted(keep)],
-                    [{r: v for r, v in col.items() if r in keep} for col in prev],
-                    f,
-                )
-                if d:
-                    per[uv] = d
-            per["total"] = cohomology_dim(len(src), dmat, prev, f)
-            out[p] = per
+        """Per-degree cohomology dims: {cdeg: {{(u,v): dim}, 'total': n}}.
+        The corner of (u, v), coordinates with (target(a), source(b)) =
+        (u, v), is a direct summand; corners are listed in str order and
+        only where their dim is nonzero."""
+        degs, f = self.degrees(), self.base.field
+        vs = self.base.vertices
+        out = {p: {} for p in degs}
+        for uv in sorted(((u, v) for u in vs for v in vs), key=str) + ["total"]:
+            filt = None if uv == "total" else {uv}
+            for p, dim in cohomology_table(
+                    lambda q: self.diff_matrix(q, filt), degs, f).items():
+                out[p][uv] = dim
+        for per in out.values():
+            per.setdefault("total", 0)
         return out
 
     # entry keys are (alpha, beta); maps count only within one Adams degree

@@ -285,15 +285,15 @@ def derive_seed(seed, index):
     return val
 
 
-def random_vector(space: Subspace, seed, bound=10):
+def random_vector(space: Subspace, seed):
     """Deterministic random element of the subspace, as a sparse vector.
 
-    Coefficients over the basis are drawn from {-bound..bound}; the zero
+    Coefficients over the basis are drawn from {-10..10}; the zero
     subspace yields the zero vector.
     """
     f = space.field
     rng = SplitMix64(seed)
-    coeffs = {k: f(rng.int_in(-bound, bound)) for k in range(space.dim)}
+    coeffs = {k: f(rng.int_in(-10, 10)) for k in range(space.dim)}
     return combine_sparse(coeffs, space.basis, f)
 
 

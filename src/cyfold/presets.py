@@ -185,7 +185,7 @@ def a2n_completion_presentation(n, d=1, eps=1, field=QQ):
     return DgPathAlgebra(quiver, differential, field)
 
 
-def sigma_presentation_quiver(field=QQ):
+def sigma_presentation_quiver():
     """Graded quiver of the Kronecker tensor algebra: u, v forward, t back,
     with the single relation u t v = v t u."""
     q = Quiver(

@@ -10,7 +10,7 @@ reduction of the relation ideal.
 
 from fractions import Fraction
 
-from .exactlin import QQ, IncrementalSpan, Matrix, combine_sparse, rank, rref
+from .exactlin import QQ, IncrementalSpan, Matrix, combine_sparse, rref
 from .quiver import Arrow, Quiver  # noqa: F401  Arrow is re-exported
 
 
@@ -251,7 +251,6 @@ def build_algebra(quiver, relations, max_len, field=QQ):
         basis.append(BasisElement(idx, p, src, tgt, 0, 0))
         idem[src] = idx
 
-    last_nonempty = 0
     for length in range(1, max_len + 2):
         plist = paths[length] if length < len(paths) else []
         if not plist:
@@ -315,7 +314,6 @@ def build_algebra(quiver, relations, max_len, field=QQ):
             raise NotFiniteDimensional(
                 f"normal forms persist at length {length} > max_len {max_len}"
             )
-        last_nonempty = length
         for p, src, tgt in nf:
             cdeg, adeg = _path_degrees(quiver, p)
             basis.append(BasisElement(len(basis), p, src, tgt, cdeg, adeg))
@@ -338,52 +336,6 @@ def build_algebra(quiver, relations, max_len, field=QQ):
             if entry:
                 mult[(bi.index, bj.index)] = entry
     return PathBasisAlgebra(quiver, basis, mult, idem, field)
-
-
-def enveloping(a: PathBasisAlgebra) -> PathBasisAlgebra:
-    """A^op tensor A with Koszul signs on the opposite factor."""
-    f = a.field
-    pairs = [(x.index, y.index) for x in a.basis for y in a.basis]
-    pos = {p: i for i, p in enumerate(pairs)}
-    tagged = []
-    for xi, yi in pairs:
-        x, y = a.basis[xi], a.basis[yi]
-        tagged.append((f"{x!r}^op@{y!r}", (x.target, y.source), (x.source, y.target)))
-    mult = {}
-    for i, (xi, yi) in enumerate(pairs):
-        for j, (xj, yj) in enumerate(pairs):
-            opp = a.mult(xj, xi)
-            fwd = a.mult(yi, yj)
-            if not opp or not fwd:
-                continue
-            sx, sy = a.basis[xi], a.basis[yj]
-            sign = -1 if (
-                (a.basis[yi].cdeg * a.basis[xj].cdeg
-                 + a.basis[xi].cdeg * a.basis[xj].cdeg) % 2
-            ) else 1
-            entry = {}
-            for xo, cx in opp.items():
-                for yo, cy in fwd.items():
-                    k = pos[(xo, yo)]
-                    val = f.mul(f.mul(cx, cy), f(sign))
-                    entry[k] = f.add(entry.get(k, f.zero()), val)
-            entry = {k: v for k, v in entry.items() if v != 0}
-            if entry:
-                mult[(i, j)] = entry
-    vertices = [(u, v) for u in a.vertices for v in a.vertices]
-    basis = []
-    for i, (xi, yi) in enumerate(pairs):
-        x, y = a.basis[xi], a.basis[yi]
-        basis.append(
-            BasisElement(i, (), (x.target, y.source), (x.source, y.target),
-                         x.cdeg + y.cdeg, x.adeg + y.adeg)
-        )
-    idem = {}
-    for u in a.vertices:
-        for v in a.vertices:
-            idem[(u, v)] = pos[(a.idempotent_index(u), a.idempotent_index(v))]
-    quiver = Quiver(vertices, [])
-    return PathBasisAlgebra(quiver, basis, mult, idem, f)
 
 
 def tensor_product_algebra(a: PathBasisAlgebra, b: PathBasisAlgebra):
@@ -442,17 +394,3 @@ class RightModule:
     def act(self, vec, k):
         return combine_sparse(vec, self.action[k], self.algebra.field)
 
-
-def dimension_vector(m: RightModule):
-    """Dims of m * e_v per vertex of the base algebra."""
-    out = {}
-    for v in m.algebra.vertices:
-        e = m.algebra.idempotent_index(v)
-        out[v] = rank(m.action[e], m.algebra.field)
-    return out
-
-
-def regular_module(a: PathBasisAlgebra) -> RightModule:
-    action = [[{t: c for t, c in a.mult(i, k).items() if c} for i in range(a.dim)]
-              for k in range(a.dim)]
-    return RightModule(a, a.dim, action)

@@ -459,7 +459,7 @@ def _find_a1_coord(power_a, resolution, amb_pos, alg, f, p, s_idx, tdeg, ptgt, a
     return out
 
 
-def check_peel_identity(phi, u, a, d, resolution=None, seed=7):
+def check_peel_identity(phi, u, a, d, resolution=None):
     """Verify the Casimir pairing identity linking phi and its peeled map.
 
     The peel solve must succeed, and the identity must continue to hold
@@ -477,8 +477,8 @@ def check_peel_identity(phi, u, a, d, resolution=None, seed=7):
     # re-verify with different Casimir representatives of U and of pA
     f = alg.field
     r = -d
-    cas2 = casimir(u, psi.source, perturb_seed=seed)
-    tau = hh_class(phi, casimir(resolution, perturb_seed=seed + 1), phi.target)
+    cas2 = casimir(u, psi.source, perturb_seed=7)
+    tau = hh_class(phi, casimir(resolution, perturb_seed=8), phi.target)
     psi_coords = hom_coords(psi.source, psi.target, r)
     psi_vec = {}
     for k, (p, s_idx, t_idx, key) in enumerate(psi_coords):

@@ -187,8 +187,8 @@ def _lagrange_idempotent(z, lam, lams, n, f):
     return out
 
 
-def _newton_idempotent(e, n, f, max_iter=60):
-    for _ in range(max_iter):
+def _newton_idempotent(e, n, f):
+    for _ in range(60):
         e2 = _product(e, e, n, f)
         if e2 == e:
             return e

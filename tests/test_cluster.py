@@ -183,13 +183,11 @@ def test_serre_on_a2_pair():
 
 
 def test_make_root_auto_and_markings():
-    from cyfold.cluster import make_root_auto, build_zq, check_combinatorial_root
-
     q = linear_quiver(4)
-    flip = make_root_auto(q, {"kind": "flip", "offset": -2})
+    flip = type_a_flip_family(4, -2)
     sl = build_zq(q, (-10, 10))
     assert check_combinatorial_root(flip, 2, sl)
-    tw = make_root_auto(q, {"kind": "flip", "offset": -2, "twist": -1})
+    tw = tau_auto([1, 2, 3, 4], power=-1).compose(flip)
     assert not check_combinatorial_root(tw, 2, sl)
     # markings render as distinguished nodes in DOT
     oq = orbit_quiver(sl, tau_auto([1, 2, 3, 4], power=2), markings={(0, 1)})

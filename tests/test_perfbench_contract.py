@@ -23,12 +23,17 @@ def _load_tracer():
     return mod
 
 
-def _resolve(module, name):
-    """The object `from module import name` binds."""
+def _module(dotted):
     try:
-        return importlib.import_module(f"{module}.{name}")
+        return importlib.import_module(dotted)
     except ModuleNotFoundError:
-        return getattr(importlib.import_module(module), name)
+        return None
+
+
+def _resolves(dotted):
+    """Whether `import dotted` or `from module import name` would work."""
+    module, _, name = dotted.rpartition(".")
+    return _module(dotted) is not None or hasattr(_module(module), name)
 
 
 def _cyfold_names(path):
@@ -44,7 +49,7 @@ def _cyfold_names(path):
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cyfold":
             for a in node.names:
                 out.append((node.lineno, f"{node.module}.{a.name}"))
-                if inspect.ismodule(_resolve(node.module, a.name)):
+                if _module(f"{node.module}.{a.name}") is not None:
                     modules[a.asname or a.name] = f"{node.module}.{a.name}"
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -55,13 +60,9 @@ def _cyfold_names(path):
 
 @pytest.mark.parametrize("script", sorted(p.name for p in PERFBENCH.glob("*.py")))
 def test_perfbench_cyfold_names_resolve(script):
-    missing = []
-    for line, dotted in _cyfold_names(PERFBENCH / script):
-        module, _, name = dotted.rpartition(".")
-        try:
-            _resolve(module, name) if module else importlib.import_module(name)
-        except (ImportError, AttributeError):
-            missing.append(f"{script}:{line} {dotted}")
+    missing = [f"{script}:{line} {dotted}"
+               for line, dotted in _cyfold_names(PERFBENCH / script)
+               if not _resolves(dotted)]
     assert missing == []
 
 

@@ -8,9 +8,6 @@ from cyfold.quiveralg import (
     Quiver,
     Relation,
     build_algebra,
-    dimension_vector,
-    enveloping,
-    regular_module,
     tensor_product_algebra,
 )
 
@@ -78,47 +75,6 @@ def test_radical_nilpotent():
     a = a4_mod_longest()
     n = a.radical_nilpotency()
     assert n is not None and n <= a.dim
-
-
-def test_enveloping_dims():
-    one_vertex = build_algebra(Quiver(["v"], []), [], 1)
-    assert enveloping(one_vertex).dim == 1
-    assert enveloping(kronecker()).dim == 16
-    a2 = build_algebra(linear_quiver(2), [], 2)
-    env = enveloping(a2)
-    assert env.dim == 9
-    assert env.check_associativity()
-    assert env.check_unit()
-
-
-def test_enveloping_kronecker_associative():
-    env = enveloping(kronecker())
-    assert env.check_associativity()
-    assert env.check_unit()
-
-
-def test_dimension_vector_regular():
-    a = kronecker()
-    reg = regular_module(a)
-    dims = dimension_vector(reg)
-    assert dims[0] + dims[1] == 4
-    assert dims == {0: 3, 1: 1}  # Ae_0 = {e_0, x, y}, Ae_1 = {e_1}
-
-
-def test_dimension_vector_zero_and_simple():
-    a = kronecker()
-    reg = regular_module(a)
-    zero = type(reg)(a, 0, [[] for _ in range(a.dim)])
-    assert dimension_vector(zero) == {0: 0, 1: 0}
-    # simple at vertex 1: 1-dim, e_1 acts as 1, radical acts as 0
-    action = []
-    for k in range(a.dim):
-        m = [{}]
-        if k == a.idempotent_index(1):
-            m[0][0] = a.field.one()
-        action.append(m)
-    simple = type(reg)(a, 1, action)
-    assert dimension_vector(simple) == {0: 0, 1: 1}
 
 
 def test_relation_validation():
