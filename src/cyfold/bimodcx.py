@@ -71,12 +71,12 @@ def direct_sum(x, y):
         xs = x.summands(p)
         terms[p] = xs + y.summands(p)
         offsets[p] = len(xs)
-    diff = {p: {k: dict(e) for k, e in dd.items()} for p, dd in x.diff.items()}
+    diff = {p: dict(dd) for p, dd in x.diff.items()}
     for p, dd in y.diff.items():
         off_s = offsets.get(p, 0)
         off_t = offsets.get(p + 1, 0)
         for (t, s), entry in dd.items():
-            diff.setdefault(p, {})[(t + off_t, s + off_s)] = dict(entry)
+            diff.setdefault(p, {})[(t + off_t, s + off_s)] = entry
     return type(x)(x.base, terms, diff)
 
 
@@ -126,10 +126,7 @@ def cone(fmap: ChainMap):
         ys = y.summands(p)
         terms[p] = ys + [s.at(p) for s in x.summands(p + 1)]
         yoff[p] = len(ys)
-    diff = {}
-    for p, dd in y.diff.items():
-        for key, entry in dd.items():
-            diff.setdefault(p, {})[key] = dict(entry)
+    diff = {p: dict(dd) for p, dd in y.diff.items()}
     for p, dd in x.diff.items():
         # X-part at cone degree p-1 mapping to cone degree p
         off_s = yoff.get(p - 1, 0)
@@ -142,7 +139,7 @@ def cone(fmap: ChainMap):
         # f: X^p -> Y^p sits as cone degree p-1 -> p
         off_s = yoff.get(p - 1, 0)
         for (t, s), entry in comps.items():
-            diff.setdefault(p - 1, {})[(t, s + off_s)] = dict(entry)
+            diff.setdefault(p - 1, {})[(t, s + off_s)] = entry
     return type(x)(x.base, terms, diff)
 
 
@@ -284,6 +281,12 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
     moves a chain by an amount fixed by t, the factors on either side of
     S_t and the local pattern.  Each such move, with its entries for both
     parities, is worked out once per call and per pair of end vertices.
+
+    Equal entries are one dict: every key whose entry has the same items
+    in the same order holds the same object, so U^(x)10 of a Kronecker
+    root keeps 20 entry dicts for its 16,308 keys.  Like every entry (see
+    complexes), they are read-only; code that writes to one copies it
+    first.
     """
     alg = u.base
     f = alg.field
@@ -303,13 +306,22 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
         ]
         for s in factor
     ]
-    chains = [((k,), keys[k][0], s.adeg) for k, s in enumerate(factor)]
-    for _ in range(n - 1):
-        chains = [
-            (flat + (m, k2), deg + dp, adeg + da)
-            for flat, deg, adeg in chains
-            for m, k2, dp, da in succ[flat[-1]]
-        ]
+
+    def extend(chains):
+        return ((flat + (m, k2), deg + dp, adeg + da)
+                for flat, deg, adeg in chains
+                for m, k2, dp, da in succ[flat[-1]])
+
+    # (flat chain, degree, Adams degree) in enumeration order.  The chains
+    # one factor short are kept, and each of the two passes below extends
+    # them afresh, so the longest chains are never all held at once.
+    heads = [((k,), keys[k][0], s.adeg) for k, s in enumerate(factor)]
+    for _ in range(n - 2):
+        heads = list(extend(heads))
+
+    def chains():
+        return extend(heads) if n > 1 else heads
+
     out = {p: _by_source(dd) for p, dd in u.diff.items()}
     has_d = [bool(out.get(p, {}).get(si)) for p, si in keys]  # d leaves factor k
     e_left = [alg.idempotent_index(s.left) for s in factor]
@@ -334,7 +346,7 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
     terms = {}
     place = []  # each chain's index in its degree, in enumeration order
     plans, chain_plan = {}, []
-    for flat, deg, adeg in chains:
+    for flat, deg, adeg in chains():
         fseq = flat[::2]
         pl = plans.get(fseq)
         if pl is None:
@@ -382,6 +394,11 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
                         pats.append((repl, a, b, (c2, f.neg(c2)) if c2 else None))
         return pats
 
+    patterns = {}  # an entry's items, in order -> the one dict holding them
+
+    def intern(entry):
+        return patterns.setdefault(tuple(entry.items()), entry)
+
     def moves(i, window, e_first, e_last):
         """d at factor i of the chains around window = (factor i-1, its
         middle, factor i, its middle, factor i+1), None off the ends: a
@@ -416,11 +433,11 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
             key = (e_first if a is None else a, e_last if b is None else b)
             for e, v in zip(t[1:], cs):
                 entry_add(e, {key: v}, f)
-        return [(move, (even, odd)) for move, even, odd in targets.values()]
+        return [(move, (intern(even), intern(odd))) for move, even, odd in targets.values()]
 
     ends = (None, None)
     diff = {}
-    for g, (flat, deg, _) in enumerate(chains):
+    for g, (flat, deg, _) in enumerate(chains()):
         _, _, _, ef, el, steps = chain_plan[g]
         if not steps:
             continue
@@ -436,7 +453,7 @@ def tensor_power(u: ProjBimodComplex, n: int) -> ProjBimodComplex:
                 if dd is None:
                     dd = diff[deg] = {}
                 for move, entries in mv:
-                    dd[(place[g + move], s_idx)] = dict(entries[odd])
+                    dd[(place[g + move], s_idx)] = entries[odd]
     return ProjBimodComplex(alg, terms, diff)
 
 
@@ -520,18 +537,25 @@ class HomComplex:
         return cohomology_dim(len(src), d, self.diff_matrix(r - 1)[0], self.x.base.field)
 
 
+def closed_maps(x, y, r: int):
+    """Degree-r closed maps x -> y: (the kernel of delta_r as a Subspace of
+    the coordinate space, coordinates hom_coords(x, y, r))."""
+    delta, coords, tgt = hom_diff_matrix(x, y, r)
+    return kernel_basis(delta, len(tgt), x.base.field), coords
+
+
 def chain_maps(x, y, r: int):
     """Degree-r maps x -> y: (closed subspace, boundary subspace, coordinates).
 
     Coordinates are hom_coords(x, y, r); both subspaces live in that
-    coordinate space.  The closed maps are the kernel of delta_r, the
+    coordinate space.  The closed maps are closed_maps(x, y, r), the
     boundaries spanned by independent columns of delta_{r-1}.
     """
     f = x.base.field
-    delta, coords, tgt = hom_diff_matrix(x, y, r)
+    closed, coords = closed_maps(x, y, r)
     span = IncrementalSpan(f)
     boundaries = [col for col in hom_diff_matrix(x, y, r - 1)[0] if span.add(col)]
-    return kernel_basis(delta, len(tgt), f), Subspace(len(coords), boundaries, f), coords
+    return closed, Subspace(len(coords), boundaries, f), coords
 
 
 def h0_representatives(diff_matrix, field):
@@ -588,7 +612,7 @@ def find_quasi_iso(x, y, r, trials=24, seed=0):
     Returns a closed ChainMap whose cone is acyclic, or None after the
     given number of seeded trials (absence is not a proof).
     """
-    closed, boundaries, coords = chain_maps(x, y, r)
+    closed, coords = closed_maps(x, y, r)
     if closed.dim == 0:
         return None
     for t in range(trials):

@@ -10,6 +10,12 @@ e_jA, and a map e_jA -> e_lA is an element g of e_lAe_j acting by left
 multiplication, encoded as {g_idx: coeff}.  Differentials raise
 cohomological degree by one and preserve the Adams degree.
 
+Entry dicts are read-only values.  One dict may stand at several keys of
+a differential and in several complexes: tensor_power keeps one dict per
+distinct entry, direct_sum and cone reuse the entries of their inputs,
+and a complex keeps the degree dicts of the diff it is given.  Code that
+writes to an entry copies it first, as minimize does.
+
 The constructions on these complexes (shifts, sums, cones, tensor
 products, Hom complexes, chain maps, minimize, resolutions) are in
 bimodcx, which re-exports every name here.  A process that only builds,
@@ -191,9 +197,11 @@ class _Complex:
     """
 
     def __init__(self, base, terms, diff):
+        # the degree dicts of diff are kept, not copied: the caller hands
+        # over dicts it no longer writes to
         self.base = base
         self.terms = {p: list(ss) for p, ss in terms.items() if ss}
-        self.diff = {p: dict(d) for p, d in diff.items() if d}
+        self.diff = {p: d for p, d in diff.items() if d}
 
     def degrees(self):
         return sorted(self.terms)

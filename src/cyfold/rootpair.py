@@ -16,7 +16,7 @@ from .bimodcx import (
     _by_source,
     assemble,
     bimodule_dual,
-    chain_maps,
+    closed_maps,
     find_quasi_iso,
     h0_representatives,
     hom_coords,
@@ -332,7 +332,7 @@ def is_cyclically_invariant(
     dual = bimodule_dual(resolution)
     power = tensor_power(u, a)
     r = -d
-    closed, boundaries, coords = chain_maps(dual, power, r)
+    closed, coords = closed_maps(dual, power, r)
     if closed.dim == 0:
         return False, None
     if a == 1:
@@ -380,7 +380,7 @@ def peel_map(phi: ChainMap, u: ProjBimodComplex, a: int, d: int, resolution=None
     tau = hh_class(phi, casimir(resolution), phi.target)
     target = tensor_power(u, a - 1) if a >= 2 else resolution
     r = -d
-    closed, _, psi_coords = chain_maps(dual_u, target, r)
+    closed, psi_coords = closed_maps(dual_u, target, r)
     pair_cols = _pairing_columns(casimir(u, dual_u), psi_coords, target, tau, resolution, a, d)
     # unknowns: t (over the closed basis) and w, with pair(sum_k t_k z_k) - d w = tau
     amb = tau.ambient

@@ -441,6 +441,37 @@ def test_minimize_leaves_input_alone(kron, transfer):
         assert not any(id(e) in ours for dd in m.diff.values() for e in dd.values())
 
 
+@pytest.mark.parametrize("char", [0, 2**31 - 1])
+def test_constructions_leave_shared_entries_alone(char):
+    """A tensor power holds one dict at many keys, and direct_sum and cone
+    hand their inputs' dicts on: no construction may write to one."""
+    field = Field(char) if char else QQ
+    _, p2, _ = matrix_root_pair(polynomial_algebra(["x0", "x1", "x2"], 4, field), 3)
+    # minimize adds corrections to existing entries of the P^2 cube but
+    # not of the Kronecker power, so only the cube shows a write-through
+    for u, n in [(kronecker_root(kronecker_algebra(field), 0, 1), 4),
+                 (resolve_bimodule(p2, len_bound=6), 3)]:
+        x = tensor_power(u, n)
+        entries = [e for dd in x.diff.values() for e in dd.values()]
+        assert len({id(e) for e in entries}) < len(entries)
+        before = _canonical_dump(x)
+        doubled = direct_sum(x, x)
+        outputs = [shift(x, 1), shift(x, 2), doubled, cone(identity_map(x)),
+                   tensor_over_A(x, u), tensor_over_A(u, x), one_sided(x, [0]),
+                   bimodule_dual(x), minimize(x), minimize(x, transfer=True),
+                   minimize(doubled), minimize(cone(identity_map(x)), transfer=True)]
+        assert all(cx.validate() == [] for cx in outputs)
+        assert _canonical_dump(x) == before
+
+
+@pytest.mark.parametrize("char", [0, 2**31 - 1])
+def test_tensor_power_keeps_one_dict_per_distinct_entry(char):
+    x = tensor_power(_root(("kronecker", 0, 1), char), 10)
+    entries = [e for dd in x.diff.values() for e in dd.values()]
+    assert len(entries) == 16308
+    assert len({id(e) for e in entries}) == len({tuple(e.items()) for e in entries}) == 20
+
+
 @pytest.mark.parametrize("root", sorted(TWIST_CHAIN_DIGESTS))
 def test_minimize_twist_chain_golden(kron, root):
     u = kronecker_root(kron, *root)
